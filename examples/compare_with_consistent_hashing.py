@@ -5,7 +5,8 @@ The paper compares the balance quality of its local approach against
 Consistent Hashing with 32 and 64 partitions per node as 1..1024 homogeneous
 nodes join.  This example runs a smaller instance (256 nodes, fewer runs) so
 it finishes in a few seconds, prints the checkpoint table and draws an ASCII
-chart; the full-size reproduction lives in ``benchmarks/bench_fig9.py``.
+chart; the full-size reproduction is ``repro run fig9`` (shape-checked by
+``tests/test_paper_figures.py``).
 
 Run with::
 

@@ -4,7 +4,7 @@
 Checks three kinds of references in ``README.md`` and ``docs/*.md``:
 
 1. repository paths — any backtick/link token that looks like a path
-   (``src/repro/core/base.py``, ``docs/architecture.md``, ``benchmarks/``)
+   (``src/repro/core/base.py``, ``docs/architecture.md``, ``bench/``)
    must exist relative to the repository root;
 2. dotted modules — any ``repro[.sub]*`` token must be importable (checked
    with ``importlib.util.find_spec`` against ``src/``);
@@ -26,7 +26,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Tokens inside backticks or markdown links that look like repo paths.
-PATH_RE = re.compile(r"[`(]((?:src|docs|tests|benchmarks|examples|scripts)/[\w./\-*]*)[`)]")
+PATH_RE = re.compile(r"[`(]((?:src|docs|tests|bench|examples|scripts)/[\w./\-*]*)[`)]")
 #: Dotted repro modules inside backticks (strip trailing attribute access).
 MODULE_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 #: CLI invocations: `python -m repro <cmd>` or a line starting with `repro <cmd>`.
@@ -85,7 +85,7 @@ def main() -> int:
 
         for match in PATH_RE.finditer(text):
             token = match.group(1).rstrip("/")
-            if "*" in token:  # glob illustration like benchmarks/bench_fig*.py
+            if "*" in token:  # glob illustration like tests/test_sim_*.py
                 if not list(REPO_ROOT.glob(token)):
                     problems.append(f"{rel}: no file matches glob `{token}`")
                 continue

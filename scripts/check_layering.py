@@ -4,7 +4,8 @@
 The engine core (:mod:`repro.core.engine`) is the transport-agnostic heart
 of the DHT; keeping its dependency arrows pointed the right way is what
 lets a future networked runtime reuse it unchanged.  This lint AST-walks
-every module under ``src/repro`` and enforces three rules:
+every module under ``src/repro``, enforces three rules and prints one
+report:
 
 1. **engine isolation** — modules in ``repro.core.engine`` import nothing
    from ``repro.sim``, ``repro.cluster``, ``repro.workloads``,
@@ -19,6 +20,13 @@ every module under ``src/repro`` and enforces three rules:
    and module-private helpers defined in the same file are fine): the
    engine's state is reached through its public interfaces only.
 
+The **dead-public-symbol report** lists every public function, class or
+method defined under ``src/repro`` whose name is used (as a name or an
+attribute, imports and ``__all__`` strings not counting) nowhere in
+``src/``, ``tests/``, ``examples/`` or ``bench/``.  It is printed on every
+run and never fails the check: a name can be reached through ``getattr`` or
+kept for library users, so each line is a candidate to delete, not a verdict.
+
 Run from the repository root (CI does)::
 
     python scripts/check_layering.py
@@ -29,7 +37,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -48,6 +56,9 @@ FORBIDDEN_IN_INTERFACES = ("numpy", "repro")
 
 #: Dunder attributes are API, not private reaches (rule 3).
 _DUNDER_OK = ("__",)
+
+#: Trees whose code counts as a use of a public symbol (the report).
+REFERENCE_ROOTS = ("src", "tests", "examples", "bench")
 
 
 def _iter_modules() -> Iterator[Path]:
@@ -166,7 +177,51 @@ def check() -> List[str]:
     return errors
 
 
+def _public_definitions(tree: ast.Module) -> Iterator[Tuple[int, str]]:
+    """Yield ``(lineno, qualified name)`` for the public functions, classes
+    and methods a module defines at its top level."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or node.name.startswith("_"):
+            continue
+        yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, defs) and not member.name.startswith("_"):
+                    yield member.lineno, f"{node.name}.{member.name}"
+
+
+def _used_names() -> Set[str]:
+    """Every identifier loaded as a name or an attribute under the reference roots."""
+    used: Set[str] = set()
+    for root in REFERENCE_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def dead_public_symbols() -> List[str]:
+    used = _used_names()
+    dead: List[str] = []
+    for path in _iter_modules():
+        rel = path.relative_to(REPO_ROOT)
+        tree = ast.parse(path.read_text(), filename=str(rel))
+        for lineno, qualname in _public_definitions(tree):
+            if qualname.rpartition(".")[2] not in used:
+                dead.append(f"{rel}:{lineno}: {qualname}")
+    return dead
+
+
 def main() -> int:
+    dead = dead_public_symbols()
+    print(f"check_layering: {len(dead)} public symbol(s) referenced nowhere "
+          f"in {', '.join(REFERENCE_ROOTS)} (report only)")
+    for line in dead:
+        print(f"  {line}")
     errors = check()
     if errors:
         print(f"check_layering: {len(errors)} violation(s)")

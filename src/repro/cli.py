@@ -1,43 +1,30 @@
 """Command-line interface for the reproduction.
 
-Provides nine subcommands::
+Provides seven subcommands::
 
     python -m repro list                         # registered experiments
     python -m repro run fig4 [--runs N] [...]    # run one experiment
     python -m repro demo [--vnodes N] [...]      # build a small DHT and report it
-    python -m repro bulk-bench [--keys N] [...]  # replay bulk workload scenarios
     python -m repro churn-bench [--events N] [...]  # replay a topology churn trace
-    python -m repro rebalance-bench [--keys N] [...]  # load-aware rebalancing run
     python -m repro protocol-bench [--events N] [...]  # control-plane cost of a churn trace
-    python -m repro serve --snode N [...]        # serve one snode over asyncio RPC
     python -m repro cluster-bench [--events N] [...]  # churn over the networked runtime
+    python -m repro serve --snode N [...]        # serve one snode over asyncio RPC
 
-``run`` prints the same checkpoint table / ASCII chart the benchmarks print
-and can persist the result to JSON (``--output``) for later comparison with
-``repro.experiments.persistence``.  ``bulk-bench`` replays the scenario
-suite of :mod:`repro.workloads.driver` through the batch API and prints
-throughput plus balance metrics per scenario.  ``churn-bench`` replays a
-join/leave/enrollment/crash churn trace (:mod:`repro.workloads.churn`)
-against live data — optionally with ``--replication N`` copies per item and
-a ``--crash-rate`` fraction of ungraceful snode failures — verifying item
-conservation (and replica consistency) after every topology event, and can
-write the report JSON (the CI ``BENCH_churn.json`` / ``BENCH_replication.json``
-artifacts).  ``rebalance-bench`` bulk-loads a Zipf-skewed key population
-(hot hash ranges, :func:`repro.workloads.keys.zipf_id_keys`), runs
-:meth:`~repro.core.base.BaseDHT.rebalance_load` and reports the per-snode
-item-load max/mean before/after plus migration throughput (the CI
-``BENCH_rebalance.json`` artifact).  ``protocol-bench`` replays one churn
-trace through the control-plane simulator
-(:class:`~repro.cluster.protocol.LifecycleProtocolSimulator`) under both
-the global barrier and the per-group locks, printing per-event-kind
-latency breakdowns and the global/local makespan ratio (the CI
-``BENCH_protocol.json`` artifact).  ``serve`` hosts a single snode as an
-asyncio RPC endpoint (the process-mode worker the cluster harness spawns);
-``cluster-bench`` boots a whole served cluster
-(:class:`~repro.runtime.harness.ClusterHarness`), replays a churn trace
-over real RPC with conservation and replica verification after every
-event, and reports measured wall-clock against the simulator's cost model
-(the CI ``BENCH_runtime.json`` artifact).
+``run`` prints the checkpoint table / ASCII chart of one paper figure, claim
+or ablation and can persist the result to JSON (``--output``) for later
+comparison with ``repro.experiments.persistence``.  The three ``*-bench``
+commands replay one :class:`~repro.workloads.churn.ChurnSpec` trace each
+against a different backend: ``churn-bench`` against the in-process engine
+(:class:`~repro.workloads.churn.ChurnEngine`, conservation and replica
+consistency verified after every topology event, ``--durable`` for the
+on-disk tier); ``protocol-bench`` through the control-plane simulator
+(:class:`~repro.cluster.protocol.LifecycleProtocolSimulator`) under both the
+global barrier and the per-group locks; ``cluster-bench`` over a served
+cluster (:class:`~repro.runtime.harness.ClusterHarness`, real RPC, real
+processes with ``--processes``), reporting measured wall-clock against the
+simulator's cost model.  ``serve`` hosts a single snode as an asyncio RPC
+endpoint (the process-mode worker the cluster harness spawns).  Performance
+is measured by ``bench/run.py``, not here (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -58,8 +45,6 @@ from repro.experiments.persistence import save_result
 from repro.report import format_table
 from repro.workloads import KeyWorkload
 from repro.workloads.churn import ChurnEngine, ChurnSpec
-from repro.workloads.driver import ScenarioDriver, ScenarioReport, builtin_scenarios
-from repro.workloads.rebalance_bench import RebalanceBenchSpec, run_rebalance_bench
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,36 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--vmin", type=int, default=8)
     demo.add_argument("--items", type=int, default=200, help="items to store")
     demo.add_argument("--seed", type=int, default=0)
-
-    bulk = sub.add_parser(
-        "bulk-bench", help="replay bulk workload scenarios through the batch API"
-    )
-    bulk.add_argument("--keys", type=int, default=1_000_000, help="distinct keys per scenario")
-    bulk.add_argument(
-        "--scenario",
-        choices=("all", "ids", "uniform", "zipf", "heterogeneous"),
-        default="all",
-        help="which scenario(s) to replay",
-    )
-    bulk.add_argument("--approach", choices=("local", "global"), default="local")
-    bulk.add_argument("--seed", type=int, default=0)
-    bulk.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for the multicore bulk pipeline (default 0 = serial)",
-    )
-    bulk.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the per-stage bulk-load breakdown and a cProfile summary",
-    )
-    bulk.add_argument(
-        "--output",
-        metavar="PATH",
-        help="also write the full reports (stage timings included) as JSON",
-    )
 
     churn = sub.add_parser(
         "churn-bench",
@@ -171,35 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--seed", type=int, default=0)
     churn.add_argument("--output", default=None, help="write the churn report to this JSON file")
 
-    reb = sub.add_parser(
-        "rebalance-bench",
-        help="bulk-load a zipf-skewed key population and rebalance item load",
-    )
-    reb.add_argument("--keys", type=int, default=1_000_000, help="distinct keys to load")
-    reb.add_argument("--exponent", type=float, default=1.1, help="zipf exponent")
-    reb.add_argument(
-        "--ranges", type=int, default=256,
-        help="equal ring slices the zipf mass is spread over (power of two)",
-    )
-    reb.add_argument("--approach", choices=("local", "global"), default="local")
-    reb.add_argument("--snodes", type=int, default=16)
-    reb.add_argument("--vnodes-per-snode", type=int, default=2)
-    reb.add_argument("--pmin", type=int, default=8)
-    reb.add_argument("--vmin", type=int, default=8)
-    reb.add_argument(
-        "--replication", type=int, default=2, metavar="N",
-        help="copies kept of every item (default 2: exercises replica re-sync)",
-    )
-    reb.add_argument("--tolerance", type=float, default=1.15,
-                     help="stop once max/mean per-snode load falls below this")
-    reb.add_argument(
-        "--legacy", action="store_true",
-        help="use the per-item migration baseline instead of the vectorized path",
-    )
-    reb.add_argument("--seed", type=int, default=0)
-    reb.add_argument("--output", default=None,
-                     help="write the rebalance report to this JSON file")
-
     proto = sub.add_parser(
         "protocol-bench",
         help="simulate the control-plane cost of a churn trace (global vs local)",
@@ -241,20 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument("--seed", type=int, default=0)
     proto.add_argument("--output", default=None,
                        help="write the protocol report to this JSON file")
-
-    serve = sub.add_parser(
-        "serve", help="serve one snode as an asyncio RPC endpoint"
-    )
-    serve.add_argument("--snode", type=int, required=True, help="snode id to host")
-    serve.add_argument("--bh", type=int, default=32, help="hash-space bits")
-    serve.add_argument("--replication-factor", type=int, default=1)
-    serve.add_argument("--host", default="127.0.0.1", help="TCP bind host")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port (0 = ephemeral, printed at startup)")
-    serve.add_argument("--unix", default=None, metavar="PATH",
-                       help="serve on a unix socket instead of TCP")
-    serve.add_argument("--data-dir", default=None,
-                       help="enable the durable tier under this directory")
 
     cluster = sub.add_parser(
         "cluster-bench",
@@ -311,6 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--output", default=None,
                          help="write the runtime report to this JSON file")
+
+    serve = sub.add_parser(
+        "serve", help="serve one snode as an asyncio RPC endpoint"
+    )
+    serve.add_argument("--snode", type=int, required=True, help="snode id to host")
+    serve.add_argument("--bh", type=int, default=32, help="hash-space bits")
+    serve.add_argument("--replication-factor", type=int, default=1)
+    serve.add_argument("--host", default="127.0.0.1", help="TCP bind host")
+    serve.add_argument("--port", type=int, default=0,
+                       help="TCP port (0 = ephemeral, printed at startup)")
+    serve.add_argument("--unix", default=None, metavar="PATH",
+                       help="serve on a unix socket instead of TCP")
+    serve.add_argument("--data-dir", default=None,
+                       help="enable the durable tier under this directory")
     return parser
 
 
@@ -371,78 +297,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bulk_bench(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    try:
-        specs = builtin_scenarios(n_keys=args.keys, seed=args.seed, approach=args.approach)
-        if args.workers:
-            specs = [dataclasses.replace(s, workers=args.workers) for s in specs]
-    except ValueError as exc:
-        print(f"bulk-bench: {exc}", file=sys.stderr)
-        return 2
-    if args.scenario != "all":
-        specs = [s for s in specs if s.name == args.scenario]
-
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    reports = []
-    for spec in specs:
-        reports.append(ScenarioDriver(spec).run())
-    if profiler is not None:
-        profiler.disable()
-
-    print(format_table(ScenarioReport.ROW_HEADER, [r.as_row() for r in reports]))
-    if args.profile:
-        # Stage breakdown: where each scenario's bulk-load wall time went.
-        stage_rows = [
-            [
-                r.name,
-                r.load_mode,
-                f"{r.load_seconds:.3f}",
-                f"{r.hash_seconds:.3f}",
-                f"{r.locate_seconds:.3f}",
-                f"{r.group_seconds:.3f}",
-                f"{r.ingest_seconds:.3f}",
-                f"{r.replica_seconds:.3f}",
-            ]
-            for r in reports
-        ]
-        print()
-        print(
-            format_table(
-                ["scenario", "mode", "load s", "hash s", "locate s",
-                 "group s", "ingest s", "replica s"],
-                stage_rows,
-            )
-        )
-        import io
-        import pstats
-
-        buf = io.StringIO()
-        pstats.Stats(profiler, stream=buf).sort_stats("cumulative").print_stats(15)
-        print()
-        print(buf.getvalue().rstrip())
-    if args.output:
-        payload = {
-            "keys": args.keys,
-            "approach": args.approach,
-            "workers": args.workers,
-            "scenarios": [r.as_dict() for r in reports],
-        }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"\nwrote {args.output}")
-    return 0
-
-
 def _event_weights(
-    crash_rate: float, rebalance_rate: float, restart_rate: float = 0.0
+    crash_rate: float, rebalance_rate: float, restart_rate: float
 ) -> tuple:
     """Crash/rebalance/restart weights making those kinds exact fractions.
 
@@ -472,6 +328,36 @@ def _event_weights(
     )
 
 
+def _churn_spec(
+    args: argparse.Namespace, restart_rate: float = 0.0, **fields
+) -> ChurnSpec:
+    """The :class:`ChurnSpec` a ``*-bench`` subcommand's flags describe.
+
+    Covers the flags all three commands share; ``fields`` carries the rest
+    (approach, cluster-size bounds, data directory, ...).  Raises
+    ``ValueError`` for rates or sizes the spec rejects.
+    """
+    crash_weight, rebalance_weight, restart_weight = _event_weights(
+        args.crash_rate, args.rebalance_rate, restart_rate
+    )
+    return ChurnSpec(
+        name=f"{args.command.partition('-')[0]}-{args.workload}",
+        workload=args.workload,
+        n_keys=args.keys,
+        n_events=args.events,
+        n_snodes=args.snodes,
+        vnodes_per_snode=args.vnodes_per_snode,
+        pmin=args.pmin,
+        vmin=args.vmin,
+        replication_factor=args.replication,
+        crash_weight=crash_weight,
+        rebalance_weight=rebalance_weight,
+        restart_weight=restart_weight,
+        seed=args.seed,
+        **fields,
+    )
+
+
 def _cmd_churn_bench(args: argparse.Namespace) -> int:
     import contextlib
     import tempfile
@@ -485,25 +371,8 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
                 tempfile.TemporaryDirectory(prefix="repro-churn-durable-")
             )
         try:
-            crash_weight, rebalance_weight, restart_weight = _event_weights(
-                args.crash_rate, args.rebalance_rate, args.restart_rate
-            )
-            spec = ChurnSpec(
-                name=f"churn-{args.workload}",
-                workload=args.workload,
-                n_keys=args.keys,
-                n_events=args.events,
-                approach=args.approach,
-                n_snodes=args.snodes,
-                vnodes_per_snode=args.vnodes_per_snode,
-                pmin=args.pmin,
-                vmin=args.vmin,
-                replication_factor=args.replication,
-                crash_weight=crash_weight,
-                rebalance_weight=rebalance_weight,
-                restart_weight=restart_weight,
-                data_dir=data_dir,
-                seed=args.seed,
+            spec = _churn_spec(
+                args, args.restart_rate, approach=args.approach, data_dir=data_dir
             )
         except ValueError as exc:
             print(f"churn-bench: {exc}", file=sys.stderr)
@@ -517,38 +386,6 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(include_events=True), fh, indent=2)
-        print(f"\nreport written to {args.output}")
-    return 0
-
-
-def _cmd_rebalance_bench(args: argparse.Namespace) -> int:
-    try:
-        spec = RebalanceBenchSpec(
-            n_keys=args.keys,
-            exponent=args.exponent,
-            n_ranges=args.ranges,
-            approach=args.approach,
-            n_snodes=args.snodes,
-            vnodes_per_snode=args.vnodes_per_snode,
-            pmin=args.pmin,
-            vmin=args.vmin,
-            replication_factor=args.replication,
-            tolerance=args.tolerance,
-            vectorized=not args.legacy,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"rebalance-bench: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_rebalance_bench(spec)
-    except ReproError as exc:
-        print(f"rebalance-bench FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(format_table(["property", "value"], report.as_rows()))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
         print(f"\nreport written to {args.output}")
     return 0
 
@@ -581,31 +418,17 @@ def _cmd_protocol_bench(args: argparse.Namespace) -> int:
     from repro.cluster.protocol import compare_lifecycle_protocols
 
     try:
-        crash_weight, rebalance_weight, _ = _event_weights(
-            args.crash_rate, args.rebalance_rate
-        )
         if args.events < 1:
             raise ValueError(f"--events must be >= 1, got {args.events}")
         if args.batch_size < 1:
             raise ValueError(f"--batch-size must be >= 1, got {args.batch_size}")
         if args.gap < 0:
             raise ValueError(f"--gap must be non-negative, got {args.gap}")
-        spec = ChurnSpec(
-            name=f"protocol-{args.workload}",
-            workload=args.workload,
-            n_keys=args.keys,
-            n_events=args.events,
+        spec = _churn_spec(
+            args,
             approach="local",
-            n_snodes=args.snodes,
-            vnodes_per_snode=args.vnodes_per_snode,
             min_snodes=args.min_snodes,
             max_snodes=args.max_snodes,
-            pmin=args.pmin,
-            vmin=args.vmin,
-            replication_factor=args.replication,
-            crash_weight=crash_weight,
-            rebalance_weight=rebalance_weight,
-            seed=args.seed,
         )
     except ValueError as exc:
         print(f"protocol-bench: {exc}", file=sys.stderr)
@@ -703,27 +526,13 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
                 tempfile.TemporaryDirectory(prefix="repro-cluster-durable-")
             )
         try:
-            crash_weight, rebalance_weight, restart_weight = _event_weights(
-                args.crash_rate, args.rebalance_rate, args.restart_rate
-            )
-            spec = ChurnSpec(
-                name=f"cluster-{args.workload}",
-                workload=args.workload,
-                n_keys=args.keys,
-                n_events=args.events,
+            spec = _churn_spec(
+                args,
+                args.restart_rate,
                 approach=args.approach,
-                n_snodes=args.snodes,
-                vnodes_per_snode=args.vnodes_per_snode,
-                pmin=args.pmin,
-                vmin=args.vmin,
-                replication_factor=args.replication,
                 zipf_exponent=args.zipf_exponent,
-                crash_weight=crash_weight,
-                rebalance_weight=rebalance_weight,
-                restart_weight=restart_weight,
                 read_multiplier=args.read_multiplier,
                 data_dir=data_dir,
-                seed=args.seed,
             )
         except ValueError as exc:
             print(f"cluster-bench: {exc}", file=sys.stderr)
@@ -790,12 +599,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "demo":
         return _cmd_demo(args)
-    if args.command == "bulk-bench":
-        return _cmd_bulk_bench(args)
     if args.command == "churn-bench":
         return _cmd_churn_bench(args)
-    if args.command == "rebalance-bench":
-        return _cmd_rebalance_bench(args)
     if args.command == "protocol-bench":
         return _cmd_protocol_bench(args)
     if args.command == "serve":

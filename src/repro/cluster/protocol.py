@@ -800,43 +800,15 @@ class LifecycleProtocolSimulator:
     def _build_dht(self):
         from repro.core.global_model import GlobalDHT
         from repro.core.local_model import LocalDHT
-        from repro.workloads.driver import build_cluster
 
         if self.spec is not None:
-            spec = self.spec
-            return build_cluster(
-                spec.approach,
-                spec.n_snodes,
-                spec.vnodes_per_snode,
-                pmin=spec.pmin,
-                vmin=spec.vmin,
-                replication_factor=spec.replication_factor,
-                seed=spec.seed,
-                data_dir=spec.data_dir,
-            )
+            return self.spec.build_dht(workers=0)
         if self.approach == "local":
             dht = LocalDHT(self._config, rng=self._rng)
         else:
             dht = GlobalDHT(self._config, rng=self._rng)
         dht.add_snodes(self.n_snodes)
         return dht
-
-    def _make_keys(self):
-        from repro.workloads.keys import id_keys, uniform_keys, zipf_id_keys
-
-        spec = self.spec
-        if spec is None:
-            return None
-        if spec.workload == "ids":
-            return id_keys(spec.n_keys, rng=spec.seed)
-        if spec.workload == "zipf":
-            return zipf_id_keys(
-                spec.n_keys,
-                exponent=spec.zipf_exponent,
-                n_ranges=spec.zipf_ranges,
-                rng=spec.seed,
-            )
-        return uniform_keys(spec.n_keys, rng=spec.seed)
 
     @staticmethod
     def _snapshot(dht) -> Dict[object, Tuple[object, int]]:
@@ -860,7 +832,7 @@ class LifecycleProtocolSimulator:
         )
 
         dht = self._build_dht()
-        keys = self._make_keys()
+        keys = self.spec.make_keys() if self.spec is not None else None
         profiles: List[EventProfile] = []
         topology_index = 0
         for event in self.trace:

@@ -493,18 +493,26 @@ class VnodeStore:
         fragments accumulate past :data:`_MAX_PENDING_SEGMENTS` they are
         compacted into one segment so later range passes stay O(rows), not
         O(adoptions).
+
+        A checkpoint snapshots the in-memory tiers and deletes the WAL, so it
+        may only run once every logged part is also in memory: all records
+        are appended first, then applied, then the log is checkpointed at
+        most once.
         """
-        if self.durable is not None:
+        durable = self.durable
+        if durable is not None:
             pairs = list(pairs)
             segments = list(segments)
             if pairs:
-                self._log(("pairs", pairs))
+                durable.append(("pairs", pairs))
             for seg_keys, seg_indexes, seg_values in segments:
-                self._log(("batch", seg_keys, seg_indexes, seg_values))
+                durable.append(("batch", seg_keys, seg_indexes, seg_values))
         self._items.update(pairs)
         self._segments.extend(segments)
         if len(self._segments) > _MAX_PENDING_SEGMENTS:
             self._compact_segments()
+        if durable is not None and durable.should_checkpoint():
+            durable.checkpoint(self._items, self._segments)
 
     def index_columns(self, dtype) -> List[np.ndarray]:
         """Every hash-index column of this store, both tiers, no merging.
@@ -666,8 +674,8 @@ class DHTStorage:
         )
         #: When True (default), partition migration filters pending segments
         #: with numpy masks and never merges them (:meth:`VnodeStore.pop_buckets`).
-        #: When False, the legacy per-item scan path runs instead — kept for
-        #: the churn benchmark's before/after comparison.
+        #: When False, the legacy per-item scan path runs instead — the
+        #: reference implementation the migration tests compare against.
         self.vectorized_migration = True
 
     # -- vnode lifecycle -------------------------------------------------------

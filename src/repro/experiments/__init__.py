@@ -2,9 +2,9 @@
 
 Every experiment produces an :class:`~repro.experiments.base.ExperimentResult`
 containing labelled (x, y) series, the parameters used and a pointer to the
-paper figure it reproduces.  The benchmark files under ``benchmarks/`` are
-thin wrappers that run these definitions and print the resulting tables, so
-the same code path serves interactive use, tests and benchmarking.
+paper figure it reproduces.  ``repro run <id>`` prints the resulting tables
+and ``tests/test_paper_figures.py`` asserts the paper's shapes on the same
+definitions, so one code path serves interactive use and tests.
 """
 
 from repro.experiments.base import ExperimentResult, Series

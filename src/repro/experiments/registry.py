@@ -1,8 +1,8 @@
 """Registry mapping experiment identifiers to their runner functions.
 
-The identifiers match the experiment index of docs/paper-mapping.md and the benchmark
-file names, so ``run_experiment("fig4")`` regenerates exactly what
-``pytest benchmarks/bench_fig4.py`` prints.
+The identifiers match the experiment index of docs/paper-mapping.md and the
+case ids of ``tests/test_paper_figures.py``, so ``run_experiment("fig4")``
+regenerates exactly what ``repro run fig4`` prints.
 """
 
 from __future__ import annotations

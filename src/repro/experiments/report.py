@@ -2,9 +2,9 @@
 
 The paper presents its evaluation as line charts; since this library is
 terminal-first, every figure is rendered as (a) a checkpoint table sampling
-each curve at a handful of x positions and (b) an optional ASCII chart.  The
-benchmark files print these renderings so ``pytest benchmarks/`` output can
-be compared against the paper side by side.
+each curve at a handful of x positions and (b) an optional ASCII chart.
+``repro run <id>`` prints these renderings so the output can be compared
+against the paper side by side.
 """
 
 from __future__ import annotations

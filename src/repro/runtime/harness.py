@@ -93,8 +93,6 @@ from repro.workloads.churn import (
     apply_topology_event,
     make_churn_trace,
 )
-from repro.workloads.driver import build_cluster
-from repro.workloads.keys import id_keys, uniform_keys, zipf_id_keys
 
 #: ``(start, end, ref)`` half-open ownership interval.
 _Interval = Tuple[int, int, VnodeRef]
@@ -298,15 +296,9 @@ class ClusterHarness:
         self.data_root = spec.data_dir or (base_dir if processes else None)
         self.durable = self.data_root is not None
 
-        self.twin = build_cluster(
-            spec.approach,
-            spec.n_snodes,
-            spec.vnodes_per_snode,
-            pmin=spec.pmin,
-            vmin=spec.vmin,
-            replication_factor=spec.replication_factor,
-            seed=spec.seed,
-        )
+        # The twin is the coordinator's RAM-only model: the served nodes own
+        # the disk and do the bulk work.
+        self.twin = spec.build_dht(data_dir=None, workers=0)
         self.bh = self.twin.hash_space.bh
         self.handles: Dict[int, NodeHandle] = {}
         self.client = ClusterClient(
@@ -993,19 +985,6 @@ class ClusterHarness:
 
     # -- trace replay ----------------------------------------------------------
 
-    def make_keys(self):
-        """The distinct key population of the trace (same as the churn engine)."""
-        if self.spec.workload == "ids":
-            return id_keys(self.spec.n_keys, rng=self.spec.seed)
-        if self.spec.workload == "zipf":
-            return zipf_id_keys(
-                self.spec.n_keys,
-                exponent=self.spec.zipf_exponent,
-                n_ranges=self.spec.zipf_ranges,
-                rng=self.spec.seed,
-            )
-        return uniform_keys(self.spec.n_keys, rng=self.spec.seed)
-
     async def run(self, oracle: bool = True) -> HarnessReport:
         """Replay the trace against the served cluster and verify every event.
 
@@ -1015,7 +994,7 @@ class ClusterHarness:
         """
         if not self._started:
             await self.start()
-        keys = self.make_keys()
+        keys = self.spec.make_keys()
         key_column = (
             keys if isinstance(keys, np.ndarray) else np.asarray(keys, dtype=object)
         )

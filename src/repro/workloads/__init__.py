@@ -5,7 +5,7 @@ vnode creations on homogeneous nodes with uniform keys), but a usable
 library also needs the workloads the introduction motivates: heterogeneous
 cluster nodes (different hardware generations, specialized nodes), dynamic
 enrollment changes and skewed key popularity.  All of those live here and
-are exercised by the examples and the ablation benchmarks.
+are exercised by the examples and the ablation experiments.
 """
 
 from repro.workloads.arrivals import (
@@ -28,14 +28,7 @@ from repro.workloads.heterogeneity import (
     NodeSpec,
     enrollment_from_capacity,
 )
-from repro.workloads.driver import (
-    ScenarioDriver,
-    ScenarioReport,
-    ScenarioSpec,
-    build_cluster,
-    builtin_scenarios,
-    run_scenarios,
-)
+from repro.workloads.driver import build_cluster
 from repro.workloads.churn import (
     ChurnEngine,
     ChurnEvent,
@@ -43,11 +36,6 @@ from repro.workloads.churn import (
     ChurnSpec,
     make_churn_trace,
     run_churn,
-)
-from repro.workloads.rebalance_bench import (
-    RebalanceBenchReport,
-    RebalanceBenchSpec,
-    run_rebalance_bench,
 )
 
 __all__ = [
@@ -62,21 +50,13 @@ __all__ = [
     "zipf_id_keys",
     "sequential_keys",
     "id_keys",
-    "ScenarioSpec",
-    "ScenarioReport",
-    "ScenarioDriver",
     "build_cluster",
-    "builtin_scenarios",
-    "run_scenarios",
     "ChurnSpec",
     "ChurnEvent",
     "ChurnEngine",
     "ChurnReport",
     "make_churn_trace",
     "run_churn",
-    "RebalanceBenchSpec",
-    "RebalanceBenchReport",
-    "run_rebalance_bench",
     "NodeSpec",
     "CapacityProfile",
     "enrollment_from_capacity",

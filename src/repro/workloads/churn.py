@@ -1,9 +1,7 @@
 """Churn engine: replay timed topology-event traces against a live DHT.
 
 The paper's elastic DHT is defined by partitions changing hands as vnodes
-come and go, but the bulk scenario driver (:mod:`repro.workloads.driver`)
-only exercises *growth* against a static topology.  This module closes the
-gap: a churn trace interleaves **topology events** — ``snode_join``,
+come and go.  A churn trace interleaves **topology events** — ``snode_join``,
 ``snode_leave``, ``enrollment_change``, ``snode_crash``, ``snode_restart``,
 ``rebalance`` — with bulk
 ``load``/``lookup`` chunks, and :class:`ChurnEngine` replays the trace
@@ -213,6 +211,39 @@ class ChurnSpec:
             raise ValueError("zipf_exponent must be positive")
         if self.zipf_ranges < 2 or self.zipf_ranges & (self.zipf_ranges - 1):
             raise ValueError("zipf_ranges must be a power of two >= 2")
+
+    def make_keys(self) -> Union[np.ndarray, List[str]]:
+        """The distinct key population loaded over the trace."""
+        if self.workload == "ids":
+            return id_keys(self.n_keys, rng=self.seed)
+        if self.workload == "zipf":
+            return zipf_id_keys(
+                self.n_keys,
+                exponent=self.zipf_exponent,
+                n_ranges=self.zipf_ranges,
+                rng=self.seed,
+            )
+        return uniform_keys(self.n_keys, rng=self.seed)
+
+    def build_dht(self, **overrides: Any) -> BaseDHT:
+        """Enroll the initial cluster described by the spec.
+
+        ``overrides`` replace :func:`~repro.workloads.driver.build_cluster`
+        keywords — the runtime harness's twin passes ``data_dir=None``
+        because only the served nodes, not the coordinator's model, own disk.
+        """
+        kwargs: Dict[str, Any] = dict(
+            pmin=self.pmin,
+            vmin=self.vmin,
+            replication_factor=self.replication_factor,
+            seed=self.seed,
+            data_dir=self.data_dir,
+            workers=self.workers,
+        )
+        kwargs.update(overrides)
+        return build_cluster(
+            self.approach, self.n_snodes, self.vnodes_per_snode, **kwargs
+        )
 
 
 def make_churn_trace(spec: ChurnSpec) -> List[ChurnEvent]:
@@ -455,7 +486,7 @@ class ChurnReport:
         return self.items_moved / self.events_applied if self.events_applied else 0.0
 
     def as_dict(self, include_events: bool = False) -> Dict[str, Any]:
-        """JSON-serializable form (the ``BENCH_churn.json`` artifact)."""
+        """JSON-serializable form (``repro churn-bench --output``)."""
         out: Dict[str, Any] = {
             "name": self.name,
             "approach": self.approach,
@@ -560,32 +591,11 @@ class ChurnEngine:
 
     def build_dht(self) -> BaseDHT:
         """Enroll the initial cluster described by the spec."""
-        spec = self.spec
-        return build_cluster(
-            spec.approach,
-            spec.n_snodes,
-            spec.vnodes_per_snode,
-            pmin=spec.pmin,
-            vmin=spec.vmin,
-            replication_factor=spec.replication_factor,
-            seed=spec.seed,
-            data_dir=spec.data_dir,
-            workers=spec.workers,
-        )
+        return self.spec.build_dht()
 
     def make_keys(self) -> Union[np.ndarray, List[str]]:
-        """The distinct key population loaded over the trace."""
-        spec = self.spec
-        if spec.workload == "ids":
-            return id_keys(spec.n_keys, rng=spec.seed)
-        if spec.workload == "zipf":
-            return zipf_id_keys(
-                spec.n_keys,
-                exponent=spec.zipf_exponent,
-                n_ranges=spec.zipf_ranges,
-                rng=spec.seed,
-            )
-        return uniform_keys(spec.n_keys, rng=spec.seed)
+        """The key population to replay (subclasses may supply their own)."""
+        return self.spec.make_keys()
 
     # -- execution ------------------------------------------------------------
 

@@ -1,39 +1,19 @@
-"""Bulk scenario driver: replay key-arrival traces against a live DHT.
+"""Cluster construction shared by every workload replayer.
 
-The paper's evaluation stops at balance quality; a production-scale DHT also
-has to *serve* the keys it balances.  This driver closes that gap: it builds
-a DHT from a declarative :class:`ScenarioSpec`, replays a key trace through
-the batch API (:meth:`~repro.core.base.BaseDHT.bulk_load` /
-:meth:`~repro.core.base.BaseDHT.lookup_many`) in bounded chunks, and reports
-throughput together with the paper's balance metrics — so a million-key run
-answers both "how fast" and "how balanced" in one go.
-
-Three trace families are built in (:func:`builtin_scenarios`):
-
-* ``ids`` — 64-bit integer ids on a homogeneous cluster, the fastest path
-  (vectorized SplitMix64 hashing end to end);
-* ``uniform`` — uniform string keys, the paper's no-hot-spot assumption;
-* ``zipf`` — a Zipf-skewed read trace over a loaded object population
-  (hot spots, which the paper leaves to future work);
-
-plus a ``heterogeneous`` variant that enrolls capacity-weighted snodes via
-:func:`~repro.workloads.heterogeneity.enrollment_from_capacity`.
+:func:`build_cluster` builds the DHT for an approach, enrolls its snodes and
+grows each to its target enrollment.  The churn engine
+(:mod:`repro.workloads.churn`), the networked harness's twin, the lifecycle
+protocol simulator and the benchmark all reach it through
+:meth:`repro.workloads.churn.ChurnSpec.build_dht` or call it directly.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional
 
 from repro.core import DHTConfig, DurabilityConfig, GlobalDHT, LocalDHT, ParallelConfig
 from repro.core.base import BaseDHT
-from repro.workloads.heterogeneity import enrollment_from_capacity
-from repro.workloads.keys import id_keys, uniform_keys, zipf_keys
 
-WORKLOADS = ("ids", "uniform", "zipf")
 APPROACHES = ("local", "global")
 
 
@@ -41,7 +21,6 @@ def build_cluster(
     approach: str,
     n_snodes: int,
     vnodes_per_snode: int,
-    capacities: Optional[Sequence[float]] = None,
     pmin: int = 32,
     vmin: int = 32,
     replication_factor: int = 1,
@@ -50,16 +29,13 @@ def build_cluster(
     workers: int = 0,
     parallel: Optional[ParallelConfig] = None,
 ) -> BaseDHT:
-    """Enroll a cluster (homogeneous or capacity-weighted) for a scenario.
+    """Enroll a homogeneous cluster.
 
-    Shared by the bulk scenario driver and the churn engine
-    (:mod:`repro.workloads.churn`): builds the DHT for the requested
-    approach (with ``replication_factor`` copies of every item), enrolls
-    ``n_snodes`` snodes and grows each to its target enrollment
-    (``vnodes_per_snode``, optionally scaled by the snode's relative
-    capacity via :func:`~repro.workloads.heterogeneity.enrollment_from_capacity`).
-    ``data_dir`` turns on the durable tier (WAL + checkpointed segments per
-    primary vnode under that directory; see :mod:`repro.core.durability`).
+    Builds the DHT for the requested approach (with ``replication_factor``
+    copies of every item), enrolls ``n_snodes`` snodes and grows each to
+    ``vnodes_per_snode`` vnodes.  ``data_dir`` turns on the durable tier
+    (WAL + checkpointed segments per primary vnode under that directory; see
+    :mod:`repro.core.durability`).
     ``workers > 0`` enables the multicore bulk pipeline
     (:mod:`repro.parallel`) with that many worker processes; the caller is
     then responsible for :meth:`~repro.core.base.BaseDHT.close`.
@@ -84,301 +60,6 @@ def build_cluster(
         dht: BaseDHT = LocalDHT(config, rng=seed)
     else:
         dht = GlobalDHT(config, rng=seed)
-    snodes = dht.add_snodes(n_snodes)
-    for i, snode in enumerate(snodes):
-        if capacities is None:
-            target = vnodes_per_snode
-        else:
-            target = enrollment_from_capacity(
-                float(capacities[i]), base_vnodes=vnodes_per_snode
-            )
-        dht.set_enrollment(snode, target)
+    for snode in dht.add_snodes(n_snodes):
+        dht.set_enrollment(snode, vnodes_per_snode)
     return dht
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Declarative description of one bulk workload scenario."""
-
-    #: Scenario name (shown in reports).
-    name: str
-    #: Trace family: ``"ids"``, ``"uniform"`` or ``"zipf"``.
-    workload: str
-    #: Number of distinct keys to load.
-    n_keys: int
-    #: DHT approach: ``"local"`` (grouped) or ``"global"``.
-    approach: str = "local"
-    #: Number of snodes to enroll.
-    n_snodes: int = 8
-    #: Vnodes per snode (base enrollment for heterogeneous clusters).
-    vnodes_per_snode: int = 8
-    #: Optional per-snode relative capacities; when given, snode ``i``
-    #: enrolls ``enrollment_from_capacity(capacities[i], vnodes_per_snode)``
-    #: vnodes (heterogeneous cluster).
-    capacities: Optional[Sequence[float]] = None
-    #: Zipf exponent for the ``"zipf"`` read trace.
-    zipf_exponent: float = 1.2
-    #: Lookups issued per loaded key (the read trace length factor).
-    read_multiplier: float = 1.0
-    #: Keys per bulk_load / lookup_many call (bounds peak memory).
-    chunk_size: int = 250_000
-    #: Model parameters (paper's recommended Pmin = Vmin = 32 by default).
-    pmin: int = 32
-    vmin: int = 32
-    #: Master seed for key generation and victim-group selection.
-    seed: int = 0
-    #: Worker processes for the multicore bulk pipeline (0 = serial).
-    workers: int = 0
-
-    def __post_init__(self) -> None:
-        if self.workload not in WORKLOADS:
-            raise ValueError(f"workload must be one of {WORKLOADS}, got {self.workload!r}")
-        if self.approach not in APPROACHES:
-            raise ValueError(f"approach must be one of {APPROACHES}, got {self.approach!r}")
-        if self.n_keys < 1:
-            raise ValueError("n_keys must be >= 1")
-        if self.n_snodes < 1 or self.vnodes_per_snode < 1:
-            raise ValueError("n_snodes and vnodes_per_snode must be >= 1")
-        if self.capacities is not None and len(self.capacities) != self.n_snodes:
-            raise ValueError("capacities must have exactly n_snodes entries")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.read_multiplier < 0:
-            raise ValueError("read_multiplier must be non-negative")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
-
-
-@dataclass
-class ScenarioReport:
-    """Throughput and balance outcome of one scenario run."""
-
-    name: str
-    approach: str
-    n_snodes: int
-    n_vnodes: int
-    n_partitions: int
-    keys_loaded: int
-    load_seconds: float
-    lookups_issued: int
-    lookup_seconds: float
-    sigma_qv: float
-    sigma_qn: float
-    #: Largest per-snode share of stored items (fraction of the total).
-    max_snode_share: float
-    #: Worker processes the run was configured with (0 = serial pipeline).
-    workers: int = 0
-    #: Bulk-load mode actually taken: ``serial``, ``parallel`` or
-    #: ``parallel-hash`` (see :class:`~repro.core.engine.storage.BulkLoadReport`).
-    load_mode: str = "serial"
-    #: Accumulated per-stage bulk-load seconds (across all chunks).
-    hash_seconds: float = 0.0
-    locate_seconds: float = 0.0
-    group_seconds: float = 0.0
-    ingest_seconds: float = 0.0
-    replica_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form (adds the derived throughput numbers)."""
-        out = asdict(self)
-        out["load_keys_per_second"] = self.load_keys_per_second
-        out["lookup_keys_per_second"] = self.lookup_keys_per_second
-        return out
-
-    @property
-    def load_keys_per_second(self) -> float:
-        """Bulk-load throughput."""
-        return self.keys_loaded / self.load_seconds if self.load_seconds > 0 else 0.0
-
-    @property
-    def lookup_keys_per_second(self) -> float:
-        """Batch-lookup throughput."""
-        return self.lookups_issued / self.lookup_seconds if self.lookup_seconds > 0 else 0.0
-
-    def as_row(self) -> List[str]:
-        """One table row (see :func:`repro.report.format_table`)."""
-        return [
-            self.name,
-            self.approach,
-            str(self.n_snodes),
-            str(self.n_vnodes),
-            f"{self.keys_loaded:,}",
-            f"{self.load_keys_per_second:,.0f}",
-            f"{self.lookup_keys_per_second:,.0f}",
-            f"{self.sigma_qv * 100:.2f}%",
-            f"{self.sigma_qn * 100:.2f}%",
-            f"{self.max_snode_share * 100:.2f}%",
-        ]
-
-    #: Header matching :meth:`as_row`.
-    ROW_HEADER = [
-        "scenario",
-        "approach",
-        "snodes",
-        "vnodes",
-        "keys",
-        "load keys/s",
-        "lookup keys/s",
-        "sigma(Qv)",
-        "sigma(Qn)",
-        "max snode share",
-    ]
-
-
-class ScenarioDriver:
-    """Build the DHT described by a spec and replay its trace."""
-
-    def __init__(self, spec: ScenarioSpec):
-        self.spec = spec
-
-    # -- construction ---------------------------------------------------------
-
-    def build_dht(self) -> BaseDHT:
-        """Enroll the scenario's cluster (homogeneous or capacity-weighted)."""
-        spec = self.spec
-        return build_cluster(
-            spec.approach,
-            spec.n_snodes,
-            spec.vnodes_per_snode,
-            capacities=spec.capacities,
-            pmin=spec.pmin,
-            vmin=spec.vmin,
-            seed=spec.seed,
-            workers=spec.workers,
-        )
-
-    def make_keys(self) -> Union[np.ndarray, List[str]]:
-        """The distinct keys to load, per the spec's trace family."""
-        spec = self.spec
-        if spec.workload == "ids":
-            return id_keys(spec.n_keys, rng=spec.seed)
-        # Both uniform and zipf scenarios load a uniform key population;
-        # zipf skews the *read* trace, not the stored population.
-        if spec.workload == "zipf":
-            return [f"obj:{i}" for i in range(spec.n_keys)]
-        return uniform_keys(spec.n_keys, rng=spec.seed)
-
-    def make_read_trace(self, keys: Union[np.ndarray, List[str]]) -> Union[np.ndarray, List[str]]:
-        """The keys to look up, per the spec's trace family."""
-        spec = self.spec
-        n_reads = int(round(spec.n_keys * spec.read_multiplier))
-        if n_reads == 0:
-            return []
-        if spec.workload == "zipf":
-            return zipf_keys(
-                n_reads, spec.n_keys, exponent=spec.zipf_exponent, rng=spec.seed + 1
-            )
-        picks = np.random.default_rng(spec.seed + 1).integers(0, len(keys), size=n_reads)
-        if not isinstance(keys, np.ndarray):
-            keys = np.asarray(keys, dtype=object)
-        return keys[picks]
-
-    # -- execution ------------------------------------------------------------
-
-    def run(self, dht: Optional[BaseDHT] = None) -> ScenarioReport:
-        """Build (unless given), load the trace in chunks and measure.
-
-        A DHT built internally is closed before returning (releasing any
-        multicore worker pool); a caller-provided DHT is left alone.
-        """
-        spec = self.spec
-        owns_dht = dht is None
-        if dht is None:
-            dht = self.build_dht()
-
-        try:
-            keys = self.make_keys()
-            load_seconds = 0.0
-            loaded = 0
-            load_mode = "serial"
-            stage = {"hash": 0.0, "locate": 0.0, "group": 0.0, "ingest": 0.0, "replica": 0.0}
-            for lo in range(0, len(keys), spec.chunk_size):
-                chunk = keys[lo : lo + spec.chunk_size]
-                t0 = time.perf_counter()
-                report = dht.bulk_load_report(chunk)
-                load_seconds += time.perf_counter() - t0
-                loaded += report.stored
-                if report.mode != "serial":
-                    load_mode = report.mode
-                stage["hash"] += report.hash_seconds
-                stage["locate"] += report.locate_seconds
-                stage["group"] += report.group_seconds
-                stage["ingest"] += report.ingest_seconds
-                stage["replica"] += report.replica_seconds
-
-            trace = self.make_read_trace(keys)
-            lookup_seconds = 0.0
-            issued = 0
-            for lo in range(0, len(trace), spec.chunk_size):
-                chunk = trace[lo : lo + spec.chunk_size]
-                t0 = time.perf_counter()
-                batch = dht.lookup_many(chunk)
-                lookup_seconds += time.perf_counter() - t0
-                issued += len(batch)
-
-            # Balance of the *stored data* across physical nodes.
-            per_snode: Dict[Any, int] = {}
-            for ref in dht.vnodes:
-                per_snode[ref.snode] = per_snode.get(ref.snode, 0) + dht.storage.item_count(ref)
-            total = sum(per_snode.values())
-            max_share = max(per_snode.values()) / total if total else 0.0
-
-            return ScenarioReport(
-                name=spec.name,
-                approach=spec.approach,
-                n_snodes=dht.n_snodes,
-                n_vnodes=dht.n_vnodes,
-                n_partitions=dht.total_partitions,
-                keys_loaded=loaded,
-                load_seconds=load_seconds,
-                lookups_issued=issued,
-                lookup_seconds=lookup_seconds,
-                sigma_qv=dht.sigma_qv(),
-                sigma_qn=dht.sigma_qn(),
-                max_snode_share=max_share,
-                workers=spec.workers,
-                load_mode=load_mode,
-                hash_seconds=stage["hash"],
-                locate_seconds=stage["locate"],
-                group_seconds=stage["group"],
-                ingest_seconds=stage["ingest"],
-                replica_seconds=stage["replica"],
-            )
-        finally:
-            if owns_dht:
-                dht.close()
-
-
-def builtin_scenarios(
-    n_keys: int = 1_000_000, seed: int = 0, approach: str = "local"
-) -> List[ScenarioSpec]:
-    """The standard scenario suite replayed by ``repro bulk-bench``."""
-    return [
-        ScenarioSpec(name="ids", workload="ids", n_keys=n_keys, approach=approach, seed=seed),
-        ScenarioSpec(
-            name="uniform", workload="uniform", n_keys=n_keys, approach=approach, seed=seed
-        ),
-        ScenarioSpec(
-            name="zipf",
-            workload="zipf",
-            n_keys=n_keys,
-            approach=approach,
-            zipf_exponent=1.2,
-            seed=seed,
-        ),
-        ScenarioSpec(
-            name="heterogeneous",
-            workload="ids",
-            n_keys=n_keys,
-            approach=approach,
-            n_snodes=8,
-            vnodes_per_snode=4,
-            capacities=(0.5, 0.5, 1.0, 1.0, 1.0, 2.0, 2.0, 4.0),
-            seed=seed,
-        ),
-    ]
-
-
-def run_scenarios(specs: Sequence[ScenarioSpec]) -> List[ScenarioReport]:
-    """Run a list of scenarios back to back."""
-    return [ScenarioDriver(spec).run() for spec in specs]

@@ -104,10 +104,6 @@ class CapacityProfile:
         """Capacity score per node."""
         return {n.name: n.capacity_score() for n in self.nodes}
 
-    def total_capacity(self) -> float:
-        """Sum of all capacity scores."""
-        return float(sum(n.capacity_score() for n in self.nodes))
-
     def relative_weights(self) -> Dict[str, float]:
         """Capacity scores normalized so the *average* node has weight 1.
 

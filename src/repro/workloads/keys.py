@@ -109,8 +109,8 @@ def zipf_id_keys(
     The result is the skewed-load scenario the paper's count-only balance
     model cannot express: ``sigma(Pv)`` reports perfect balance while the
     per-snode *item* load is dominated by whichever vnodes own the hot
-    ranges — the workload ``repro rebalance-bench`` feeds to
-    :meth:`~repro.core.base.BaseDHT.rebalance_load`.
+    ranges — the ``"zipf"`` churn workload that gives
+    :meth:`~repro.core.base.BaseDHT.rebalance_load` real work.
 
     ``n_ranges`` must be a power of two no larger than ``2**bh`` (ranges
     stay aligned with the model's binary partitions); ``bh`` must be at
@@ -185,11 +185,6 @@ class KeyWorkload:
     def sequential(cls, n: int) -> "KeyWorkload":
         """Sequential keys (fully deterministic)."""
         return cls(sequential_keys(n))
-
-    @classmethod
-    def zipf(cls, n: int, n_distinct: int, exponent: float = 1.2, rng: RngLike = None) -> "KeyWorkload":
-        """Zipf-skewed access trace."""
-        return cls(zipf_keys(n, n_distinct, exponent, rng))
 
     @staticmethod
     def value_for(key: str) -> str:

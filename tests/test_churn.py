@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DHTConfig, DHTStorage, GlobalDHT, HashSpace, LocalDHT, Partition
-from repro.core.errors import ReproError
+from repro.core.errors import InvariantViolation, ReproError
 from repro.core.ids import SnodeId, VnodeRef
 from repro.workloads.churn import (
     TOPOLOGY_KINDS,
@@ -15,6 +15,8 @@ from repro.workloads.churn import (
     make_churn_trace,
     run_churn,
 )
+from repro.workloads.driver import build_cluster
+from repro.workloads.keys import id_keys, zipf_id_keys
 
 
 def vref(v: int) -> VnodeRef:
@@ -154,6 +156,31 @@ class TestVectorizedMigration:
         assert storage.get(vref(1), "shigh") == "c"
         assert storage.get(vref(0), "low") == "a"
 
+    def test_churn_burst_matches_per_item_path(self):
+        """A join, a full snode drain, an enrollment grow and a shrink over
+        pending segments: both migration paths end in the same placement."""
+        results = []
+        for vectorized in (True, False):
+            dht = build_cluster("local", 4, 8, pmin=8, vmin=8, seed=0)
+            dht.bulk_load(id_keys(20_000, rng=0))
+            dht.storage.vectorized_migration = vectorized
+            dht.set_enrollment(dht.add_snode(), 8)
+            dht.remove_snode(SnodeId(0))
+            dht.set_enrollment(SnodeId(1), 12)
+            dht.set_enrollment(SnodeId(1), 6)
+            dht.check_invariants()
+            stats = dht.storage.stats
+            results.append(
+                (
+                    {ref: dht.storage.item_count(ref) for ref in sorted(dht.vnodes)},
+                    stats.partitions_moved,
+                    stats.items_moved,
+                    stats.migrations,
+                )
+            )
+            assert dht.storage.total_items() == 20_000
+        assert results[0] == results[1]
+
 
 class TestChurnTrace:
     def test_deterministic_for_a_seed(self):
@@ -225,6 +252,27 @@ class TestRebalanceEvents:
         assert d["max_mean_items_snode"] >= 1.0
         assert any("rebalance" in row[1] for row in report.as_rows()
                    if row[0] == "event mix")
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InvariantViolation,
+        reason="known defect (ROADMAP item 5): a group split after a "
+               "load-aware rebalance left its vnodes with unequal partition "
+               "counts hands the halves 129 and 127 partitions, breaking G2'",
+    )
+    def test_group_split_after_rebalance_keeps_power_of_two_groups(self):
+        class SkewedKeys(ChurnEngine):
+            def make_keys(self):
+                return zipf_id_keys(50_000, exponent=1.1, n_ranges=256, rng=1)
+
+        spec = ChurnSpec(
+            workload="zipf", n_keys=50_000, n_events=32, n_snodes=8,
+            vnodes_per_snode=4, load_chunks=4, replication_factor=2,
+            read_multiplier=0.5, join_weight=0.2, leave_weight=0.15,
+            enroll_weight=0.1, crash_weight=0.15, restart_weight=0.2,
+            rebalance_weight=0.2, seed=2,
+        )
+        SkewedKeys(spec).run()
 
     def test_item_load_metrics_surface_in_report(self):
         report = run_churn(ChurnSpec(n_keys=2000, n_events=6, seed=1))

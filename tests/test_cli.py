@@ -58,20 +58,6 @@ class TestDemo:
         assert "global" in out
 
 
-class TestBulkBench:
-    def test_single_scenario_small(self, capsys):
-        assert main(["bulk-bench", "--keys", "2000", "--scenario", "ids"]) == 0
-        out = capsys.readouterr().out
-        assert "ids" in out
-        assert "load keys/s" in out
-
-    def test_all_scenarios_small(self, capsys):
-        assert main(["bulk-bench", "--keys", "1000", "--approach", "global"]) == 0
-        out = capsys.readouterr().out
-        for name in ("ids", "uniform", "zipf", "heterogeneous"):
-            assert name in out
-
-
 class TestChurnBench:
     def test_small_run_reports_conservation(self, capsys):
         assert main(["churn-bench", "--keys", "3000", "--events", "10"]) == 0
@@ -81,7 +67,7 @@ class TestChurnBench:
         assert "3,000" in out
 
     def test_writes_json_report(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_churn.json"
+        path = tmp_path / "churn.json"
         assert main(
             ["churn-bench", "--keys", "2000", "--events", "8", "--approach", "global",
              "--output", str(path)]
@@ -120,37 +106,40 @@ class TestChurnBench:
                      "--rebalance-rate", "0.5"]) == 2
 
 
-class TestRebalanceBench:
-    def test_small_skewed_run_cuts_load(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_rebalance.json"
+    def test_durable_crash_restart_run_loses_nothing(self, capsys, tmp_path):
+        path = tmp_path / "durable.json"
         assert main(
-            ["rebalance-bench", "--keys", "20000", "--output", str(path)]
+            ["churn-bench", "--keys", "3000", "--events", "16", "--durable",
+             "--replication", "2", "--crash-rate", "0.25", "--restart-rate", "0.25",
+             "--output", str(path)]
         ) == 0
-        out = capsys.readouterr().out
-        assert "max/mean snode load before" in out
-        assert "reduction" in out
         report = json.loads(path.read_text())
-        assert report["n_keys"] == 20000
-        assert report["replication_factor"] == 2
-        assert report["rebalance"]["reduction"] >= 2.0
-        assert report["rebalance"]["rows_moved"] > 0
+        assert report["restarts"] > 0 and report["crashes"] > 0
+        assert report["items_lost"] == 0
+        assert report["final_items"] == 3000
+        assert any("replayed" in event["note"] for event in report["events"])
 
-    def test_legacy_path_and_global_approach(self, capsys):
+
+class TestClusterBench:
+    def test_zipf_churn_over_rpc_conserves_items(self, capsys, tmp_path):
+        path = tmp_path / "cluster.json"
         assert main(
-            ["rebalance-bench", "--keys", "5000", "--approach", "global",
-             "--legacy", "--snodes", "8", "--replication", "1"]
+            ["cluster-bench", "--keys", "3000", "--events", "8", "--snodes", "4",
+             "--replication", "2", "--workload", "zipf", "--crash-rate", "0.2",
+             "--rebalance-rate", "0.3", "--seed", "3", "--output", str(path)]
         ) == 0
         out = capsys.readouterr().out
-        assert "per-item scan" in out
+        assert "in-process" in out
+        assert "items lost" in out
+        report = json.loads(path.read_text())
+        assert report["items_lost"] == 0
+        assert report["loaded"] == 3000
+        assert report["rebalances"]
+        assert report["conservation_checks"] > 0
 
-    def test_invalid_spec_fails_cleanly(self, capsys):
-        assert main(["rebalance-bench", "--keys", "0"]) == 2
-        assert "rebalance-bench" in capsys.readouterr().err
-
-    def test_parser_defaults_meet_acceptance_scale(self):
-        args = build_parser().parse_args(["rebalance-bench"])
-        assert args.keys >= 1_000_000
-        assert args.replication >= 2
+    def test_invalid_rates_fail_cleanly(self, capsys):
+        assert main(["cluster-bench", "--restart-rate", "1.5"]) == 2
+        assert "cluster-bench" in capsys.readouterr().err
 
 
 class TestParser:

@@ -228,8 +228,7 @@ class TestLifecycle:
     def test_local_beats_global_on_concurrent_churn(self):
         # A group-rich cluster under batched concurrent churn: the per-group
         # locks overlap events the DHT-wide barrier serializes.  (The margin
-        # grows with cluster size — bench_protocol_lifecycle.py gates a
-        # larger instance; this is the fast tier-1 version.)
+        # grows with cluster size.)
         spec = lifecycle_spec(n_snodes=12, vnodes_per_snode=4, n_events=32, seed=2)
         comparison = compare_lifecycle_protocols(spec, batch_size=8, gap=0.02)
         assert comparison.n_topology_events == spec.n_events

@@ -104,18 +104,9 @@ def _capture(approach: str, workers: int = 0) -> Dict[str, Any]:
         engine = ChurnEngine(spec)
         if workers:
             from repro.core import ParallelConfig
-            from repro.workloads.driver import build_cluster
 
-            dht = build_cluster(
-                spec.approach,
-                spec.n_snodes,
-                spec.vnodes_per_snode,
-                pmin=spec.pmin,
-                vmin=spec.vmin,
-                replication_factor=spec.replication_factor,
-                seed=spec.seed,
-                data_dir=spec.data_dir,
-                parallel=ParallelConfig(workers=workers, min_batch=1),
+            dht = spec.build_dht(
+                parallel=ParallelConfig(workers=workers, min_batch=1)
             )
         else:
             dht = engine.build_dht()

@@ -512,7 +512,7 @@ class TestCLIReplicationFlags:
     def test_churn_bench_with_replication_and_crashes(self, capsys, tmp_path):
         from repro.cli import main
 
-        out_path = tmp_path / "BENCH_replication.json"
+        out_path = tmp_path / "churn.json"
         code = main([
             "churn-bench", "--keys", "3000", "--events", "12",
             "--replication", "2", "--crash-rate", "0.3",

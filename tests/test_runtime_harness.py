@@ -11,6 +11,7 @@ a crashed snode at ``replication_factor >= 2`` must lose nothing.
 from __future__ import annotations
 
 import asyncio
+import subprocess
 
 import pytest
 
@@ -156,3 +157,37 @@ class TestHarnessRandomizedChurn:
         assert report.items_lost == 0
         assert report.applied >= 1
         assert report.conservation_checks == report.applied
+
+
+@pytest.mark.slow
+class TestHarnessProcessMode:
+    def test_real_processes_survive_sigkill_restart_and_crash(self, tmp_path, monkeypatch):
+        """Each snode a real ``repro serve`` process on a unix socket: a
+        SIGKILL + reboot and a crash at factor 2 lose nothing, and no child
+        outlives the harness."""
+        spawned = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        spec = _spec(n_keys=3000, replication_factor=2)
+        trace = [
+            ChurnEvent(kind="load", lo=0, hi=3000),
+            ChurnEvent(kind="snode_restart", snode=0),
+            ChurnEvent(kind="snode_crash", snode=2),
+            ChurnEvent(kind="lookup", hi=3000, n_reads=20),
+        ]
+        report = _run(spec, trace, processes=True, base_dir=str(tmp_path))
+        assert report.processes
+        assert report.loaded == 3000
+        assert report.applied == 2
+        assert report.items_lost == 0
+        assert report.lookups == 20
+        assert ("kill", 0) in report.faults and ("reboot", 0) in report.faults
+        assert ("crash", 2) in report.faults
+        # Three boots plus the reboot of snode 0, every one of them reaped.
+        assert len(spawned) == 4
+        assert all(process.poll() is not None for process in spawned)

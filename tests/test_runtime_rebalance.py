@@ -199,6 +199,26 @@ class TestRuntimeRebalance:
         assert out["rebalances"][0]["peer_bytes"] == record["peer_bytes"]
         assert out["coordinator_bytes"] > 0
 
+    def test_served_cluster_cuts_skewed_load_at_least_in_half(self):
+        """The in-process headline (``test_skewed_load_is_actually_cut``)
+        measured over the wire: NodeStats-planned peer transfers cut the
+        served cluster's per-snode max/mean by at least 2x, losing nothing."""
+        spec = _spec(n_keys=30_000, n_snodes=16, max_snodes=16, seed=0)
+        trace = [
+            ChurnEvent(kind="load", lo=0, hi=30_000),
+            ChurnEvent(kind="rebalance"),
+        ]
+
+        async def scenario():
+            async with ClusterHarness(spec, trace=trace) as harness:
+                return await harness.run(oracle=False)
+
+        report = asyncio.run(scenario())
+        assert report.items_lost == 0
+        record = report.rebalances[0]
+        assert record["before_max_over_mean"] > 2.0
+        assert record["reduction"] >= 2.0
+
     def test_runtime_provider_measures_the_served_rows(self):
         """The NodeStats aggregate walks the *twin's* topology (same scopes,
         same partition iteration order as ``measure_loads``) but fills in
