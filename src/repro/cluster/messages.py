@@ -26,7 +26,8 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple, Type
+from operator import attrgetter
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 #: Wire prefix of an encoded message body: the subclass' type code.
 _TYPE_CODE = struct.Struct("!H")
@@ -34,6 +35,12 @@ _TYPE_CODE = struct.Struct("!H")
 #: ``type code -> message class``, filled by ``Message.__init_subclass__``
 #: in definition order (deterministic across processes running this module).
 MESSAGE_TYPES: Dict[int, Type["Message"]] = {}
+
+#: ``message class -> (packed type code, getter of its field values)``, filled
+#: on a class's first ``encode()``: ``__init_subclass__`` runs before
+#: ``@dataclass`` has made the fields, and ``fields()`` per call is a tenth
+#: of what a small RPC costs.
+_ENCODERS: Dict[type, Tuple[bytes, Callable[[Any], Tuple[Any, ...]]]] = {}
 
 
 class WireError(ValueError):
@@ -67,10 +74,15 @@ class Message:
 
     def encode(self) -> bytes:
         """Encode to bytes: 2-byte type code + pickled field-value tuple."""
-        values = tuple(getattr(self, f.name) for f in fields(self))
-        return _TYPE_CODE.pack(type(self).TYPE_CODE) + pickle.dumps(
-            values, protocol=pickle.HIGHEST_PROTOCOL
-        )
+        cls = type(self)
+        try:
+            prefix, values_of = _ENCODERS[cls]
+        except KeyError:
+            prefix, values_of = _ENCODERS[cls] = (
+                _TYPE_CODE.pack(cls.TYPE_CODE),
+                attrgetter(*(f.name for f in fields(cls))),
+            )
+        return prefix + pickle.dumps(values_of(self), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode(data: bytes) -> Message:

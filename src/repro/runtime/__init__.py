@@ -2,16 +2,18 @@
 
 The simulation models the cluster protocol as typed messages priced by a
 network model; this package *runs* it.  Each snode becomes an asyncio-served
-endpoint (``asyncio.start_server`` over TCP or unix sockets) hosting the
-PR-7 engine subsystems — a :class:`~repro.core.storage.DHTStorage`, a local
-topology view and a :class:`~repro.core.engine.placement.PlacementService`
-— behind an RPC dispatcher.  The messages of
+endpoint (an ``asyncio.Protocol`` per connection, over TCP or unix sockets)
+hosting the PR-7 engine subsystems — a
+:class:`~repro.core.storage.DHTStorage`, a local topology view and a
+:class:`~repro.core.engine.placement.PlacementService` — behind an RPC
+dispatcher.  The messages of
 :mod:`repro.cluster.messages` are the wire format (length-prefixed frames,
 see :mod:`repro.runtime.codec`).
 
 Layers:
 
-- :mod:`repro.runtime.codec` — frame encoding over asyncio streams.
+- :mod:`repro.runtime.codec` — frame encoding, and the protocol that parses
+  frames as their bytes arrive.
 - :mod:`repro.runtime.rpc` — client with per-request timeout and bounded
   retry over a persistent connection.
 - :mod:`repro.runtime.node` — the served snode: storage + dispatcher.

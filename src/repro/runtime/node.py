@@ -10,17 +10,21 @@ membership plane.  The dispatcher maps each typed request message to the
 engine's public API and wraps the result (or the exception kind) in an
 :class:`~repro.cluster.messages.Ack`.
 
-:class:`SnodeServer` serves a node over asyncio (TCP or unix socket): one
-frame-decoding loop per connection, responses matched to requests by id.
-The server is where faults bite: a *paused* server keeps reading but stops
-responding (requests time out, exactly like a hung process), a *killed*
-server drops every connection and refuses new ones.
+:class:`SnodeServer` serves a node over asyncio (TCP or unix socket).  Each
+accepted connection is a :class:`~repro.runtime.codec.FrameProtocol`: a
+request is dispatched and its reply written inside the ``data_received``
+callback that delivered it, responses matched to requests by id and sent in
+arrival order.  The server is where faults bite: a *paused* server keeps
+reading but stops responding (requests time out, exactly like a hung
+process), a *killed* server drops every connection and refuses new ones.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from collections import deque
+from functools import partial
+from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cluster.messages import (
     Ack,
@@ -49,7 +53,7 @@ from repro.core.engine.placement import PlacementService
 from repro.core.hashspace import HashSpace, Partition
 from repro.core.ids import VnodeRef
 from repro.core.storage import DHTStorage
-from repro.runtime.codec import read_frame, write_frame
+from repro.runtime.codec import FrameProtocol
 from repro.runtime.rpc import RpcClient
 
 
@@ -110,23 +114,39 @@ class SnodeNode:
 
     async def dispatch(self, message: Message) -> Ack:
         """Handle one request message; never raises — errors ride the Ack."""
+        if not isinstance(message, PeerTransferRequest):
+            return self.dispatch_inline(message)
         name = type(message).__name__
         self.requests_served[name] = self.requests_served.get(name, 0) + 1
         try:
-            if isinstance(message, PeerTransferRequest):
-                payload = await self._peer_transfer(message)
-            else:
-                payload = self._handle(message)
-        except KeyError as exc:
+            payload = await self._peer_transfer(message)
+        except Exception as exc:
+            return self._error_ack(message, exc)
+        return Ack(src=self.snode_id, dst=message.src, payload=payload)
+
+    def dispatch_inline(self, message: Message) -> Ack:
+        """:meth:`dispatch` for every request but ``PeerTransferRequest``.
+
+        Those handlers never wait, so the server answers them from the
+        callback that parsed the frame instead of through a task.
+        """
+        name = type(message).__name__
+        self.requests_served[name] = self.requests_served.get(name, 0) + 1
+        try:
+            payload = self._handle(message)
+        except Exception as exc:
+            return self._error_ack(message, exc)
+        return Ack(src=self.snode_id, dst=message.src, payload=payload)
+
+    def _error_ack(self, message: Message, exc: Exception) -> Ack:
+        if isinstance(exc, KeyError):
             key = exc.args[0] if exc.args else None
             return Ack(src=self.snode_id, dst=message.src, payload=key, error="KeyError")
-        except Exception as exc:
-            return Ack(
-                src=self.snode_id,
-                dst=message.src,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return Ack(src=self.snode_id, dst=message.src, payload=payload)
+        return Ack(
+            src=self.snode_id,
+            dst=message.src,
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
     def _handle(self, msg: Message) -> Any:
         storage = self.storage
@@ -345,6 +365,91 @@ class SnodeNode:
         return sum(self.storage.lose_vnode_memory(ref) for ref in sorted(self.hosted))
 
 
+class _ServerConnection(FrameProtocol):
+    """One accepted connection: serves its requests in arrival order.
+
+    A request is answered inside :meth:`frame_received`.  Two things make
+    the connection *blocked* — the one awaitable handler
+    (``PeerTransferRequest``) running as a task, and a transport whose write
+    buffer is full — and while it is, requests queue in ``_backlog`` and the
+    socket is not read, so neither the queue nor the write buffer grows
+    with a peer that sends faster than it reads.  Other connections are
+    served meanwhile.
+    """
+
+    def __init__(self, server: "SnodeServer"):
+        super().__init__()
+        self.server: Optional[SnodeServer] = server
+        self._backlog: Deque[Tuple[int, Message]] = deque()
+        self._handler: Optional["asyncio.Task[None]"] = None
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        if self.server.serving:
+            self.server.connections.add(self)
+        else:
+            # Accepted in the very turn the server stopped: refuse it.
+            transport.abort()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._backlog.clear()
+        server, self.server = self.server, None
+        if server is not None:
+            server.connections.discard(self)
+        super().connection_lost(exc)
+
+    def frame_received(
+        self, request_id: int, is_response: bool, message: Message, n_bytes: int
+    ) -> None:
+        if self._backlog or self._handler is not None or self.write_paused:
+            self._backlog.append((request_id, message))
+            self.transport.pause_reading()
+        else:
+            self._serve(request_id, message)
+
+    def _serve(self, request_id: int, message: Message) -> None:
+        server = self.server
+        if server is None or server.paused or server.killed:
+            # A hung process reads from its socket buffer but never replies;
+            # the client's timeout machinery takes it from here.
+            return
+        if isinstance(message, PeerTransferRequest):
+            self._handler = asyncio.get_running_loop().create_task(
+                self._serve_awaitable(server.node, request_id, message)
+            )
+        else:
+            self.send(request_id, server.node.dispatch_inline(message), response=True)
+
+    async def _serve_awaitable(
+        self, node: SnodeNode, request_id: int, message: Message
+    ) -> None:
+        try:
+            response = await node.dispatch(message)
+            if self.transport is not None:
+                self.send(request_id, response, response=True)
+        finally:
+            self._handler = None
+            self._serve_backlog()
+
+    def resume_writing(self) -> None:
+        super().resume_writing()
+        self._serve_backlog()
+
+    def _serve_backlog(self) -> None:
+        while self._backlog and self._handler is None and not self.write_paused:
+            self._serve(*self._backlog.popleft())
+        if not self._backlog and self.transport is not None:
+            self.transport.resume_reading()
+
+    async def close(self) -> None:
+        """Drop the connection; a handler still running dies with it."""
+        handler = self._handler
+        if handler is not None:
+            handler.cancel()
+            await asyncio.wait([handler])
+        await super().close()
+
+
 class SnodeServer:
     """Asyncio server around one :class:`SnodeNode`."""
 
@@ -362,8 +467,9 @@ class SnodeServer:
         self.unix_path = unix_path
         self.paused = False
         self.killed = False
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._listener: Optional[asyncio.AbstractServer] = None
+        #: The open connections (each removes itself when it is lost).
+        self.connections: Set[_ServerConnection] = set()
 
     @property
     def address(self):
@@ -372,51 +478,47 @@ class SnodeServer:
             return self.unix_path
         return (self.host, self.port)
 
+    @property
+    def serving(self) -> bool:
+        """True between :meth:`start` and :meth:`stop`."""
+        return self._listener is not None
+
     async def start(self) -> None:
+        loop = asyncio.get_running_loop()
+        accept = partial(_ServerConnection, self)
+        # Listen only once ``serving`` is true, or the first connection
+        # could be accepted and refused inside this very call.
         if self.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.unix_path
+            listener = await loop.create_unix_server(
+                accept, path=self.unix_path, start_serving=False
             )
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port
+            listener = await loop.create_server(
+                accept, host=self.host, port=self.port, start_serving=False
             )
-            self.port = self._server.sockets[0].getsockname()[1]
+            self.port = listener.sockets[0].getsockname()[1]
+        self._listener = listener
+        await listener.start_serving()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drop open connections."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
+        """Shutdown: stop accepting, drop open connections.
+
+        Returns once every connection's ``connection_lost`` has run and none
+        of them refers to this server any more — a stopped server (and the
+        node behind it) is garbage as soon as its owner lets go.
+        """
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            listener.close()
+        for connection in list(self.connections):
+            await connection.close()
+        if listener is not None:
+            await listener.wait_closed()
 
     async def kill(self) -> None:
         """Simulated kill -9: connections dropped mid-flight, no goodbyes."""
         self.killed = True
         await self.stop()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while not self.killed:
-                request_id, _, message, _nbytes = await read_frame(reader)
-                if self.paused or self.killed:
-                    # A hung process reads from its socket buffer but never
-                    # replies; the client's timeout machinery takes it from
-                    # here.
-                    continue
-                response = await self.node.dispatch(message)
-                await write_frame(writer, request_id, response, response=True)
-        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
 
 
 __all__ = ["NodeTopologyView", "SnodeNode", "SnodeServer"]

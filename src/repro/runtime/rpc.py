@@ -1,26 +1,30 @@
 """RPC client: persistent connection, per-request timeout, bounded retry.
 
 One :class:`RpcClient` owns one connection to one served snode.  Requests
-are written as frames carrying a fresh request id; a background reader task
-resolves the matching future when the response frame arrives, so many
-requests can be in flight on the same connection.
+are written as frames carrying a fresh request id; the connection's
+:class:`~repro.runtime.codec.FrameProtocol` resolves the matching future
+from ``data_received`` when the response frame arrives, so many requests
+can be in flight on the same connection and none of them costs a task.
 
 A request that times out poisons the connection (the response may arrive
 later and would desynchronize the id space of a naive retry), so the
 client closes it, reconnects, and retries — up to ``retries`` times before
-raising :class:`RpcTimeoutError`.  Error replies (``Ack.error``) are
-re-raised as typed exceptions: ``KeyError`` comes back as a real
-``KeyError`` so replica-fallback reads can catch it, everything else as
-:class:`RpcRemoteError`.
+raising :class:`RpcTimeoutError`.  A connection the peer dropped is
+forgotten the moment ``connection_lost`` runs: what was in flight fails
+with :class:`RpcConnectionError` and the next call reconnects at once.
+Error replies (``Ack.error``) are re-raised as typed exceptions:
+``KeyError`` comes back as a real ``KeyError`` so replica-fallback reads
+can catch it, everything else as :class:`RpcRemoteError`.
 """
 
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 from repro.cluster.messages import Ack, Message
-from repro.runtime.codec import read_frame, write_frame
+from repro.runtime.codec import FrameProtocol
 
 #: Address of a served snode: ``("host", port)`` for TCP or a unix socket path.
 Address = Union[Tuple[str, int], str]
@@ -54,6 +58,39 @@ def _raise_remote(ack: Ack) -> None:
     raise RpcRemoteError(kind or "RemoteError", detail)
 
 
+def _expire(future: "asyncio.Future[Message]") -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+class _ClientConnection(FrameProtocol):
+    """One connection of an :class:`RpcClient` and the requests in flight on it."""
+
+    def __init__(self, client: "RpcClient"):
+        super().__init__()
+        #: For the byte accounting; dropped with the connection.
+        self.client: Optional[RpcClient] = client
+        self.pending: Dict[int, "asyncio.Future[Message]"] = {}
+
+    def frame_received(
+        self, request_id: int, is_response: bool, message: Message, n_bytes: int
+    ) -> None:
+        self.client.bytes_received += n_bytes
+        future = self.pending.pop(request_id, None)
+        if future is not None and is_response and not future.done():
+            future.set_result(message)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        client, self.client = self.client, None
+        pending, self.pending = self.pending, {}
+        for future in pending.values():
+            if not future.done():
+                future.set_exception(
+                    RpcConnectionError(f"connection to {client.address} lost")
+                )
+
+
 class RpcClient:
     """Client end of one snode connection."""
 
@@ -67,11 +104,10 @@ class RpcClient:
         self.address = address
         self.timeout = timeout
         self.retries = retries
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._pending: Dict[int, "asyncio.Future[Message]"] = {}
+        self._connection: Optional[_ClientConnection] = None
+        #: Pending while one caller is connecting; the others wait on it.
+        self._connecting: Optional["asyncio.Future[None]"] = None
         self._next_id = 1
-        self._lock = asyncio.Lock()
         #: Wall-clock seconds of every completed call, for latency profiles.
         self.call_durations: list = []
         #: On-wire bytes written/read on this connection (frames included) —
@@ -82,51 +118,39 @@ class RpcClient:
 
     # -- connection lifecycle --------------------------------------------------
 
-    async def _connect(self) -> None:
-        if isinstance(self.address, str):
-            reader, writer = await asyncio.open_unix_connection(self.address)
-        else:
-            host, port = self.address
-            reader, writer = await asyncio.open_connection(host, port)
-        self._writer = writer
-        self._reader_task = asyncio.ensure_future(self._read_loop(reader))
-
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                request_id, is_response, message, n_bytes = await read_frame(reader)
-                self.bytes_received += n_bytes
-                future = self._pending.pop(request_id, None)
-                if future is not None and not future.done() and is_response:
-                    future.set_result(message)
-        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._fail_pending(RpcConnectionError(f"connection to {self.address} lost"))
-
-    def _fail_pending(self, exc: Exception) -> None:
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(exc)
+    async def _connected(self) -> _ClientConnection:
+        """The live connection, opened on first use and after a loss (one
+        connect at a time)."""
+        while self._connection is None or self._connection.transport is None:
+            if self._connecting is not None:
+                await asyncio.shield(self._connecting)
+                continue
+            loop = asyncio.get_running_loop()
+            self._connecting = loop.create_future()
+            factory = partial(_ClientConnection, self)
+            try:
+                if isinstance(self.address, str):
+                    _, connection = await loop.create_unix_connection(
+                        factory, self.address
+                    )
+                else:
+                    host, port = self.address
+                    _, connection = await loop.create_connection(factory, host, port)
+                self._connection = connection
+            finally:
+                connecting, self._connecting = self._connecting, None
+                connecting.set_result(None)
+        return self._connection
 
     async def close(self) -> None:
-        """Close the connection; in-flight requests fail with a connection error."""
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except Exception:
-                pass
-            self._writer = None
-        self._fail_pending(RpcConnectionError(f"connection to {self.address} closed"))
+        """Close the connection; in-flight requests fail with a connection error.
+
+        Returns once the transport is gone and the connection no longer
+        refers to this client, so nothing keeps either alive afterwards.
+        """
+        connection, self._connection = self._connection, None
+        if connection is not None:
+            await connection.close()
 
     # -- calls -----------------------------------------------------------------
 
@@ -140,13 +164,13 @@ class RpcClient:
         once the retry budget is spent.  Error replies are re-raised as
         typed exceptions (see module docstring).
         """
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         deadline = timeout if timeout is not None else self.timeout
         last_error: Exception = RpcConnectionError(f"never reached {self.address}")
         for _ in range(self.retries + 1):
             started = loop.time()
             try:
-                response = await self._attempt(message, deadline)
+                response = await self._attempt(loop, message, deadline)
             except asyncio.TimeoutError:
                 last_error = RpcTimeoutError(
                     f"{type(message).__name__} to {self.address} timed out "
@@ -168,20 +192,25 @@ class RpcClient:
             return response
         raise last_error
 
-    async def _attempt(self, message: Message, timeout: float) -> Message:
-        async with self._lock:
-            if self._writer is None:
-                await self._connect()
-            request_id = self._next_id
-            self._next_id += 1
-            future: "asyncio.Future[Message]" = asyncio.get_event_loop().create_future()
-            self._pending[request_id] = future
-            assert self._writer is not None
-            self.bytes_sent += await write_frame(self._writer, request_id, message)
+    async def _attempt(
+        self, loop: asyncio.AbstractEventLoop, message: Message, timeout: float
+    ) -> Message:
+        connection = self._connection
+        if connection is None or connection.transport is None:
+            connection = await self._connected()
+        if connection.write_paused:
+            await connection.writable()
+        request_id = self._next_id
+        self._next_id += 1
+        future: "asyncio.Future[Message]" = loop.create_future()
+        connection.pending[request_id] = future
+        timer = loop.call_later(timeout, _expire, future)
         try:
-            return await asyncio.wait_for(future, timeout)
+            self.bytes_sent += connection.send(request_id, message)
+            return await future
         finally:
-            self._pending.pop(request_id, None)
+            timer.cancel()
+            connection.pending.pop(request_id, None)
 
 
 __all__ = [

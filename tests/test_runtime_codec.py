@@ -13,9 +13,12 @@ from __future__ import annotations
 import asyncio
 import pickle
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.messages import (
     MESSAGE_TYPES,
@@ -23,6 +26,7 @@ from repro.cluster.messages import (
     BulkLoadChunk,
     GetRequest,
     Message,
+    PingRequest,
     PutRequest,
     RangeExtract,
     TopologySnapshot,
@@ -32,9 +36,10 @@ from repro.cluster.messages import (
 from repro.cluster.network import NetworkModel
 from repro.runtime.codec import (
     MAX_FRAME_BYTES,
+    FrameProtocol,
     encode_frame,
+    parse_frame,
     read_frame,
-    write_frame,
 )
 
 
@@ -48,6 +53,17 @@ class TestMessageCodec:
             assert type(out) is cls, cls.__name__
             assert out == msg, cls.__name__
             assert cls.TYPE_CODE == code
+
+    def test_encode_is_byte_identical_to_the_per_call_fields_walk(self):
+        """The cached per-class getter must not change a byte on the wire."""
+        for code, cls in sorted(MESSAGE_TYPES.items()):
+            msg = cls(src=3, dst=9)
+            reference = struct.pack("!H", code) + pickle.dumps(
+                tuple(getattr(msg, f.name) for f in fields(msg)),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            assert msg.encode() == reference, cls.__name__
+            assert msg.encode() == reference, cls.__name__  # cached path
 
     def test_type_codes_are_unique_and_stable(self):
         codes = [cls.TYPE_CODE for cls in MESSAGE_TYPES.values()]
@@ -160,29 +176,167 @@ class TestFrameCodec:
 
         asyncio.run(scenario())
 
-    def test_write_frame_matches_encode_frame(self):
+    def test_short_frame_length_is_rejected(self):
         async def scenario():
             reader = asyncio.StreamReader()
-
-            class _Sink:
-                def __init__(self):
-                    self.chunks = []
-
-                def write(self, data):
-                    self.chunks.append(data)
-
-                async def drain(self):
-                    pass
-
-            sink = _Sink()
-            message = GetRequest(src=0, dst=1, ref="0.0", key=5)
-            n_written = await write_frame(sink, 7, message, response=True)
-            data = b"".join(sink.chunks)
-            assert n_written == len(data)
-            reader.feed_data(data)
+            reader.feed_data(struct.pack("!I", 8) + b"\x00" * 8)
             reader.feed_eof()
-            request_id, is_response, out, n_bytes = await read_frame(reader)
-            assert (request_id, is_response, out) == (7, True, message)
-            assert n_bytes == len(data)
+            with pytest.raises(WireError):
+                await read_frame(reader)
+
+        asyncio.run(scenario())
+
+    def test_parse_frame_waits_for_the_whole_frame(self):
+        frame = encode_frame(3, GetRequest(src=0, dst=1, ref="0.0", key=5))
+        for cut in range(len(frame)):
+            assert parse_frame(frame[:cut]) is None
+        assert parse_frame(frame + b"tail")[3] == len(frame)
+        # A bad length is garbage as soon as the prefix is readable.
+        with pytest.raises(WireError):
+            parse_frame(struct.pack("!I", 3))
+        with pytest.raises(WireError):
+            parse_frame(b"pad" + struct.pack("!I", MAX_FRAME_BYTES + 1), 3)
+
+
+class _Transport:
+    """The slice of ``asyncio.Transport`` a :class:`FrameProtocol` touches."""
+
+    def __init__(self):
+        self.written = []
+        self.aborted = False
+
+    def write(self, data):
+        self.written.append(bytes(data))
+
+    def abort(self):
+        self.aborted = True
+
+
+class _Collector(FrameProtocol):
+    def __init__(self):
+        super().__init__()
+        self.frames = []
+
+    def frame_received(self, request_id, is_response, message, n_bytes):
+        self.frames.append((request_id, is_response, message, n_bytes))
+
+
+_MESSAGES = st.one_of(
+    st.builds(PingRequest, src=st.integers(-1, 9), dst=st.integers(0, 9)),
+    st.builds(
+        PutRequest,
+        src=st.just(-1),
+        dst=st.integers(0, 9),
+        ref=st.sampled_from(["0.0", "3.1"]),
+        key=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**32 - 1),
+        value=st.binary(max_size=300),
+    ),
+    st.builds(Ack, src=st.integers(0, 9), dst=st.just(-1), payload=st.text(max_size=40)),
+)
+
+
+class TestFrameProtocol:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.booleans(), _MESSAGES),
+            min_size=1,
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_any_cut_of_the_stream_yields_the_same_frames(self, frames, data):
+        """``data_received`` and ``read_frame`` agree however the bytes arrive."""
+        encoded = [
+            encode_frame(request_id, message, response=is_response)
+            for request_id, is_response, message in frames
+        ]
+        stream = b"".join(encoded)
+        cuts = data.draw(
+            st.lists(st.integers(0, len(stream)), max_size=12).map(sorted), label="cuts"
+        )
+        expected = [
+            (request_id, is_response, message, len(frame))
+            for (request_id, is_response, message), frame in zip(frames, encoded)
+        ]
+
+        async def scenario():
+            protocol = _Collector()
+            protocol.connection_made(_Transport())
+            reader = asyncio.StreamReader()
+            for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+                protocol.data_received(stream[lo:hi])
+                reader.feed_data(stream[lo:hi])
+            reader.feed_eof()
+            pulled = [await read_frame(reader) for _ in frames]
+            assert reader.at_eof()
+            return protocol.frames, pulled
+
+        pushed, pulled = asyncio.run(scenario())
+        assert pushed == expected
+        assert pulled == expected
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            struct.pack("!I", 3) + b"abc",
+            struct.pack("!I", MAX_FRAME_BYTES + 1),
+            struct.pack("!IQB", 11, 1, 0) + struct.pack("!H", 60000),
+        ],
+        ids=["short-length", "oversize-length", "unknown-type-code"],
+    )
+    def test_garbage_aborts_the_connection_after_the_good_frames(self, garbage):
+        async def scenario():
+            protocol = _Collector()
+            transport = _Transport()
+            protocol.connection_made(transport)
+            good = encode_frame(1, PingRequest(src=-1, dst=0))
+            protocol.data_received(good + garbage + good)
+            assert [frame[0] for frame in protocol.frames] == [1]
+            assert transport.aborted
+
+        asyncio.run(scenario())
+
+    def test_send_writes_exactly_the_encoded_frame(self):
+        async def scenario():
+            protocol = _Collector()
+            transport = _Transport()
+            protocol.connection_made(transport)
+            message = GetRequest(src=0, dst=1, ref="0.0", key=5)
+            n_written = protocol.send(7, message, response=True)
+            assert transport.written == [encode_frame(7, message, response=True)]
+            assert n_written == len(transport.written[0])
+            protocol.connection_lost(None)
+            with pytest.raises(ConnectionError):
+                protocol.send(8, message)
+
+        asyncio.run(scenario())
+
+    def test_writable_waits_from_pause_writing_to_resume_writing(self):
+        async def scenario():
+            protocol = _Collector()
+            protocol.connection_made(_Transport())
+            await asyncio.wait_for(protocol.writable(), 1.0)  # not paused: no wait
+            protocol.pause_writing()
+            assert protocol.write_paused
+            waiter = asyncio.ensure_future(protocol.writable())
+            await asyncio.sleep(0.01)
+            assert not waiter.done()
+            # A sender cancelled while it waits does not take the others along.
+            cancelled = asyncio.ensure_future(protocol.writable())
+            await asyncio.sleep(0)
+            cancelled.cancel()
+            await asyncio.sleep(0)
+            protocol.resume_writing()
+            await asyncio.wait_for(waiter, 1.0)
+            assert cancelled.cancelled()
+            assert not protocol.write_paused
+            # A lost connection releases the waiters too; send() then raises.
+            protocol.pause_writing()
+            waiter = asyncio.ensure_future(protocol.writable())
+            await asyncio.sleep(0)
+            protocol.connection_lost(None)
+            await asyncio.wait_for(waiter, 1.0)
 
         asyncio.run(scenario())
