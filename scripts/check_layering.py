@@ -4,8 +4,7 @@
 The engine core (:mod:`repro.core.engine`) is the transport-agnostic heart
 of the DHT; keeping its dependency arrows pointed the right way is what
 lets a future networked runtime reuse it unchanged.  This lint AST-walks
-every module under ``src/repro``, enforces three rules and prints one
-report:
+every module under ``src/repro`` and enforces four rules:
 
 1. **engine isolation** — modules in ``repro.core.engine`` import nothing
    from ``repro.sim``, ``repro.cluster``, ``repro.workloads``,
@@ -18,14 +17,14 @@ report:
 3. **no cross-layer private reaches** — no module outside ``repro/core``
    may access a ``_``-prefixed attribute on another object (``self._x``
    and module-private helpers defined in the same file are fine): the
-   engine's state is reached through its public interfaces only.
-
-The **dead-public-symbol report** lists every public function, class or
-method defined under ``src/repro`` whose name is used (as a name or an
-attribute, imports and ``__all__`` strings not counting) nowhere in
-``src/``, ``tests/``, ``examples/`` or ``bench/``.  It is printed on every
-run and never fails the check: a name can be reached through ``getattr`` or
-kept for library users, so each line is a candidate to delete, not a verdict.
+   engine's state is reached through its public interfaces only;
+4. **no dead public symbols** — every public function, class or method
+   defined under ``src/repro`` has its name used (as a name or an
+   attribute, imports and ``__all__`` strings not counting) somewhere in
+   ``src/``, ``tests/``, ``examples/`` or ``bench/``, or is listed in
+   :data:`KEPT_UNREFERENCED` with the reason it is kept.  The list can only
+   shrink: an entry whose name has become referenced (or is gone) fails the
+   check too.
 
 Run from the repository root (CI does)::
 
@@ -57,8 +56,16 @@ FORBIDDEN_IN_INTERFACES = ("numpy", "repro")
 #: Dunder attributes are API, not private reaches (rule 3).
 _DUNDER_OK = ("__",)
 
-#: Trees whose code counts as a use of a public symbol (the report).
+#: Trees whose code counts as a use of a public symbol (rule 4).
 REFERENCE_ROOTS = ("src", "tests", "examples", "bench")
+
+#: Public names deliberately kept although nothing references them (rule 4).
+KEPT_UNREFERENCED = {
+    "PeerTransferDone": "its position in the wire message registry is part of the format",
+    "PlacementProtocol": "interface declaration: documents what the engine needs of placement",
+    "StorageEngineProtocol": "interface declaration: documents what the engine needs of storage",
+    "RecoveryProtocol": "interface declaration: documents what the engine needs of recovery",
+}
 
 
 def _iter_modules() -> Iterator[Path]:
@@ -204,32 +211,42 @@ def _used_names() -> Set[str]:
     return used
 
 
-def dead_public_symbols() -> List[str]:
+def check_dead_symbols() -> List[str]:
+    """Rule 4: unreferenced public names outside the allowlist, and stale entries."""
     used = _used_names()
-    dead: List[str] = []
+    dead: Set[str] = set()
+    errors: List[str] = []
     for path in _iter_modules():
         rel = path.relative_to(REPO_ROOT)
         tree = ast.parse(path.read_text(), filename=str(rel))
         for lineno, qualname in _public_definitions(tree):
-            if qualname.rpartition(".")[2] not in used:
-                dead.append(f"{rel}:{lineno}: {qualname}")
-    return dead
+            if qualname.rpartition(".")[2] in used:
+                continue
+            dead.add(qualname)
+            if qualname not in KEPT_UNREFERENCED:
+                errors.append(
+                    f"{rel}:{lineno}: public symbol {qualname} is referenced nowhere "
+                    f"in {', '.join(REFERENCE_ROOTS)} (use it, delete it, or add it "
+                    f"to KEPT_UNREFERENCED with a reason)"
+                )
+    errors += [
+        f"scripts/check_layering.py: KEPT_UNREFERENCED lists {name!r}, which is "
+        f"no longer an unreferenced public symbol (drop the entry)"
+        for name in sorted(set(KEPT_UNREFERENCED) - dead)
+    ]
+    return errors
 
 
 def main() -> int:
-    dead = dead_public_symbols()
-    print(f"check_layering: {len(dead)} public symbol(s) referenced nowhere "
-          f"in {', '.join(REFERENCE_ROOTS)} (report only)")
-    for line in dead:
-        print(f"  {line}")
-    errors = check()
+    errors = check() + check_dead_symbols()
     if errors:
         print(f"check_layering: {len(errors)} violation(s)")
         for error in errors:
             print(f"  {error}")
         return 1
     n = sum(1 for _ in _iter_modules())
-    print(f"check_layering: OK ({n} modules checked)")
+    print(f"check_layering: OK ({n} modules checked, "
+          f"{len(KEPT_UNREFERENCED)} unreferenced public symbols kept by allowlist)")
     return 0
 
 

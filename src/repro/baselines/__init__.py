@@ -8,6 +8,6 @@ hash ring with lookups) and a fast metric-only simulator
 (:class:`repro.sim.ConsistentHashingSimulator`) are provided.
 """
 
-from repro.baselines.consistent_hashing import ConsistentHashRing, RingEntry
+from repro.baselines.consistent_hashing import ConsistentHashRing
 
-__all__ = ["ConsistentHashRing", "RingEntry"]
+__all__ = ["ConsistentHashRing"]

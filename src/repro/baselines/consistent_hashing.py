@@ -20,21 +20,12 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
 from repro.core.errors import EmptyDHTError, UnknownSnodeError
 from repro.utils.rng import RngLike, ensure_rng
-
-
-@dataclass(frozen=True)
-class RingEntry:
-    """One virtual server: a position on the unit ring owned by a node."""
-
-    position: float
-    node: str
 
 
 class ConsistentHashRing:

@@ -1,4 +1,4 @@
-"""Cluster substrate: nodes, network model and DHT control-protocol simulation.
+"""Cluster substrate: network model and DHT control-protocol simulation.
 
 The paper's evaluation only measures balance quality, but its central
 argument for the local approach is *parallelism*: in the global approach
@@ -9,8 +9,6 @@ different groups overlap in time (sections 1, 3 and 6).
 
 This package provides the substrate needed to quantify that claim:
 
-* :mod:`repro.cluster.node` / :mod:`repro.cluster.cluster` — physical nodes
-  (possibly heterogeneous) hosting snodes;
 * :mod:`repro.cluster.network` — a one-hop cluster network model (latency +
   bandwidth), as assumed by the paper (section 5);
 * :mod:`repro.cluster.simulator` — a small discrete-event simulation engine
@@ -24,9 +22,7 @@ This package provides the substrate needed to quantify that claim:
   latency, makespan and per-kind breakdown statistics.
 """
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkModel
-from repro.cluster.node import ClusterNode
 from repro.cluster.protocol import (
     CreationProtocolSimulator,
     EventProfile,
@@ -55,8 +51,6 @@ from repro.cluster.messages import (
 )
 
 __all__ = [
-    "ClusterNode",
-    "Cluster",
     "NetworkModel",
     "EventScheduler",
     "FifoResource",

@@ -20,7 +20,7 @@ Two simulators share this substrate:
   count-level simulators of :mod:`repro.sim`; the protocol layer adds
   message costs from the network model and the per-snode record-processing
   cost, then lets the event engine resolve queueing.  The outcome feeds the
-  ``ablation_parallelism`` benchmark.
+  ``ablation_parallelism`` experiment.
 * :class:`LifecycleProtocolSimulator` — the **full topology lifecycle**: a
   churn trace (:mod:`repro.workloads.churn`) of snode joins, graceful
   leaves, crashes with replica rebuild, kill-9 restarts with WAL replay,
@@ -31,7 +31,7 @@ Two simulators share this substrate:
   fan-out volume, rebalance plan actions), and the resulting
   :class:`EventProfile` per event is then priced through the network model
   and queued under the same two lock structures.  The outcome feeds the
-  ``ablation_lifecycle`` experiment and ``bench_protocol_lifecycle``.
+  ``ablation_lifecycle`` experiment and ``repro protocol-bench``.
 
 Simplification: the *identity* of the victim group — and, for the lifecycle
 simulator, the effect of every event — does not depend on the request
@@ -1090,12 +1090,11 @@ def compare_lifecycle_protocols(
 ) -> LifecycleComparison:
     """Replay one churn trace under several lock structures, apples to apples.
 
-    The shared orchestration behind ``repro protocol-bench``, the
-    ``ablation_lifecycle`` experiment and ``bench_protocol_lifecycle``:
-    build the trace from ``spec`` (unless given), assign the topology
-    events to concurrent arrival batches
-    (:func:`staggered_arrival_times` with ``batch_size``/``gap``, unless
-    explicit ``arrival_times`` are given), and run one
+    The shared orchestration behind ``repro protocol-bench`` and the
+    ``ablation_lifecycle`` experiment: build the trace from ``spec``
+    (unless given), assign the topology events to concurrent arrival
+    batches (:func:`staggered_arrival_times` with ``batch_size``/``gap``,
+    unless explicit ``arrival_times`` are given), and run one
     :class:`LifecycleProtocolSimulator` per requested approach on the
     *same* trace and times — only the lock structure (and the live DHT
     model it prices) differs between the runs.

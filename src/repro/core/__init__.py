@@ -15,10 +15,6 @@ The package is layered:
   interfaces;
 * :mod:`repro.core.global_model` / :mod:`repro.core.local_model` — the two
   DHT approaches composing the engine subsystems.
-
-The ``repro.core.balancer`` compatibility facade was retired: accessing
-``repro.core.balancer`` resolves to :mod:`repro.core.rebalance` through a
-deprecation shim for one release.
 """
 
 from repro.core.rebalance import (
@@ -93,29 +89,6 @@ from repro.core.storage import (
     StoredItem,
     VnodeStore,
 )
-
-def __getattr__(name: str):
-    """Deprecation shims for retired deep-import paths.
-
-    ``repro.core.balancer`` (the PR-4 compatibility facade) was removed;
-    for one release its former contents keep resolving — with a
-    :class:`DeprecationWarning` — to :mod:`repro.core.rebalance`, which
-    re-exports every public name the facade carried.
-    """
-    if name == "balancer":
-        import warnings
-
-        warnings.warn(
-            "repro.core.balancer is deprecated and will be removed; "
-            "import from repro.core.rebalance instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core import rebalance
-
-        return rebalance
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "DEFAULT_BH",

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from fractions import Fraction
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,6 +61,7 @@ from repro.core.replication import (
     SyncReport,
 )
 from repro.core.storage import DHTStorage
+from repro.utils.coro import run_sync
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -343,17 +343,19 @@ class BaseDHT(ABC):
         """
         t0 = time.perf_counter()
         with self.data.deferred_sync():
-            report = drive_load_rebalance(
-                StorageLoadProvider(self),
-                self,
-                pmin=self.config.pmin,
-                pmax=self.config.pmax,
-                bh=self.hash_space.bh,
-                max_rounds=max_rounds,
-                tolerance=tolerance,
-                allow_splits=allow_splits,
-                max_splits=max_splits,
-                max_partitions_per_vnode=max_partitions_per_vnode,
+            report = run_sync(
+                drive_load_rebalance(
+                    StorageLoadProvider(self),
+                    self,
+                    pmin=self.config.pmin,
+                    pmax=self.config.pmax,
+                    bh=self.hash_space.bh,
+                    max_rounds=max_rounds,
+                    tolerance=tolerance,
+                    allow_splits=allow_splits,
+                    max_splits=max_splits,
+                    max_partitions_per_vnode=max_partitions_per_vnode,
+                )
             )
         report.seconds = time.perf_counter() - t0
         return report
@@ -588,10 +590,6 @@ class BaseDHT(ABC):
         return self.contains(key)
 
     # ------------------------------------------------------------------ quotas
-
-    def exact_quotas(self) -> Dict[VnodeRef, Fraction]:
-        """Exact quota ``Q_v`` of every vnode as a :class:`fractions.Fraction`."""
-        return {ref: v.quota for ref, v in self.vnodes.items()}
 
     def quotas(self) -> Dict[VnodeRef, float]:
         """Quota ``Q_v`` of every vnode as floats."""

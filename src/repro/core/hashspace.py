@@ -124,11 +124,6 @@ class Partition:
         """Start of the partition as a fraction of the hash space."""
         return Fraction(self.index, 1 << self.level)
 
-    @property
-    def end_fraction(self) -> Fraction:
-        """Exclusive end of the partition as a fraction of the hash space."""
-        return Fraction(self.index + 1, 1 << self.level)
-
     def ring_sort_key(self) -> Tuple[Fraction, int]:
         """Sort key placing partitions in ring order (by start, then size).
 

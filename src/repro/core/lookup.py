@@ -77,10 +77,6 @@ class BatchLookupResult:
         for i in range(len(self.indices)):
             yield self[i]
 
-    def vnode_at(self, i: int) -> VnodeRef:
-        """Owning vnode of the ``i``-th key (cheaper than ``self[i].vnode``)."""
-        return self.route_table[int(self.positions[i])][1]
-
     def counts_by_vnode(self) -> Dict[VnodeRef, int]:
         """How many of the batch's keys each owning vnode received."""
         counts: Dict[VnodeRef, int] = {}
@@ -90,13 +86,6 @@ class BatchLookupResult:
         for pos, c in zip(uniq.tolist(), cnt.tolist()):
             vnode = self.route_table[pos][1]
             counts[vnode] = counts.get(vnode, 0) + c
-        return counts
-
-    def counts_by_snode(self) -> Dict[SnodeId, int]:
-        """How many of the batch's keys each hosting snode received."""
-        counts: Dict[SnodeId, int] = {}
-        for vnode, c in self.counts_by_vnode().items():
-            counts[vnode.snode] = counts.get(vnode.snode, 0) + c
         return counts
 
 

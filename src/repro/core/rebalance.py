@@ -33,9 +33,9 @@ against any :class:`~repro.core.engine.interfaces.LoadProvider` /
 process, :meth:`repro.core.base.BaseDHT.rebalance_load` drives it with
 :class:`StorageLoadProvider` (columnar ``count_buckets`` measurement)
 and :meth:`~repro.core.base.BaseDHT.execute_load_round` (vectorized
-migration, replicas re-synced afterwards); the networked runtime
-substitutes NodeStats aggregation and peer-to-peer RPC transfers while
-reusing the identical planning rounds.
+migration, replicas re-synced afterwards); the networked runtime awaits
+the same driver with NodeStats aggregation as the provider and
+peer-to-peer RPC transfers as the executor.
 
 Invariant contract of the load-aware policy
 -------------------------------------------
@@ -57,6 +57,7 @@ Invariant contract of the load-aware policy
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -829,7 +830,27 @@ class StorageLoadProvider:
         return measure_loads(self.dht)
 
 
-def drive_load_rebalance(
+class LoadRoundAborted(Exception):
+    """Raised by an executor that gave up part-way through a round.
+
+    Carries what the round had already moved, so the driver's report keeps
+    the partial counts; the driver stops planning and reports the loads of
+    its last good measurement.
+    """
+
+    def __init__(self, transfers: int, rows_moved: int, partitions_moved: int):
+        super().__init__(f"load round aborted after {transfers} transfers")
+        self.transfers = transfers
+        self.rows_moved = rows_moved
+        self.partitions_moved = partitions_moved
+
+
+async def _settled(value):
+    """``value``, or its result when a transport handed back an awaitable."""
+    return await value if inspect.isawaitable(value) else value
+
+
+async def drive_load_rebalance(
     provider,
     executor,
     *,
@@ -844,17 +865,21 @@ def drive_load_rebalance(
 ) -> LoadRebalanceReport:
     """Run measure → plan → execute rounds until the load is within tolerance.
 
-    The transport-agnostic driver of the load-aware policy: ``provider``
-    implements :class:`~repro.core.engine.interfaces.LoadProvider` (where
-    the loads come from), ``executor`` implements
+    The one driver of the load-aware policy: ``provider`` implements
+    :class:`~repro.core.engine.interfaces.LoadProvider` (where the loads
+    come from), ``executor`` implements
     :class:`~repro.core.engine.interfaces.LoadPlanExecutor` (how the rows
-    move).  :meth:`~repro.core.base.BaseDHT.rebalance_load` drives it with
-    the in-process pair; any other transport reuses the exact same round
-    structure, so two runs observing identical measurements make identical
+    move).  It is a coroutine so that a transport whose ``measure`` /
+    ``execute_load_round`` are RPC can be awaited; the in-process pair
+    returns plain values, never suspends, and
+    :meth:`~repro.core.base.BaseDHT.rebalance_load` drives the coroutine
+    with :func:`~repro.utils.coro.run_sync`.  Either way the rounds are the
+    same code, so two runs observing identical measurements make identical
     decisions.  Level boosts (one per executed scope split) are tracked
-    here so split scopes get the doubled count cap on the next round.
+    here so split scopes get the doubled count cap on the next round.  An
+    executor that raises :class:`LoadRoundAborted` ends the run.
     """
-    snapshot = provider.measure()
+    snapshot = await _settled(provider.measure())
     report = LoadRebalanceReport(
         total_rows=snapshot.total_rows,
         before_max=snapshot.max_snode_rows,
@@ -882,14 +907,22 @@ def drive_load_rebalance(
         if not plan:
             break
         report.rounds += 1
-        rows_moved, partitions_moved = executor.execute_load_round(plan)
+        try:
+            rows_moved, partitions_moved = await _settled(
+                executor.execute_load_round(plan)
+            )
+        except LoadRoundAborted as partial:
+            report.transfers += partial.transfers
+            report.rows_moved += partial.rows_moved
+            report.partitions_moved += partial.partitions_moved
+            break
         report.transfers += len(plan.transfers)
         for action in plan.splits:
             boosts[action.scope] = boosts.get(action.scope, 0) + 1
             report.splits += 1
         report.rows_moved += rows_moved
         report.partitions_moved += partitions_moved
-        snapshot = provider.measure()
+        snapshot = await _settled(provider.measure())
 
     report.after_max = snapshot.max_snode_rows
     report.after_mean = snapshot.mean_snode_rows

@@ -278,19 +278,11 @@ class VnodeStore:
             self._merge_segments()
         return self._items
 
-    def pop_items_in_range(self, start: int, end: int) -> List[Tuple[Hashable, StoredItem]]:
-        """Remove and return every item whose hash index lies in ``[start, end)``.
-
-        Used during partition migration.  The scan is linear in the number of
-        items held by the vnode, which mirrors the cost a real implementation
-        would pay unless it maintained a per-partition index.
-        """
-        moving = self._pop_range_raw(start, end)
-        return [(key, StoredItem(*item)) for key, item in moving]
-
     def _pop_range_raw(self, start: int, end: int) -> List[Tuple[Hashable, Tuple[int, Any]]]:
-        """Like :meth:`pop_items_in_range` but returns raw ``(index, value)``
-        tuples — the zero-copy path used by :meth:`DHTStorage.migrate_partition`."""
+        """Remove and return the raw ``(key, (index, value))`` pairs whose hash
+        index lies in ``[start, end)`` — the per-item path of
+        :meth:`DHTStorage.migrate_partition`.  The scan is linear in the
+        number of items held by the vnode."""
         if self._segments:
             self._merge_segments()
         moving = [(k, item) for k, item in self._items.items() if start <= item[0] < end]

@@ -10,7 +10,6 @@ definitions, so one code path serves interactive use and tests.
 from repro.experiments.base import ExperimentResult, Series
 from repro.experiments.runner import (
     average_ch_runs,
-    average_global_run,
     average_local_runs,
     default_n_nodes,
     default_n_vnodes,
@@ -49,7 +48,6 @@ __all__ = [
     "default_n_vnodes",
     "default_n_nodes",
     "average_local_runs",
-    "average_global_run",
     "average_ch_runs",
     "run_fig4",
     "run_fig5",

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import DHTConfig
 from repro.sim.ch import ConsistentHashingSimulator
-from repro.sim.global_ import GlobalBalanceSimulator
 from repro.sim.local import LocalBalanceSimulator
 from repro.sim.trace import BalanceTrace, CHTrace
 from repro.utils.rng import derive_seed, spawn_rngs
@@ -82,12 +81,6 @@ def average_local_runs(
         sim = LocalBalanceSimulator(config, rng=rng)
         traces.append(sim.run(n_vnodes, record_group_metrics=record_group_metrics))
     return BalanceTrace.average(traces)
-
-
-def average_global_run(config: DHTConfig, n_vnodes: int) -> BalanceTrace:
-    """Run the global-approach simulator (deterministic, so a single run)."""
-    sim = GlobalBalanceSimulator(config)
-    return sim.run(n_vnodes)
 
 
 def average_ch_runs(

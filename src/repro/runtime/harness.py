@@ -19,26 +19,29 @@ between the served nodes:
   post-move primaries, plus retention passes that clear rows a vnode no
   longer replicates.
 
-After every topology event the harness checks **conservation** (the summed
-primary rows across nodes must equal the rows loaded, crash-with-no-replica
-being the only sanctioned loss) and, when replication is on, a
-``verify_replication`` analogue over RPC (per-partition primary and replica
-range counts must agree).
+Replaying a trace is :func:`repro.workloads.replay.replay` with the harness
+as its backend: that module owns the loop, the timers and the verification
+*policy* (the conservation ledger checked after every topology event, what
+may be lost, when replication is verified); the harness supplies the
+operations — including ``verify_replication`` over RPC (per-partition
+primary and replica range counts must agree).
 
 Finally the :class:`~repro.cluster.protocol.LifecycleProtocolSimulator`
 doubles as a **differential oracle**: the same trace is profiled and priced
 by the cost model, and the report pairs each applied topology event's
 simulated duration with its measured wall-clock.
 
-Load-aware ``rebalance`` events run over the runtime itself: the harness
-aggregates per-partition primary row counts from concurrent ``NodeStats``
-replies into the exact snapshot structure the in-process planner consumes
-(:class:`RuntimeLoadProvider` → :func:`repro.core.rebalance.snapshot_from_counts`),
-plans each round with the same pure :func:`~repro.core.rebalance.plan_load_round`,
-and executes every transfer by ordering the *source* snode to push the
-extracted rows directly to the target (``PeerTransferRequest``) — the
-coordinator link carries only the order and its metadata ack, never the
-row payload.  The twin mirrors each executed action through the public
+Load-aware ``rebalance`` events run over the runtime itself, through the
+same :func:`~repro.core.rebalance.drive_load_rebalance` the in-process
+engine uses: :class:`RuntimeLoadProvider` aggregates per-partition primary
+row counts from concurrent ``NodeStats`` replies into the exact snapshot
+structure the planner consumes
+(:func:`repro.core.rebalance.snapshot_from_counts`), and the harness is the
+executor (:meth:`ClusterHarness.execute_load_round`): every transfer orders
+the *source* snode to push the extracted rows directly to the target
+(``PeerTransferRequest``) — the coordinator link carries only the order and
+its metadata ack, never the row payload.  The twin mirrors each executed
+action through the public
 :meth:`~repro.core.base.BaseDHT.execute_load_round`, and a replica
 maintenance pass restores placement after the rounds.
 """
@@ -78,9 +81,9 @@ from repro.core.errors import ReproError
 from repro.core.ids import VnodeRef
 from repro.core.rebalance import (
     LoadRebalancePlan,
-    LoadRebalanceReport,
+    LoadRoundAborted,
     LoadSnapshot,
-    plan_load_round,
+    drive_load_rebalance,
     snapshot_from_counts,
 )
 from repro.runtime.client import COORDINATOR_ID, ClusterClient
@@ -88,11 +91,13 @@ from repro.runtime.faults import FaultInjector, NodeHandle
 from repro.runtime.node import SnodeNode, SnodeServer
 from repro.runtime.rpc import RpcClient, RpcError
 from repro.workloads.churn import (
+    REBALANCE_EVENT_KNOBS,
     ChurnEvent,
     ChurnSpec,
     apply_topology_event,
     make_churn_trace,
 )
+from repro.workloads.replay import Applied, EventOutcome, check_conservation, replay
 
 #: ``(start, end, ref)`` half-open ownership interval.
 _Interval = Tuple[int, int, VnodeRef]
@@ -114,15 +119,16 @@ class _TwinState:
 
 
 @dataclass
-class EventRecord:
-    """One replayed event: what happened and how long it took."""
+class _RebalanceState:
+    """What one ``rebalance`` event carries between its rounds."""
 
-    kind: str
-    describe: str
-    applied: bool
-    measured_s: float
-    note: str = ""
-    simulated_s: Optional[float] = None
+    before: _TwinState
+    before_cover: Dict[VnodeRef, List[Tuple[int, int]]]
+    peer_bytes: int = 0
+    coordinator_transfer_bytes: int = 0
+    #: Refs of a transfer source that died and was rebooted mid-event.
+    restarted: Set[VnodeRef] = field(default_factory=set)
+    failure_note: str = ""
 
 
 @dataclass
@@ -140,7 +146,7 @@ class HarnessReport:
     conservation_checks: int
     replication_checks: int
     wall_s: float
-    events: List[EventRecord] = field(default_factory=list)
+    events: List[EventOutcome] = field(default_factory=list)
     rpc_latencies_s: List[float] = field(default_factory=list)
     faults: List[tuple] = field(default_factory=list)
     #: One record per executed runtime rebalance event: the full
@@ -173,7 +179,7 @@ class HarnessReport:
             )
             bucket["n"] += 1
             bucket["simulated_s"] += record.simulated_s
-            bucket["measured_s"] += record.measured_s
+            bucket["measured_s"] += record.seconds
         return out
 
     def as_dict(self, include_events: bool = False) -> Dict[str, Any]:
@@ -201,9 +207,9 @@ class HarnessReport:
             out["events"] = [
                 {
                     "kind": record.kind,
-                    "describe": record.describe,
+                    "describe": record.detail,
                     "applied": record.applied,
-                    "measured_s": record.measured_s,
+                    "measured_s": record.seconds,
                     "simulated_s": record.simulated_s,
                     "note": record.note,
                 }
@@ -246,9 +252,8 @@ class RuntimeLoadProvider:
     served nodes.  Identical measured loads therefore yield
     decision-identical plans to the in-process
     :func:`~repro.core.rebalance.measure_loads` provider; the differential
-    tests pin this.  ``measure`` is a coroutine (measurement is RPC), which
-    is why the harness drives its own planning rounds instead of the sync
-    :func:`~repro.core.rebalance.drive_load_rebalance`.
+    tests pin this.  ``measure`` is a coroutine (measurement is RPC);
+    :func:`~repro.core.rebalance.drive_load_rebalance` awaits it.
     """
 
     def __init__(self, harness: "ClusterHarness"):
@@ -269,7 +274,16 @@ class RuntimeLoadProvider:
 
 
 class ClusterHarness:
-    """Boot, drive, and verify a served cluster against its metadata twin."""
+    """Boot, drive, and verify a served cluster against its metadata twin.
+
+    The harness is the RPC backend of :func:`repro.workloads.replay.replay`
+    (``load`` / ``lookup`` / ``apply`` / ``primary_count`` /
+    ``verify_replication``) and the runtime
+    :class:`~repro.core.engine.interfaces.LoadPlanExecutor`.
+    """
+
+    #: What the replayer raises when the cluster breaks an invariant.
+    error = HarnessError
 
     def __init__(
         self,
@@ -305,14 +319,17 @@ class ClusterHarness:
             bh=self.bh, replication_factor=spec.replication_factor
         )
         self.faults = FaultInjector(spawner=self._spawn_process)
+        #: The replay ledger: every acknowledged primary row (see
+        #: :mod:`repro.workloads.replay`; callers that bulk-load outside
+        #: the trace add their rows here).
         self.expected_total = 0
-        self.items_lost = 0
         self._started = False
         #: One dict per executed rebalance event (report + byte breakdown).
         self.rebalance_records: List[Dict[str, Any]] = []
         #: Set when a failed mid-transfer source could not be rebuilt
         #: (no replica, no disk) — sanctions the loss for that event only.
         self._rebalance_loss = False
+        self._rebalance: Optional[_RebalanceState] = None
         #: Coordinator-link bytes of connections already closed (retired or
         #: crashed nodes), so totals never go backwards.
         self._retired_coordinator_bytes = 0
@@ -575,7 +592,51 @@ class ClusterHarness:
                 handle.rpc.bytes_sent + handle.rpc.bytes_received
             )
 
-    async def _apply_topology_event(self, event: ChurnEvent) -> Tuple[bool, str]:
+    async def _reboot(self, snode_id: int, refs: Set[VnodeRef]) -> None:
+        """Bring a killed node back: new connection, vnodes re-attached.
+
+        The old connection's byte counters are banked first.  An in-process
+        node keeps its (emptied) vnodes across a reboot; a real process
+        starts blank and is told which vnodes it hosts (``fresh=False``:
+        keep what the disk holds).
+        """
+        handle = self.handles[snode_id]
+        self._retire_rpc_bytes(handle)
+        await self.faults.reboot(handle)
+        self.client.connect(snode_id, handle.rpc)
+        if not handle.in_process:
+            await self._wait_ready(handle)
+            for ref in sorted(refs):
+                await self._call(
+                    snode_id, VnodeCreate, ref=ref.canonical_name, fresh=False
+                )
+
+    async def _recover_primaries(
+        self,
+        refs: Set[VnodeRef],
+        now: _TwinState,
+        before: _TwinState,
+        before_cover: Dict[VnodeRef, List[Tuple[int, int]]],
+    ) -> List[Tuple[int, int]]:
+        """Refill the primaries of rebooted ``refs``; return the ranges lost.
+
+        WAL replay when the nodes own disk; otherwise each range ``refs``
+        own ``now`` is rebuilt from a replica the *pre-event* placement says
+        survived, and a range with no such replica is lost.
+        """
+        if self.durable:
+            for ref in sorted(refs):
+                await self._call_ref(ref, WalReplay)
+            return []
+        lost: List[Tuple[int, int]] = []
+        for start, end, owner in now.ownership:
+            if owner in refs and not await self._rebuild_from_replica(
+                start, end, owner, before, refs, before_cover
+            ):
+                lost.append((start, end))
+        return lost
+
+    async def apply(self, event: ChurnEvent) -> Applied:
         """Mirror one twin topology change onto the served cluster."""
         if event.kind == "rebalance":
             return await self._runtime_rebalance()
@@ -584,12 +645,15 @@ class ClusterHarness:
         before_cover = self._replica_cover(before.partitions)
 
         try:
-            outcome = apply_topology_event(self.twin, event)
+            done = Applied(note=apply_topology_event(self.twin, event).note)
         except ReproError as exc:
-            return False, f"skipped: {exc}"
+            # The model refused — possibly part-way (a leave that drained
+            # some vnodes before one could not go).  Whatever the twin did
+            # is mirrored below; only the fault itself is not injected.
+            done = Applied(applied=False, note=f"skipped: {exc}")
 
-        crash_sid = event.snode if event.kind == "snode_crash" else None
-        restart_sid = event.snode if event.kind == "snode_restart" else None
+        crash_sid = event.snode if done.applied and event.kind == "snode_crash" else None
+        restart_sid = event.snode if done.applied and event.kind == "snode_restart" else None
         after = self._snapshot()
         crashed_refs = set(before.hosted.get(crash_sid, set())) if crash_sid is not None else set()
         restarted_refs = (
@@ -603,17 +667,8 @@ class ClusterHarness:
             await self.faults.crash(handle)
             self.client.disconnect(crash_sid)
         if restart_sid is not None and restart_sid in self.handles:
-            handle = self.handles[restart_sid]
-            await self.faults.kill(handle)
-            self._retire_rpc_bytes(handle)
-            await self.faults.reboot(handle)
-            self.client.connect(restart_sid, handle.rpc)
-            if not handle.in_process:
-                await self._wait_ready(handle)
-                for ref in sorted(restarted_refs):
-                    await self._call(
-                        restart_sid, VnodeCreate, ref=ref.canonical_name, fresh=False
-                    )
+            await self.faults.kill(self.handles[restart_sid])
+            await self._reboot(restart_sid, restarted_refs)
 
         # 2. Boot joined snodes, create new vnodes.
         for snode_id in sorted(set(after.hosted) - set(before.hosted)):
@@ -625,20 +680,10 @@ class ClusterHarness:
                 )
 
         # 3. Restart recovery: WAL replay (durable) or replica rebuild.
-        note = outcome.note
-        if restarted_refs:
-            if self.durable:
-                for ref in sorted(restarted_refs):
-                    await self._call_ref(ref, WalReplay)
-            else:
-                for start, end, owner in after.ownership:
-                    if owner not in restarted_refs:
-                        continue
-                    recovered = await self._rebuild_from_replica(
-                        start, end, owner, before, restarted_refs, before_cover
-                    )
-                    if not recovered:
-                        note = f"{note}; restart lost [{start}, {end})".strip("; ")
+        for start, end in await self._recover_primaries(
+            restarted_refs, after, before, before_cover
+        ):
+            done.note = f"{done.note}; restart lost [{start}, {end})".strip("; ")
 
         # 4. Primary ownership moves (crash-owned segments come from replicas).
         grouped: Dict[Tuple[VnodeRef, VnodeRef], List[Tuple[int, int]]] = {}
@@ -655,7 +700,7 @@ class ClusterHarness:
         for (src, dst), ranges in grouped.items():
             await self._move_primary(src, dst, ranges)
         if unrecovered:
-            note = f"{note}; {unrecovered} ranges unrecoverable".strip("; ")
+            done.note = f"{done.note}; {unrecovered} ranges unrecoverable".strip("; ")
 
         # 5. New routing state everywhere.
         await self._push_topology()
@@ -678,7 +723,7 @@ class ClusterHarness:
                 await handle.close()
             self.client.disconnect(snode_id)
 
-        return True, note
+        return done
 
     async def _replica_maintenance(
         self,
@@ -731,126 +776,92 @@ class ClusterHarness:
 
     # -- runtime load rebalance ------------------------------------------------
 
-    async def _runtime_rebalance(
-        self,
-        tolerance: float = 1.25,
-        max_rounds: int = 64,
-        max_splits: int = 2,
-        max_partitions_per_vnode: int = 1024,
-    ) -> Tuple[bool, str]:
+    async def _runtime_rebalance(self) -> Applied:
         """One load-aware rebalance event executed over the served cluster.
 
-        Measure → plan → execute rounds with the runtime provider feeding
-        the same pure planner the in-process engine uses (tolerance and
-        split budget match :func:`~repro.workloads.churn.apply_topology_event`'s
-        rebalance defaults).  Each planned transfer is executed by ordering
-        the source snode to push the rows directly to the target
-        (:class:`~repro.cluster.messages.PeerTransferRequest`); the twin
-        mirrors the executed action through
-        :meth:`~repro.core.base.BaseDHT.execute_load_round` so ownership,
-        placement and future diffs stay authoritative.  A source that dies
-        mid-push is recovered like a restart and the event aborts cleanly.
-        A replica maintenance pass restores placement afterwards.
+        :func:`~repro.core.rebalance.drive_load_rebalance` — the driver the
+        in-process engine runs — with NodeStats measurement as the provider
+        and this harness as the executor, under the knobs every backend
+        gives a ``rebalance`` trace event.  A replica maintenance pass
+        restores placement afterwards.
         """
         before = self._snapshot()
-        before_cover = self._replica_cover(before.partitions)
-        provider = RuntimeLoadProvider(self)
+        state = self._rebalance = _RebalanceState(
+            before, self._replica_cover(before.partitions)
+        )
         coord_before = self._coordinator_bytes()
         self._rebalance_loss = False
 
-        snapshot = await provider.measure()
-        report = LoadRebalanceReport(
-            total_rows=snapshot.total_rows,
-            before_max=snapshot.max_snode_rows,
-            before_mean=snapshot.mean_snode_rows,
-            before_max_over_mean=snapshot.max_over_mean,
-            after_max=snapshot.max_snode_rows,
-            after_mean=snapshot.mean_snode_rows,
-            after_max_over_mean=snapshot.max_over_mean,
+        report = await drive_load_rebalance(
+            RuntimeLoadProvider(self),
+            self,
+            pmin=self.twin.config.pmin,
+            pmax=self.twin.config.pmax,
+            bh=self.bh,
+            **REBALANCE_EVENT_KNOBS,
         )
-        peer_bytes = 0
-        coordinator_transfer_bytes = 0
-        restarted: Set[VnodeRef] = set()
-        failure_note = ""
-        boosts: Dict[Any, int] = {}
-        aborted = False
-
-        if snapshot.counts and snapshot.total_rows:
-            while report.rounds < max_rounds and not aborted:
-                plan = plan_load_round(
-                    snapshot,
-                    pmin=self.twin.config.pmin,
-                    pmax=self.twin.config.pmax,
-                    bh=self.bh,
-                    tolerance=tolerance,
-                    allow_splits=report.splits < max_splits,
-                    level_boosts=boosts,
-                    max_partitions_per_vnode=max_partitions_per_vnode,
-                )
-                if not plan:
-                    break
-                report.rounds += 1
-                for action in plan.transfers:
-                    start = action.partition.start(self.bh)
-                    end = action.partition.end(self.bh)
-                    target = self.handles[action.recipient.snode.value]
-                    coord0 = self._coordinator_bytes()
-                    try:
-                        response = await self._call_ref(
-                            action.victim,
-                            PeerTransferRequest,
-                            target_ref=action.recipient.canonical_name,
-                            target_address=target.address,
-                            ranges=_inclusive([(start, end)]),
-                        )
-                    except (RpcError, ConnectionError, OSError):
-                        failure_note, lost_refs = await self._recover_failed_transfer(
-                            action, (start, end), before, before_cover
-                        )
-                        restarted |= lost_refs
-                        aborted = True
-                        break
-                    coordinator_transfer_bytes += self._coordinator_bytes() - coord0
-                    report.transfers += 1
-                    report.partitions_moved += 1
-                    report.rows_moved += int(response.payload["rows"])
-                    peer_bytes += int(response.payload["peer_bytes"])
-                    self.twin.execute_load_round(LoadRebalancePlan(actions=[action]))
-                if aborted:
-                    break
-                for action in plan.splits:
-                    self.twin.execute_load_round(LoadRebalancePlan(actions=[action]))
-                    boosts[action.scope] = boosts.get(action.scope, 0) + 1
-                    report.splits += 1
-                await self._push_topology()
-                snapshot = await provider.measure()
-
-            report.after_max = snapshot.max_snode_rows
-            report.after_mean = snapshot.mean_snode_rows
-            report.after_max_over_mean = snapshot.max_over_mean
 
         await self._push_topology()
-        await self._replica_maintenance(self._snapshot(), before_cover, restarted)
+        await self._replica_maintenance(
+            self._snapshot(), state.before_cover, state.restarted
+        )
 
         record = report.as_dict()
         record["coordinator_bytes"] = self._coordinator_bytes() - coord_before
-        record["coordinator_transfer_bytes"] = coordinator_transfer_bytes
-        record["peer_bytes"] = peer_bytes
-        record["aborted"] = aborted
+        record["coordinator_transfer_bytes"] = state.coordinator_transfer_bytes
+        record["peer_bytes"] = state.peer_bytes
+        record["aborted"] = bool(state.failure_note)
         self.rebalance_records.append(record)
 
         note = report.summary()
-        if failure_note:
-            note = f"{note}; {failure_note}"
-        return True, note
+        if state.failure_note:
+            note = f"{note}; {state.failure_note}"
+        return Applied(note=note, loss_sanctioned=self._rebalance_loss)
+
+    async def execute_load_round(self, plan: LoadRebalancePlan) -> Tuple[int, int]:
+        """Apply one planned round over RPC (the runtime ``LoadPlanExecutor``).
+
+        Each transfer is executed by ordering the *source* snode to push
+        the rows directly to the target
+        (:class:`~repro.cluster.messages.PeerTransferRequest`); the twin
+        mirrors every executed action through
+        :meth:`~repro.core.base.BaseDHT.execute_load_round` so ownership,
+        placement and future diffs stay authoritative.  A source that dies
+        mid-push is recovered like a restart and the round — and with it
+        the event — ends through :class:`~repro.core.rebalance.LoadRoundAborted`.
+        """
+        state = self._rebalance
+        rows = moved = 0
+        for action in plan.transfers:
+            hash_range = (action.partition.start(self.bh), action.partition.end(self.bh))
+            target = self.handles[action.recipient.snode.value]
+            coord0 = self._coordinator_bytes()
+            try:
+                response = await self._call_ref(
+                    action.victim,
+                    PeerTransferRequest,
+                    target_ref=action.recipient.canonical_name,
+                    target_address=target.address,
+                    ranges=_inclusive([hash_range]),
+                )
+            except (RpcError, ConnectionError, OSError):
+                state.failure_note = await self._recover_failed_transfer(
+                    action, hash_range, state
+                )
+                raise LoadRoundAborted(moved, rows, moved)
+            state.coordinator_transfer_bytes += self._coordinator_bytes() - coord0
+            state.peer_bytes += int(response.payload["peer_bytes"])
+            rows += int(response.payload["rows"])
+            moved += 1
+            self.twin.execute_load_round(LoadRebalancePlan(actions=[action]))
+        for action in plan.splits:
+            self.twin.execute_load_round(LoadRebalancePlan(actions=[action]))
+        await self._push_topology()
+        return rows, moved
 
     async def _recover_failed_transfer(
-        self,
-        action,
-        hash_range: Tuple[int, int],
-        before: _TwinState,
-        before_cover: Dict[VnodeRef, List[Tuple[int, int]]],
-    ) -> Tuple[str, Set[VnodeRef]]:
+        self, action, hash_range: Tuple[int, int], state: _RebalanceState
+    ) -> str:
         """Clean up after a transfer source died mid-peer-push.
 
         The handshake is adopt-before-drop, so at the moment of death the
@@ -859,48 +870,30 @@ class ClusterHarness:
         was not mirrored on the twin (ownership stays with the victim), so
         the target's partial adoption is dropped — idempotent, it owned no
         primary rows in that range — and the source is recovered like a
-        restart: WAL replay when durable, replica rebuild otherwise (the
-        pre-event replica cover is still physically intact mid-rebalance
-        because replica maintenance only runs after the rounds).  Returns
-        a note plus the refs whose replica tiers must be refilled.
+        restart (the pre-event replica cover is still physically intact
+        mid-rebalance because replica maintenance only runs after the
+        rounds).  Records the refs whose replica tiers must be refilled and
+        returns the failure note.
         """
         await self._call_ref(
             action.recipient, RangeDrop, ranges=_inclusive([hash_range])
         )
         sid = action.victim.snode.value
-        handle = self.handles.get(sid)
-        if handle is None:
-            return f"transfer source s{sid} gone", set()
-        refs = set(before.hosted.get(sid, set()))
-        self._retire_rpc_bytes(handle)
-        await self.faults.reboot(handle)
-        self.client.connect(sid, handle.rpc)
-        if not handle.in_process:
-            await self._wait_ready(handle)
-            for ref in sorted(refs):
-                await self._call(sid, VnodeCreate, ref=ref.canonical_name, fresh=False)
-        note = f"transfer source s{sid} died mid-transfer; recovered"
-        if self.durable:
-            for ref in sorted(refs):
-                await self._call_ref(ref, WalReplay)
-        else:
-            current = self._snapshot()
-            lost = 0
-            for start, end, owner in current.ownership:
-                if owner not in refs:
-                    continue
-                recovered = await self._rebuild_from_replica(
-                    start, end, owner, before, refs, before_cover
-                )
-                if not recovered:
-                    lost += 1
-            if lost:
-                self._rebalance_loss = True
-                note = (
-                    f"transfer source s{sid} died mid-transfer; "
-                    f"{lost} ranges unrecoverable"
-                )
-        return note, refs
+        if sid not in self.handles:
+            return f"transfer source s{sid} gone"
+        refs = set(state.before.hosted.get(sid, set()))
+        state.restarted |= refs
+        await self._reboot(sid, refs)
+        lost = await self._recover_primaries(
+            refs, self._snapshot(), state.before, state.before_cover
+        )
+        if lost:
+            self._rebalance_loss = True
+            return (
+                f"transfer source s{sid} died mid-transfer; "
+                f"{len(lost)} ranges unrecoverable"
+            )
+        return f"transfer source s{sid} died mid-transfer; recovered"
 
     # -- verification ----------------------------------------------------------
 
@@ -931,30 +924,19 @@ class ClusterHarness:
             for snode_id, response in zip(ids, responses)
         }
 
-    async def measured_total(self) -> int:
+    async def primary_count(self) -> int:
         """Summed primary rows across every served node."""
         stats = await self.gather_stats()
         return sum(int(payload["primary"]) for payload in stats.values())
 
     async def check_conservation(self, allow_loss: bool) -> int:
-        """Raise :class:`HarnessError` unless the cluster holds what was loaded.
+        """Hold the cluster to the ledger (:func:`repro.workloads.replay.check_conservation`).
 
-        ``allow_loss`` sanctions a deficit (a crash with no surviving
-        replica); the loss is recorded and the expectation rebased.
-        Returns the measured total.
+        Raises :class:`HarnessError` unless the served primaries sum to
+        :attr:`expected_total`; with ``allow_loss`` a deficit rebases the
+        ledger instead and is returned.
         """
-        measured = await self.measured_total()
-        if measured != self.expected_total:
-            deficit = self.expected_total - measured
-            if allow_loss and deficit > 0:
-                self.items_lost += deficit
-                self.expected_total = measured
-            else:
-                raise HarnessError(
-                    f"conservation violated: expected {self.expected_total} "
-                    f"primary rows, measured {measured}"
-                )
-        return measured
+        return await check_conservation(self, allow_loss)
 
     async def verify_replication(self) -> int:
         """Per-partition primary vs replica range counts over RPC.
@@ -985,72 +967,34 @@ class ClusterHarness:
 
     # -- trace replay ----------------------------------------------------------
 
+    async def load(self, chunk) -> int:
+        return await self.client.bulk_load(chunk)
+
+    async def lookup(self, chunk) -> int:
+        for key in chunk.tolist():
+            await self.client.get(key)
+        return len(chunk)
+
     async def run(self, oracle: bool = True) -> HarnessReport:
         """Replay the trace against the served cluster and verify every event.
 
-        With ``oracle=True`` the same trace is profiled by the lifecycle
-        simulator and each applied topology event is annotated with its
-        simulated cost-model duration.
+        The loop and its checks are :func:`repro.workloads.replay.replay`
+        with this harness as the backend.  With ``oracle=True`` the same
+        trace is profiled by the lifecycle simulator and each applied
+        topology event is annotated with its simulated cost-model duration.
         """
         if not self._started:
             await self.start()
-        keys = self.spec.make_keys()
-        key_column = (
-            keys if isinstance(keys, np.ndarray) else np.asarray(keys, dtype=object)
+        result = await replay(
+            self.trace,
+            self.spec.make_keys(),
+            self,
+            seed=self.spec.seed,
+            replication_factor=self.spec.replication_factor,
         )
-        read_rng = np.random.default_rng(self.spec.seed + 1)
-
-        records: List[EventRecord] = []
-        loaded = lookups = applied = skipped = 0
-        conservation_checks = replication_checks = 0
-        replicated = self.spec.replication_factor > 1
-        wall_start = time.perf_counter()
-
-        for event in self.trace:
-            if event.kind == "load":
-                chunk = keys[event.lo : event.hi]
-                t0 = time.perf_counter()
-                n = await self.client.bulk_load(chunk)
-                duration = time.perf_counter() - t0
-                loaded += n
-                self.expected_total += n
-                records.append(EventRecord("load", event.describe(), True, duration))
-            elif event.kind == "lookup":
-                picks = read_rng.integers(0, event.hi, size=event.n_reads)
-                chunk = key_column[picks]
-                t0 = time.perf_counter()
-                for key in chunk.tolist():
-                    await self.client.get(key)
-                duration = time.perf_counter() - t0
-                lookups += len(chunk)
-                records.append(EventRecord("lookup", event.describe(), True, duration))
-            else:
-                t0 = time.perf_counter()
-                event_applied, note = await self._apply_topology_event(event)
-                duration = time.perf_counter() - t0
-                if event_applied:
-                    applied += 1
-                    allow_loss = (
-                        not replicated
-                        and (
-                            event.kind == "snode_crash"
-                            or (event.kind == "snode_restart" and not self.durable)
-                        )
-                    ) or (event.kind == "rebalance" and self._rebalance_loss)
-                    await self.check_conservation(allow_loss)
-                    conservation_checks += 1
-                    if replicated:
-                        replication_checks += await self.verify_replication()
-                else:
-                    skipped += 1
-                records.append(
-                    EventRecord(event.kind, event.describe(), event_applied, duration, note)
-                )
-
-        wall = time.perf_counter() - wall_start
 
         if oracle:
-            self._annotate_with_oracle(records)
+            self._annotate_with_oracle(result.outcomes)
 
         latencies: List[float] = []
         for handle in self.handles.values():
@@ -1061,22 +1005,22 @@ class ClusterHarness:
             name=self.spec.name,
             processes=self.processes,
             n_events=len(self.trace),
-            applied=applied,
-            skipped=skipped,
-            loaded=loaded,
-            lookups=lookups,
-            items_lost=self.items_lost,
-            conservation_checks=conservation_checks,
-            replication_checks=replication_checks,
-            wall_s=wall,
-            events=records,
+            applied=result.applied,
+            skipped=result.skipped,
+            loaded=result.loaded,
+            lookups=result.lookups,
+            items_lost=result.items_lost,
+            conservation_checks=result.conservation_checks,
+            replication_checks=result.replication_checks,
+            wall_s=result.wall_s,
+            events=result.outcomes,
             rpc_latencies_s=latencies,
             faults=list(self.faults.log),
             rebalances=list(self.rebalance_records),
             coordinator_bytes=self._coordinator_bytes(),
         )
 
-    def _annotate_with_oracle(self, records: List[EventRecord]) -> None:
+    def _annotate_with_oracle(self, records: List[EventOutcome]) -> None:
         """Pair each topology event with the simulator's cost-model duration.
 
         The lifecycle simulator replays the *same trace* against its own
@@ -1098,7 +1042,6 @@ class ClusterHarness:
 
 __all__ = [
     "ClusterHarness",
-    "EventRecord",
     "HarnessError",
     "HarnessReport",
     "RuntimeLoadProvider",

@@ -8,16 +8,14 @@ come and go.  A churn trace interleaves **topology events** — ``snode_join``,
 against a live :class:`~repro.core.global_model.GlobalDHT` or
 :class:`~repro.core.local_model.LocalDHT` with an **item-conservation
 check** after every topology event (rebalancing must never create or
-destroy data).
+destroy data).  The replay loop and the conservation rule themselves live
+in :mod:`repro.workloads.replay`, shared with the served cluster; this
+module owns the trace, the in-process backend and the report.
 
 Crashes are the failure-injection half of the replication extension
 (:mod:`repro.core.replication`): a crash drops a live snode *without* a
 graceful drain — its stores are wiped, ownership moves to survivors, and a
 re-replication pass rebuilds the lost primaries from surviving replicas.
-The conservation check is replication-aware: non-crash events must conserve
-the logical item count exactly; a crash may shrink it only when no replica
-survived (``replication_factor == 1``), and with replication enabled the
-engine also verifies replica/primary consistency after every event.
 
 The trace is generated up front by :func:`make_churn_trace` from a
 declarative :class:`ChurnSpec`, fully deterministic for a given seed: the
@@ -46,9 +44,9 @@ suite.
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,8 +56,10 @@ from repro.core.rebalance import LoadRebalanceReport
 from repro.core.replication import CrashReport, RestartReport
 from repro.metrics.balance import item_load_stats
 from repro.core.ids import SnodeId
+from repro.utils.coro import run_sync
 from repro.workloads.driver import APPROACHES, build_cluster
 from repro.workloads.keys import id_keys, uniform_keys, zipf_id_keys
+from repro.workloads.replay import Applied, EventOutcome, replay
 
 #: Trace families the churn engine can replay.
 CHURN_WORKLOADS = ("ids", "uniform", "zipf")
@@ -344,21 +344,21 @@ class TopologyOutcome:
     restart: Optional[RestartReport] = None
 
 
-def apply_topology_event(
-    dht: BaseDHT,
-    event: ChurnEvent,
-    rebalance_tolerance: float = 1.25,
-    rebalance_max_splits: int = 2,
-) -> TopologyOutcome:
+#: How a ``rebalance`` trace event drives the load-aware policy, on every
+#: backend: a maintenance pass, not a full shatter.  Under churn the next
+#: join/leave reshuffles load anyway, so the scope splits are capped (each
+#: doubles a whole scope's partition count and taxes every later topology
+#: event) and the tolerance is looser than a standalone rebalance.
+REBALANCE_EVENT_KNOBS = {"tolerance": 1.25, "max_splits": 2}
+
+
+def apply_topology_event(dht: BaseDHT, event: ChurnEvent) -> TopologyOutcome:
     """Apply one topology event to a live DHT and report what it did.
 
-    Shared by :class:`ChurnEngine` and the lifecycle protocol simulator
-    (:class:`repro.cluster.protocol.LifecycleProtocolSimulator`), so both
-    replay a trace with identical semantics.  Rebalance events run a
-    maintenance pass, not a full shatter: under churn the next join/leave
-    reshuffles load anyway, so the scope splits are capped (each doubles a
-    whole scope's partition count and taxes every later topology event) and
-    the tolerance is looser than a standalone rebalance.
+    Shared by :class:`ChurnEngine`, the runtime coordinator's metadata twin
+    and the lifecycle protocol simulator
+    (:class:`repro.cluster.protocol.LifecycleProtocolSimulator`), so all
+    replay a trace with identical semantics.
 
     Raises :class:`~repro.core.errors.ReproError` for events the model
     cannot serve (callers record those as *skipped*).
@@ -396,24 +396,9 @@ def apply_topology_event(
             )
         return TopologyOutcome(note=note, restart=restart)
     if event.kind == "rebalance":
-        report = dht.rebalance_load(
-            tolerance=rebalance_tolerance, max_splits=rebalance_max_splits
-        )
+        report = dht.rebalance_load(**REBALANCE_EVENT_KNOBS)
         return TopologyOutcome(note=report.summary(), rebalance=report)
     raise ValueError(f"unknown topology event kind {event.kind!r}")
-
-
-@dataclass
-class EventOutcome:
-    """What one replayed event did (timing, migration volume, skip note)."""
-
-    kind: str
-    detail: str
-    seconds: float
-    items_moved: int = 0
-    partitions_moved: int = 0
-    applied: bool = True
-    note: str = ""
 
 
 @dataclass
@@ -578,6 +563,47 @@ class ChurnReport:
         ]
 
 
+class DHTBackend:
+    """The in-process :func:`~repro.workloads.replay.replay` backend.
+
+    Every operation completes inline, so the replay coroutine never
+    suspends.  The ledger starts at the primary rows the DHT already holds
+    (a caller-supplied DHT may be preloaded).
+    """
+
+    error = ReproError
+
+    def __init__(self, dht: BaseDHT, apply: Callable[[ChurnEvent], Optional[str]]):
+        self.dht = dht
+        self._apply = apply
+        self.durable = dht.storage.durable is not None
+        self.expected_total = dht.storage.fast_primary_count()
+
+    async def load(self, chunk) -> int:
+        return self.dht.bulk_load(chunk)
+
+    async def lookup(self, chunk) -> int:
+        return len(self.dht.lookup_many(chunk))
+
+    async def apply(self, event: ChurnEvent) -> Applied:
+        stats = self.dht.storage.stats
+        items, partitions = stats.items_moved, stats.partitions_moved
+        try:
+            done = Applied(note=self._apply(event) or "")
+        except ReproError as exc:  # the model cannot serve it: skipped
+            done = Applied(applied=False, note=str(exc))
+        done.items_moved = stats.items_moved - items
+        done.partitions_moved = stats.partitions_moved - partitions
+        return done
+
+    async def primary_count(self) -> int:
+        return self.dht.storage.fast_primary_count()
+
+    async def verify_replication(self) -> int:
+        self.dht.verify_replication()
+        return 1
+
+
 class ChurnEngine:
     """Replay a churn trace against a live DHT, checking conservation."""
 
@@ -602,16 +628,11 @@ class ChurnEngine:
     def run(self, dht: Optional[BaseDHT] = None, deep_verify: bool = True) -> ChurnReport:
         """Replay the trace; raise :class:`ReproError` if items are not conserved.
 
-        Conservation is **replication-aware**: it is judged on the *logical*
-        item count (primary rows, :meth:`~repro.core.storage.DHTStorage.fast_primary_count`
-        — identical to the historical ``fast_item_count`` check when
-        ``replication_factor == 1``), so the physical row count is free to
-        change when placement legitimately gains or loses replica ranks.
-        Non-crash topology events must conserve items exactly; a crash may
-        lose items only when no replica survived — with
-        ``replication_factor >= 2`` any loss on a single-snode crash raises.
-        When replication is on, replica/primary consistency is additionally
-        verified after every topology event.
+        Conservation follows :mod:`repro.workloads.replay`'s rule, judged on
+        the *logical* item count (primary rows,
+        :meth:`~repro.core.storage.DHTStorage.fast_primary_count`), so the
+        physical row count is free to change when placement legitimately
+        gains or loses replica ranks.
 
         ``deep_verify`` additionally runs the DHT's full invariant suite and
         an exact (merged-path) recount at the end of the run.
@@ -631,25 +652,6 @@ class ChurnEngine:
 
     def _run(self, dht: BaseDHT, deep_verify: bool) -> ChurnReport:
         spec = self.spec
-        # Caller-supplied DHTs may already hold data; conservation is judged
-        # against this baseline (merged count, so the final recount compares
-        # like with like).
-        initial_items = dht.storage.total_items()
-        keys = self.make_keys()
-        key_column = keys if isinstance(keys, np.ndarray) else np.asarray(keys, dtype=object)
-        read_rng = np.random.default_rng(spec.seed + 1)
-
-        outcomes: List[EventOutcome] = []
-        loaded = 0
-        load_seconds = 0.0
-        lookups = 0
-        lookup_seconds = 0.0
-        topology_seconds = 0.0
-        conservation_checks = 0
-        applied = skipped = joins = leaves = enrollment_changes = crashes = 0
-        rebalances = restarts = 0
-        items_lost = 0
-        max_event_items = 0
         stats = dht.storage.stats
         base_items, base_partitions, base_migrations = (
             stats.items_moved, stats.partitions_moved, stats.migrations,
@@ -657,137 +659,61 @@ class ChurnEngine:
         replication = dht.storage.replication
         base_rebuilt = replication.rows_restored + replication.rows_refilled
 
-        for event in self.trace:
-            if event.kind == "load":
-                chunk = keys[event.lo : event.hi]
-                t0 = time.perf_counter()
-                loaded += dht.bulk_load(chunk)
-                dt = time.perf_counter() - t0
-                load_seconds += dt
-                outcomes.append(EventOutcome("load", event.describe(), dt))
-            elif event.kind == "lookup":
-                picks = read_rng.integers(0, event.hi, size=event.n_reads)
-                chunk = key_column[picks]
-                t0 = time.perf_counter()
-                batch = dht.lookup_many(chunk)
-                dt = time.perf_counter() - t0
-                lookup_seconds += dt
-                lookups += len(batch)
-                outcomes.append(EventOutcome("lookup", event.describe(), dt))
-            else:
-                before = dht.storage.fast_primary_count()
-                items_before = stats.items_moved
-                partitions_before = stats.partitions_moved
-                note = ""
-                event_applied = True
-                t0 = time.perf_counter()
-                try:
-                    note = self._apply_topology(dht, event) or ""
-                except ReproError as exc:
-                    event_applied = False
-                    note = str(exc)
-                dt = time.perf_counter() - t0
-                topology_seconds += dt
-                after = dht.storage.fast_primary_count()
-                conservation_checks += 1
-                if event.kind in ("snode_crash", "snode_restart"):
-                    lost = before - after
-                    if lost < 0:
-                        raise ReproError(
-                            f"churn event '{event.describe()}' created items: "
-                            f"{before} before, {after} after"
-                        )
-                    if lost and spec.replication_factor > 1:
-                        raise ReproError(
-                            f"churn event '{event.describe()}' lost {lost} items "
-                            f"despite replication_factor="
-                            f"{spec.replication_factor} (recovery should have "
-                            f"rebuilt them from surviving replicas)"
-                        )
-                    if (
-                        lost
-                        and event.kind == "snode_restart"
-                        and dht.storage.durable is not None
-                    ):
-                        raise ReproError(
-                            f"churn event '{event.describe()}' lost {lost} items "
-                            f"despite the durable tier (WAL replay should have "
-                            f"recovered every acknowledged write)"
-                        )
-                    items_lost += lost
-                elif after != before:
-                    raise ReproError(
-                        f"churn event '{event.describe()}' broke item conservation: "
-                        f"{before} items before, {after} after"
-                    )
-                if spec.replication_factor > 1:
-                    dht.verify_replication()
-                moved = stats.items_moved - items_before
-                max_event_items = max(max_event_items, moved)
-                if event_applied:
-                    applied += 1
-                    joins += event.kind == "snode_join"
-                    leaves += event.kind == "snode_leave"
-                    enrollment_changes += event.kind == "enrollment_change"
-                    crashes += event.kind == "snode_crash"
-                    rebalances += event.kind == "rebalance"
-                    restarts += event.kind == "snode_restart"
-                else:
-                    skipped += 1
-                outcomes.append(
-                    EventOutcome(
-                        event.kind,
-                        event.describe(),
-                        dt,
-                        items_moved=moved,
-                        partitions_moved=stats.partitions_moved - partitions_before,
-                        applied=event_applied,
-                        note=note,
-                    )
-                )
+        # The method is looked up per event so a test can swap it on the instance.
+        backend = DHTBackend(dht, lambda event: self._apply_topology(dht, event))
+        result = run_sync(
+            replay(
+                self.trace,
+                self.make_keys(),
+                backend,
+                seed=spec.seed,
+                replication_factor=spec.replication_factor,
+            )
+        )
 
         if deep_verify:
             dht.check_invariants()
             if spec.replication_factor > 1:
                 dht.verify_replication()
             final_items = dht.storage.total_items()
-            if final_items != initial_items + loaded - items_lost:
+            if final_items != backend.expected_total:
                 raise ReproError(
-                    f"churn run lost data: {initial_items} items before the trace "
-                    f"plus {loaded} loaded distinct keys minus {items_lost} lost "
-                    f"to unreplicated crashes, but {final_items} remain"
+                    f"churn run lost data: {backend.expected_total} items expected "
+                    f"({result.loaded} loaded distinct keys, {result.items_lost} lost "
+                    f"to unreplicated crashes), but {final_items} remain"
                 )
         else:
             final_items = dht.storage.fast_primary_count()
         item_loads = item_load_stats(dht)
+        kinds = Counter(o.kind for o in result.outcomes if o.applied)
 
         return ChurnReport(
             name=spec.name,
             approach=spec.approach,
             replication_factor=spec.replication_factor,
-            n_events=applied + skipped,
-            events_applied=applied,
-            events_skipped=skipped,
-            joins=joins,
-            leaves=leaves,
-            enrollment_changes=enrollment_changes,
-            crashes=crashes,
-            rebalances=rebalances,
-            restarts=restarts,
-            items_lost=items_lost,
+            n_events=result.applied + result.skipped,
+            events_applied=result.applied,
+            events_skipped=result.skipped,
+            joins=kinds["snode_join"],
+            leaves=kinds["snode_leave"],
+            enrollment_changes=kinds["enrollment_change"],
+            crashes=kinds["snode_crash"],
+            rebalances=kinds["rebalance"],
+            restarts=kinds["snode_restart"],
+            items_lost=result.items_lost,
             replica_rows_rebuilt=(
                 replication.rows_restored + replication.rows_refilled - base_rebuilt
             ),
-            keys_loaded=loaded,
-            load_seconds=load_seconds,
-            lookups_issued=lookups,
-            lookup_seconds=lookup_seconds,
-            topology_seconds=topology_seconds,
+            keys_loaded=result.loaded,
+            load_seconds=result.seconds("load"),
+            lookups_issued=result.lookups,
+            lookup_seconds=result.seconds("lookup"),
+            topology_seconds=result.seconds(*TOPOLOGY_KINDS),
             items_moved=stats.items_moved - base_items,
             partitions_moved=stats.partitions_moved - base_partitions,
             migrations=stats.migrations - base_migrations,
-            max_event_items_moved=max_event_items,
-            conservation_checks=conservation_checks,
+            max_event_items_moved=max((o.items_moved for o in result.outcomes), default=0),
+            conservation_checks=result.conservation_checks,
             final_items=final_items,
             final_replica_items=dht.storage.fast_replica_count(),
             n_snodes=dht.n_snodes,
@@ -798,7 +724,7 @@ class ChurnEngine:
             sigma_items_vnode=item_loads.vnodes.sigma,
             sigma_items_snode=item_loads.snodes.sigma,
             max_mean_items_snode=item_loads.snodes.max_over_mean,
-            outcomes=outcomes,
+            outcomes=result.outcomes,
         )
 
     def _apply_topology(self, dht: BaseDHT, event: ChurnEvent) -> Optional[str]:

@@ -1,4 +1,4 @@
-"""Tests for the cluster substrate (nodes, cluster, network, messages)."""
+"""Tests for the cluster substrate (network, messages)."""
 
 from __future__ import annotations
 
@@ -6,73 +6,12 @@ import pytest
 
 from repro.cluster import (
     Ack,
-    Cluster,
-    ClusterNode,
     CreateVnodeRequest,
     Message,
     NetworkModel,
     PartitionTransfer,
     RecordSync,
 )
-from repro.core.errors import ReproError
-from repro.workloads import CapacityProfile, NodeSpec
-
-
-class TestClusterNode:
-    def test_hosting(self):
-        node = ClusterNode(NodeSpec("n0"))
-        node.host_snode(0)
-        assert node.n_snodes == 1 and node.snodes == [0]
-        with pytest.raises(ValueError):
-            node.host_snode(0)
-        node.release_snode(0)
-        assert node.n_snodes == 0
-        with pytest.raises(ValueError):
-            node.release_snode(0)
-
-    def test_capacity_passthrough(self):
-        spec = NodeSpec("n0", cpu_cores=8, memory_gb=32, storage_gb=800)
-        node = ClusterNode(spec)
-        assert node.name == "n0"
-        assert node.capacity_score == pytest.approx(spec.capacity_score())
-
-
-class TestCluster:
-    def test_from_profile_and_placement(self):
-        cluster = Cluster.from_profile(CapacityProfile.homogeneous(3))
-        placement = cluster.place_snodes(6)
-        assert len(placement) == 6
-        assert cluster.n_snodes == 6
-        # Round-robin: two snodes per node.
-        per_node = {}
-        for snode, name in placement.items():
-            per_node[name] = per_node.get(name, 0) + 1
-            assert cluster.snode_host(snode) == name
-        assert set(per_node.values()) == {2}
-
-    def test_homogeneous_constructor(self):
-        cluster = Cluster.homogeneous(4)
-        assert cluster.n_nodes == 4
-        weights = cluster.capacity_weights()
-        assert all(w == pytest.approx(1.0) for w in weights.values())
-        assert set(cluster.enrollments(base_vnodes=2).values()) == {2}
-
-    def test_duplicate_node_rejected(self):
-        cluster = Cluster.homogeneous(1)
-        with pytest.raises(ReproError):
-            cluster.add_node_spec(NodeSpec("node-000"))
-
-    def test_errors(self):
-        cluster = Cluster()
-        with pytest.raises(ReproError):
-            cluster.get_node("ghost")
-        with pytest.raises(ReproError):
-            cluster.place_snodes(1)
-        cluster.add_node_spec(NodeSpec("a"))
-        with pytest.raises(ValueError):
-            cluster.place_snodes(0)
-        with pytest.raises(ReproError):
-            cluster.snode_host(99)
 
 
 class TestNetworkModel:

@@ -71,18 +71,6 @@ class TestActionVocabulary:
         )
         assert explicit.partition == Partition(2, 1)
 
-    def test_balancer_shim_resolves_to_rebalance(self):
-        """The retired ``repro.core.balancer`` facade resolves to the
-        rebalance engine through a deprecation shim for one release."""
-        import repro.core
-
-        with pytest.warns(DeprecationWarning, match="repro.core.balancer"):
-            shim = repro.core.balancer
-        assert shim.Action is Action
-        assert shim.plan_vnode_creation is plan_vnode_creation
-        assert shim.SplitAllAction is SplitAllAction
-        assert shim.TransferAction is TransferAction
-
 
 def _reference_creation_plan(counts, new_vnode, pmin):
     """Literal re-implementation of the seed repo's creation greedy.

@@ -33,6 +33,7 @@ from repro.core.rebalance import (
 )
 from repro.runtime.harness import ClusterHarness, RuntimeLoadProvider
 from repro.runtime.rpc import RpcError
+from repro.utils.coro import run_sync
 from repro.workloads.churn import ChurnEvent, ChurnSpec
 from repro.workloads.driver import build_cluster
 from repro.workloads.keys import zipf_id_keys
@@ -92,11 +93,11 @@ class TestProviderProtocols:
         dht = _loaded_cluster(seed=3)
         executor = _RecordingExecutor()
         assert isinstance(executor, LoadPlanExecutor)
-        report = drive_load_rebalance(
+        report = run_sync(drive_load_rebalance(
             StorageLoadProvider(dht), executor,
             pmin=dht.config.pmin, pmax=dht.config.pmax, bh=dht.config.bh,
             max_rounds=3,
-        )
+        ))
         # Nothing was executed, so the same plan keeps firing: the driver
         # must charge every round and stop at the budget, not spin.
         assert report.rounds == 3
@@ -298,13 +299,11 @@ class TestTransferSourceKill:
 
                 for snode_id, handle in harness.handles.items():
                     arm(snode_id, handle)
-                applied, note = await harness._apply_topology_event(
-                    ChurnEvent(kind="rebalance")
-                )
+                done = await harness.apply(ChurnEvent(kind="rebalance"))
                 for handle in harness.handles.values():
                     if handle.node is not None:
                         handle.node.transfer_hooks.clear()
-                assert applied
+                assert done.applied
                 assert killed, "no transfer happened; the fault never fired"
                 record = harness.rebalance_records[-1]
                 assert record["aborted"] is True
@@ -314,7 +313,7 @@ class TestTransferSourceKill:
                 # Zero loss: every row is back on a primary, replicas agree.
                 await harness.check_conservation(allow_loss=False)
                 assert await harness.verify_replication() > 0
-                return note
+                return done.note
 
         note = asyncio.run(scenario())
         assert "died mid-transfer; recovered" in note
