@@ -61,7 +61,6 @@ REFERENCE_ROOTS = ("src", "tests", "examples", "bench")
 
 #: Public names deliberately kept although nothing references them (rule 4).
 KEPT_UNREFERENCED = {
-    "PeerTransferDone": "its position in the wire message registry is part of the format",
     "PlacementProtocol": "interface declaration: documents what the engine needs of placement",
     "StorageEngineProtocol": "interface declaration: documents what the engine needs of storage",
     "RecoveryProtocol": "interface declaration: documents what the engine needs of recovery",

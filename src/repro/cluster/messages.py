@@ -60,6 +60,11 @@ class Message:
     #: Wire type code of the concrete class (set by ``__init_subclass__``).
     TYPE_CODE = 0
 
+    #: False on a request that must not be sent twice: applying it a second
+    #: time changes the outcome, so a caller whose first attempt may have
+    #: reached the handler gets the error instead of a silent re-send.
+    RETRY_SAFE = True
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         code = len(MESSAGE_TYPES) + 1
@@ -333,28 +338,16 @@ class BulkLoadChunk(Message):
 
 
 @dataclass(frozen=True)
-class RangeExtract(Message):
-    """Extract the rows of a vnode tier falling inside absolute hash ranges.
+class RangeAdopt(Message):
+    """Adopt rows into a vnode tier — the peer-link half of a range move.
 
-    ``ranges`` is a tuple of ``(start, last_inclusive)`` pairs.  With
-    ``pop=True`` the rows are removed from the source (a migration);
-    otherwise they are copied (a replica rebuild read).  Replies
-    ``Ack(payload=parts)`` where ``parts`` is the ``(pairs, segments)``
-    columnar transfer unit of :mod:`repro.core.storage`.
+    ``parts`` is the ``(pairs, segments)`` columnar transfer unit of
+    :mod:`repro.core.storage`, as copied out of the source's buckets.
+    Adopting the same parts twice counts their rows twice, hence not
+    retry-safe.
     """
 
-    ref: str = ""
-    tier: str = "primary"
-    ranges: Tuple[Tuple[int, int], ...] = ()
-    pop: bool = True
-
-    def size_bytes(self) -> float:
-        return _measured_size(self)
-
-
-@dataclass(frozen=True)
-class RangeAdopt(Message):
-    """Adopt extracted rows (``(pairs, segments)`` parts) into a vnode tier."""
+    RETRY_SAFE = False
 
     ref: str = ""
     tier: str = "primary"
@@ -490,14 +483,18 @@ class NodeStatsRequest(Message):
 class PeerTransferRequest(Message):
     """Coordinator order: push owned rows directly to a peer node.
 
-    The source node extracts ``ranges`` (inclusive ``(start, last)``
-    pairs) from ``ref``'s ``tier``, ships them to ``target_address`` as a
-    ``RangeAdopt`` into ``target_ref`` over its own outbound connection,
-    and only after the peer acknowledges the adoption drops its local
-    copy (when ``pop=True``).  Replies
+    The only row-moving order there is.  The source node copies ``ranges``
+    (inclusive ``(start, last)`` pairs) out of ``ref``'s ``tier``, ships
+    them to ``target_address`` as a ``RangeAdopt`` into ``target_ref``'s
+    ``target_tier`` (empty: the source tier) over its own outbound
+    connection, and only after the peer acknowledges the adoption drops its
+    local copy (when ``pop=True``).  Replies
     ``Ack(payload={"rows": n, "peer_bytes": b})``.  The coordinator link
     carries only this order and its ack — row payloads flow peer-to-peer.
+    Not retry-safe: a second push would be adopted a second time.
     """
+
+    RETRY_SAFE = False
 
     ref: str = ""
     target_ref: str = ""
@@ -505,23 +502,8 @@ class PeerTransferRequest(Message):
     tier: str = "primary"
     ranges: Tuple[Tuple[int, int], ...] = ()
     pop: bool = True
+    target_tier: str = ""
 
     def size_bytes(self) -> float:
         return _measured_size(self)
 
-
-@dataclass(frozen=True)
-class PeerTransferDone(Message):
-    """Completion ack of one peer-to-peer range transfer.
-
-    A metadata-only control message: it reports how many rows and payload
-    bytes moved on the *peer* link, without carrying them.  Priced by the
-    cost model as the coordinator-side cost of a p2p handover
-    (:attr:`~repro.cluster.protocol.ProtocolCosts.peer_transfer_metadata_bytes`).
-    """
-
-    rows: int = 0
-    payload_bytes: float = 0.0
-
-    def size_bytes(self) -> float:
-        return float(self.BASE_SIZE_BYTES + 16)

@@ -94,9 +94,9 @@ class ProtocolCosts:
     #: sequential read + apply; no network transfer is involved).
     wal_replay_record_s: float = 5e-7
     #: Coordinator-side wire bytes of one peer-to-peer partition handover
-    #: (the ``PeerTransferRequest`` order plus its ``PeerTransferDone``
-    #: ack).  The row payload itself is priced on the peer link — the
-    #: coordinator never relays it.
+    #: (the ``PeerTransferRequest`` order plus its metadata ``Ack``).  The
+    #: row payload itself is priced on the peer link — the coordinator
+    #: never relays it.
     peer_transfer_metadata_bytes: float = 96.0
 
     def __post_init__(self) -> None:
@@ -503,7 +503,12 @@ def lifecycle_event_cost(
     refilled per replica rank, and rebalance passes by the plan's
     transfers (plus one extra record broadcast per scope split).
     Rebalance row payloads flow on the peer link — the coordinator pays
-    metadata-only bytes per handover (order + done ack).
+    metadata-only bytes per handover (order + ack).  Every other handover
+    is still priced as relayed, bulk data serialized onto the coordinator's
+    link — the paper-era protocol, kept as the model — although the
+    runtime (:mod:`repro.runtime.harness`) now moves those rows snode to
+    snode as well; ``test_relayed_migration_still_priced_through_the_coordinator``
+    pins it.
     """
     net = costs.network
     peers = max(0, profile.involved_snodes - 1)
@@ -565,9 +570,9 @@ def lifecycle_event_cost(
 
     # Graceful data migration.  Rebalance handovers flow peer-to-peer: the
     # coordinator sends one PeerTransferRequest order and receives one
-    # PeerTransferDone ack per partition (metadata only), while the source
-    # snode ships the rows directly to the target as one RebalanceTransfer
-    # on the peer link.  Other graceful moves are still relayed as one
+    # metadata ack per partition, while the source snode ships the rows
+    # directly to the target as one RebalanceTransfer on the peer link.
+    # Other graceful moves are still priced as relayed: one
     # PartitionTransfer per handover carrying the rows the replay moved.
     if profile.partitions_moved:
         if profile.kind == "rebalance":

@@ -114,14 +114,17 @@ class BaseDHT(ABC):
         )
 
     def close(self) -> None:
-        """Release multicore resources (worker processes, shared memory).
+        """Release WAL file handles and multicore resources (worker
+        processes, shared memory).
 
-        Required only when ``config.parallel`` is enabled; a no-op (and
-        safe to call repeatedly) otherwise.  Zero-copy segments the bulk
-        pipeline adopted into vnode stores are materialized as private
-        copies first, so every read keeps working after close — only the
-        worker pool and its shared-memory arena go away.
+        Safe to call repeatedly, and the DHT stays usable: a WAL handle
+        reopens on the next append.  Zero-copy segments the bulk pipeline
+        adopted into vnode stores are materialized as private copies first,
+        so every read keeps working after close — only the worker pool and
+        its shared-memory arena go away.
         """
+        if self.storage.durable is not None:
+            self.storage.durable.close()
         if self.parallel is None:
             return
         self.storage.materialize_shared(self.parallel.owns_array)

@@ -719,6 +719,11 @@ class DurableStoreManager:
         if log is not None:
             log.destroy()
 
+    def close(self) -> None:
+        """Close every WAL file handle (each reopens on its next append)."""
+        for log in self._logs.values():
+            log._close()
+
     def log_for(self, ref) -> Optional[DurableVnodeStore]:
         return self._logs.get(ref)
 

@@ -55,7 +55,7 @@ class NodeHandle:
         if self.rpc is not None:
             await self.rpc.close()
         if self.node is not None:
-            await self.node.close_peers()
+            await self.node.close()
         if self.server is not None:
             await self.server.stop()
         if self.process is not None:
@@ -117,7 +117,7 @@ class FaultInjector:
             assert handle.server is not None
             await handle.server.kill()
             if handle.node is not None:
-                await handle.node.close_peers()
+                await handle.node.close()
             handle.node = None
         elif handle.process is not None:
             handle.process.send_signal(signal.SIGKILL)

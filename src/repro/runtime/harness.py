@@ -8,14 +8,18 @@ trace is applied to the twin first (same code path as the simulation,
 ownership/placement *diff* is translated into RPCs that move real rows
 between the served nodes:
 
-- primary ownership changes become ``RangeExtract(pop=True)`` →
-  ``RangeAdopt`` pairs between the old and new owners;
+- every row that changes place is pushed by the snode holding it straight
+  to the snode that needs it — one ``PeerTransferRequest`` from
+  :meth:`ClusterHarness._transfer`, the only mover; the coordinator link
+  carries that order and its metadata ack, never the rows;
+- a primary ownership change is a primary → primary move;
 - a crash destroys the victim's state (fault injector) and the lost ranges
-  are rebuilt from the replicas the *pre-event* placement says survived;
+  are copied replica → primary from the replicas the *pre-event* placement
+  says survived;
 - a restart kills and reboots the node (memory lost, disk kept) and the
   primaries come back via WAL replay — or, without durability, from
   surviving replicas;
-- replica placement changes become drop+copy refills sourced from the
+- replica placement changes become drop + primary → replica copies from the
   post-move primaries, plus retention passes that clear rows a vnode no
   longer replicates.
 
@@ -37,10 +41,8 @@ engine uses: :class:`RuntimeLoadProvider` aggregates per-partition primary
 row counts from concurrent ``NodeStats`` replies into the exact snapshot
 structure the planner consumes
 (:func:`repro.core.rebalance.snapshot_from_counts`), and the harness is the
-executor (:meth:`ClusterHarness.execute_load_round`): every transfer orders
-the *source* snode to push the extracted rows directly to the target
-(``PeerTransferRequest``) — the coordinator link carries only the order and
-its metadata ack, never the row payload.  The twin mirrors each executed
+executor (:meth:`ClusterHarness.execute_load_round`): every planned
+transfer is one more call of the mover.  The twin mirrors each executed
 action through the public
 :meth:`~repro.core.base.BaseDHT.execute_load_round`, and a replica
 maintenance pass restores placement after the rounds.
@@ -62,10 +64,8 @@ from repro.cluster.messages import (
     NodeStatsRequest,
     PeerTransferRequest,
     PingRequest,
-    RangeAdopt,
     RangeCount,
     RangeDrop,
-    RangeExtract,
     RangeRetain,
     TopologySnapshot,
     VnodeCreate,
@@ -124,8 +124,6 @@ class _RebalanceState:
 
     before: _TwinState
     before_cover: Dict[VnodeRef, List[Tuple[int, int]]]
-    peer_bytes: int = 0
-    coordinator_transfer_bytes: int = 0
     #: Refs of a transfer source that died and was rebooted mid-event.
     restarted: Set[VnodeRef] = field(default_factory=set)
     failure_note: str = ""
@@ -258,18 +256,12 @@ class RuntimeLoadProvider:
 
     def __init__(self, harness: "ClusterHarness"):
         self.harness = harness
-        #: Peer-link traffic totals reported by the last measurement round.
-        self.peer_bytes_sent = 0
-        self.peer_bytes_received = 0
 
     async def measure(self) -> LoadSnapshot:
         stats = await self.harness.gather_stats(partitions=True)
         row_counts: Dict[str, Dict[Tuple[int, int], int]] = {}
-        self.peer_bytes_sent = self.peer_bytes_received = 0
         for payload in stats.values():
             row_counts.update(payload.get("partitions") or {})
-            self.peer_bytes_sent += int(payload.get("peer_bytes_sent", 0))
-            self.peer_bytes_received += int(payload.get("peer_bytes_received", 0))
         return snapshot_from_counts(self.harness.twin, row_counts)
 
 
@@ -333,6 +325,10 @@ class ClusterHarness:
         #: Coordinator-link bytes of connections already closed (retired or
         #: crashed nodes), so totals never go backwards.
         self._retired_coordinator_bytes = 0
+        #: Totals over every transfer: bytes the snodes report on their peer
+        #: links, and coordinator-link bytes of the orders and their acks.
+        self.peer_bytes = 0
+        self.coordinator_transfer_bytes = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -529,13 +525,36 @@ class ClusterHarness:
 
     # -- data movement ---------------------------------------------------------
 
-    async def _move_primary(
-        self, src: VnodeRef, dst: VnodeRef, ranges: List[Tuple[int, int]]
-    ) -> None:
+    async def _transfer(
+        self,
+        src: VnodeRef,
+        dst: VnodeRef,
+        ranges: Sequence[Tuple[int, int]],
+        *,
+        tier: str = "primary",
+        target_tier: str = "primary",
+        pop: bool = False,
+    ) -> int:
+        """Order ``src``'s snode to push ``ranges`` of its ``tier`` into
+        ``dst``'s ``target_tier`` and, with ``pop``, to drop its copy once the
+        target has adopted; return the rows that travelled.
+
+        The one way rows change place, whatever the event kind.
+        """
+        coordinator_before = self._coordinator_bytes()
         response = await self._call_ref(
-            src, RangeExtract, ranges=_inclusive(ranges), pop=True
+            src,
+            PeerTransferRequest,
+            target_ref=dst.canonical_name,
+            target_address=self.handles[dst.snode.value].address,
+            tier=tier,
+            ranges=_inclusive(ranges),
+            pop=pop,
+            target_tier=target_tier,
         )
-        await self._call_ref(dst, RangeAdopt, parts=response.payload)
+        self.coordinator_transfer_bytes += self._coordinator_bytes() - coordinator_before
+        self.peer_bytes += int(response.payload["peer_bytes"])
+        return int(response.payload["rows"])
 
     async def _rebuild_from_replica(
         self,
@@ -566,14 +585,7 @@ class ClusterHarness:
             )
             if source is None:
                 return False
-            response = await self._call_ref(
-                source,
-                RangeExtract,
-                tier="replica",
-                ranges=_inclusive([(lo, hi)]),
-                pop=False,
-            )
-            await self._call_ref(dst, RangeAdopt, parts=response.payload)
+            await self._transfer(source, dst, [(lo, hi)], tier="replica")
         return True
 
     def _coordinator_bytes(self) -> int:
@@ -698,7 +710,7 @@ class ClusterHarness:
             else:
                 grouped.setdefault((src, dst), []).append((start, end))
         for (src, dst), ranges in grouped.items():
-            await self._move_primary(src, dst, ranges)
+            await self._transfer(src, dst, ranges, pop=True)
         if unrecovered:
             done.note = f"{done.note}; {unrecovered} ranges unrecoverable".strip("; ")
 
@@ -764,14 +776,8 @@ class ClusterHarness:
                     tier="replica",
                     ranges=_inclusive([(start, end)]),
                 )
-                response = await self._call_ref(
-                    primary,
-                    RangeExtract,
-                    ranges=_inclusive([(start, end)]),
-                    pop=False,
-                )
-                await self._call_ref(
-                    ref, RangeAdopt, tier="replica", parts=response.payload
+                await self._transfer(
+                    primary, ref, [(start, end)], target_tier="replica"
                 )
 
     # -- runtime load rebalance ------------------------------------------------
@@ -790,6 +796,8 @@ class ClusterHarness:
             before, self._replica_cover(before.partitions)
         )
         coord_before = self._coordinator_bytes()
+        transfers_before = self.coordinator_transfer_bytes
+        peer_before = self.peer_bytes
         self._rebalance_loss = False
 
         report = await drive_load_rebalance(
@@ -800,16 +808,18 @@ class ClusterHarness:
             bh=self.bh,
             **REBALANCE_EVENT_KNOBS,
         )
+        # The byte split of the rounds' transfers alone: taken before
+        # replica maintenance adds its refills to the totals.
+        record = report.as_dict()
+        record["coordinator_transfer_bytes"] = self.coordinator_transfer_bytes - transfers_before
+        record["peer_bytes"] = self.peer_bytes - peer_before
 
         await self._push_topology()
         await self._replica_maintenance(
             self._snapshot(), state.before_cover, state.restarted
         )
 
-        record = report.as_dict()
         record["coordinator_bytes"] = self._coordinator_bytes() - coord_before
-        record["coordinator_transfer_bytes"] = state.coordinator_transfer_bytes
-        record["peer_bytes"] = state.peer_bytes
         record["aborted"] = bool(state.failure_note)
         self.rebalance_records.append(record)
 
@@ -821,10 +831,8 @@ class ClusterHarness:
     async def execute_load_round(self, plan: LoadRebalancePlan) -> Tuple[int, int]:
         """Apply one planned round over RPC (the runtime ``LoadPlanExecutor``).
 
-        Each transfer is executed by ordering the *source* snode to push
-        the rows directly to the target
-        (:class:`~repro.cluster.messages.PeerTransferRequest`); the twin
-        mirrors every executed action through
+        Each transfer is one :meth:`_transfer` move from the victim to the
+        recipient; the twin mirrors every executed action through
         :meth:`~repro.core.base.BaseDHT.execute_load_round` so ownership,
         placement and future diffs stay authoritative.  A source that dies
         mid-push is recovered like a restart and the round — and with it
@@ -834,24 +842,15 @@ class ClusterHarness:
         rows = moved = 0
         for action in plan.transfers:
             hash_range = (action.partition.start(self.bh), action.partition.end(self.bh))
-            target = self.handles[action.recipient.snode.value]
-            coord0 = self._coordinator_bytes()
             try:
-                response = await self._call_ref(
-                    action.victim,
-                    PeerTransferRequest,
-                    target_ref=action.recipient.canonical_name,
-                    target_address=target.address,
-                    ranges=_inclusive([hash_range]),
+                rows += await self._transfer(
+                    action.victim, action.recipient, [hash_range], pop=True
                 )
             except (RpcError, ConnectionError, OSError):
                 state.failure_note = await self._recover_failed_transfer(
                     action, hash_range, state
                 )
                 raise LoadRoundAborted(moved, rows, moved)
-            state.coordinator_transfer_bytes += self._coordinator_bytes() - coord0
-            state.peer_bytes += int(response.payload["peer_bytes"])
-            rows += int(response.payload["rows"])
             moved += 1
             self.twin.execute_load_round(LoadRebalancePlan(actions=[action]))
         for action in plan.splits:

@@ -40,7 +40,6 @@ from repro.cluster.messages import (
     RangeAdopt,
     RangeCount,
     RangeDrop,
-    RangeExtract,
     RangeRetain,
     RestartNotice,
     TopologySnapshot,
@@ -103,7 +102,6 @@ class SnodeNode:
         #: Outbound connections to peer nodes (peer-to-peer range pushes),
         #: keyed by address.  Lazily opened, closed with the node.
         self._peers: Dict[Any, RpcClient] = {}
-        self._peer_request_id = 0
         #: Test-only fault points of the peer-transfer handshake: a named
         #: awaitable called at that point of :meth:`_peer_transfer` (e.g.
         #: ``"after_adopt"`` runs between the target's adoption ack and the
@@ -183,12 +181,6 @@ class SnodeNode:
                 ref.canonical_name,
                 ref.snode.value,
             )
-        if isinstance(msg, RangeExtract):
-            store = self._tier_store(msg.ref, msg.tier)
-            starts, lasts = storage.range_arrays(msg.ranges)
-            if msg.pop:
-                return store.pop_buckets(starts, lasts)
-            return store.copy_buckets(starts, lasts)
         if isinstance(msg, RangeAdopt):
             store = self._tier_store(msg.ref, msg.tier)
             for pairs, segments in msg.parts:
@@ -267,13 +259,15 @@ class SnodeNode:
     async def _peer_transfer(self, msg: PeerTransferRequest) -> Dict[str, Any]:
         """Push owned rows directly to a peer; drop locally only after its ack.
 
-        The data half of a coordinator-planned range move: rows are *copied*
-        out, adopted on the target over this node's own outbound connection,
-        and popped from the local store only once the target has
-        acknowledged — so a source killed mid-transfer leaves either both
-        copies (idempotently reconciled by the coordinator) or the rows
-        safely adopted, never neither.  Returns the coordinator-ack payload:
-        the row count and the bytes that flowed on the peer link.
+        The data half of every coordinator-planned range move, whatever the
+        event and whichever tiers it connects: rows are *copied* out,
+        adopted on the target over this node's own outbound connection, and
+        (for a ``pop`` move) popped from the local store only once the
+        target has acknowledged — so a source killed mid-transfer leaves
+        either both copies (idempotently reconciled by the coordinator) or
+        the rows safely adopted, never neither.  Returns the
+        coordinator-ack payload: the row count and the bytes that flowed on
+        the peer link.
         """
         store = self._tier_store(msg.ref, msg.tier)
         starts, lasts = self.storage.range_arrays(msg.ranges)
@@ -290,7 +284,7 @@ class SnodeNode:
                 src=self.snode_id,
                 dst=-1,
                 ref=msg.target_ref,
-                tier=msg.tier,
+                tier=msg.target_tier or msg.tier,
                 parts=parts,
             )
         )
@@ -306,6 +300,12 @@ class SnodeNode:
         for client in peers:
             await client.close()
 
+    async def close(self) -> None:
+        """Release what the node holds open: peer connections, WAL handles."""
+        await self.close_peers()
+        if self.storage.durable is not None:
+            self.storage.durable.close()
+
     # -- introspection ---------------------------------------------------------
 
     def stats(self, partitions: bool = False) -> Dict[str, Any]:
@@ -314,8 +314,7 @@ class SnodeNode:
         With ``partitions=True`` the reply adds ``"partitions"`` — per
         hosted vnode, the primary row count of every owned partition keyed
         by ``(level, index)`` (one merge-free ``count_buckets`` pass per
-        vnode, the runtime's load-measurement feed) — and the node's peer
-        traffic counters.
+        vnode, the runtime's load-measurement feed).
         """
         storage = self.storage
         out: Dict[str, Any] = {
@@ -333,10 +332,6 @@ class SnodeNode:
         }
         if partitions:
             out["partitions"] = self._partition_counts()
-            out["peer_bytes_sent"] = sum(c.bytes_sent for c in self._peers.values())
-            out["peer_bytes_received"] = sum(
-                c.bytes_received for c in self._peers.values()
-            )
         if storage.durable is not None:
             out["durability"] = storage.durability.as_dict()
         return out

@@ -9,7 +9,10 @@ can be in flight on the same connection and none of them costs a task.
 A request that times out poisons the connection (the response may arrive
 later and would desynchronize the id space of a naive retry), so the
 client closes it, reconnects, and retries — up to ``retries`` times before
-raising :class:`RpcTimeoutError`.  A connection the peer dropped is
+raising :class:`RpcTimeoutError`.  A request that is not
+:attr:`~repro.cluster.messages.Message.RETRY_SAFE` is never re-sent: its
+first attempt may already have been applied, so the error is raised at
+once.  A connection the peer dropped is
 forgotten the moment ``connection_lost`` runs: what was in flight fails
 with :class:`RpcConnectionError` and the next call reconnects at once.
 Error replies (``Ack.error``) are re-raised as typed exceptions:
@@ -161,13 +164,15 @@ class RpcClient:
 
         Retries (with a fresh connection) on timeout and on connection
         loss; raises :class:`RpcTimeoutError` / :class:`RpcConnectionError`
-        once the retry budget is spent.  Error replies are re-raised as
+        once the retry budget is spent — after the first attempt for a
+        message that is not ``RETRY_SAFE``.  Error replies are re-raised as
         typed exceptions (see module docstring).
         """
         loop = asyncio.get_running_loop()
         deadline = timeout if timeout is not None else self.timeout
         last_error: Exception = RpcConnectionError(f"never reached {self.address}")
-        for _ in range(self.retries + 1):
+        attempts = self.retries + 1 if message.RETRY_SAFE else 1
+        for _ in range(attempts):
             started = loop.time()
             try:
                 response = await self._attempt(loop, message, deadline)

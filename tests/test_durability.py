@@ -284,6 +284,23 @@ class TestRestartEndToEnd:
         assert not dht.storage.has_pending_replay()
         dht.check_invariants()
 
+    def test_close_releases_every_wal_handle_and_writes_reopen_them(self, cls, tmp_path):
+        dht = self.build(cls, tmp_path, factor=1)
+        keys = uniform_keys(200, rng=5)
+        dht.bulk_load(keys)
+        logs = [dht.storage.durable.log_for(ref) for ref in dht.vnodes]
+        assert any(log._fh is not None for log in logs)
+        dht.close()
+        dht.close()
+        assert all(log._fh is None for log in logs)
+
+        dht.put("after-close", "still-durable")
+        for sid in sorted(dht.snodes):
+            dht.restart_snode(sid)
+        assert dht.get("after-close") == "still-durable"
+        assert dht.storage.item_count() == len(keys) + 1
+        dht.close()
+
     def test_restart_with_checkpoints_and_deletes(self, cls, tmp_path):
         # A tiny flush threshold forces many checkpoint generations; deletes
         # force the exact (merge) replay path.

@@ -26,9 +26,10 @@ from repro.cluster.messages import (
     BulkLoadChunk,
     GetRequest,
     Message,
+    PeerTransferRequest,
     PingRequest,
     PutRequest,
-    RangeExtract,
+    RangeCount,
     TopologySnapshot,
     WireError,
     decode,
@@ -81,8 +82,24 @@ class TestMessageCodec:
         )
         assert decode(snap.encode()) == snap
 
-        extract = RangeExtract(src=-1, dst=1, ref="1.0", ranges=((0, 63), (128, 200)))
-        assert decode(extract.encode()) == extract
+        count = RangeCount(src=-1, dst=1, ref="1.0", ranges=((0, 63), (128, 200)))
+        assert decode(count.encode()) == count
+
+    def test_peer_transfer_round_trips_with_and_without_target_tier(self):
+        order = PeerTransferRequest(
+            src=-1, dst=1, ref="1.0", target_ref="2.0", target_address=("h", 7),
+            tier="replica", ranges=((0, 63),), pop=False, target_tier="primary",
+        )
+        assert decode(order.encode()) == order
+        # A body written before the trailing field existed still decodes,
+        # to the default (empty: adopt into the source tier).
+        values = tuple(getattr(order, f.name) for f in fields(order))
+        old_body = struct.pack("!H", PeerTransferRequest.TYPE_CODE) + pickle.dumps(
+            values[:-1], protocol=pickle.HIGHEST_PROTOCOL
+        )
+        old = decode(old_body)
+        assert old.target_tier == ""
+        assert (old.tier, old.ranges, old.pop) == ("replica", ((0, 63),), False)
 
     def test_numpy_columns_round_trip(self):
         keys = np.arange(10, dtype=np.uint64)

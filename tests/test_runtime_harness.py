@@ -15,7 +15,9 @@ import subprocess
 
 import pytest
 
+from repro.cluster.messages import RangeCount
 from repro.runtime.harness import ClusterHarness
+from repro.runtime.rpc import RpcClient, RpcTimeoutError
 from repro.workloads.churn import ChurnEvent, ChurnSpec
 
 
@@ -132,6 +134,149 @@ class TestHarnessFaults:
         assert report.applied == 1
         assert report.items_lost == 0
         assert ("kill", 0) in report.faults and ("reboot", 0) in report.faults
+
+    def test_timed_out_transfer_is_never_sent_twice(self):
+        """A transfer whose target hangs fails with the timeout instead of
+        being re-sent: after the target wakes up, the range is held once —
+        by the source, which never got the adoption ack — not adopted again
+        by every attempt that was still in flight."""
+        spec = _spec()
+        trace = [ChurnEvent(kind="load", lo=0, hi=1200)]
+
+        async def scenario():
+            async with ClusterHarness(spec, trace=trace, rpc_timeout=0.3) as harness:
+                await harness.run(oracle=False)
+                bh = harness.bh
+                partition, src = next(iter(harness.twin.topology.iter_ownership()))
+                start, end = partition.start(bh), partition.end(bh)
+                dst = next(
+                    ref
+                    for sid, refs in sorted(harness._snapshot().hosted.items())
+                    if sid != src.snode.value
+                    for ref in sorted(refs)
+                )
+
+                async def held(ref):
+                    reply = await harness._call_ref(
+                        ref, RangeCount, ranges=((start, end - 1),)
+                    )
+                    return reply.payload[0]
+
+                rows = await held(src)
+                assert rows > 0 and await held(dst) == 0
+                target = harness.handles[dst.snode.value]
+                source = harness.handles[src.snode.value].node
+                source._peer(target.address).timeout = 0.4
+
+                harness.faults.pause(target)
+                with pytest.raises(RpcTimeoutError):
+                    await harness._transfer(src, dst, [(start, end)], pop=True)
+                harness.faults.resume(target)
+                # Long enough for a second and third attempt, had there
+                # been any, to reach the woken target.
+                await asyncio.sleep(0.8)
+                assert (await held(src), await held(dst)) == (rows, 0)
+                await harness.check_conservation(allow_loss=False)
+
+        asyncio.run(scenario())
+
+
+def _rf2_spec(**overrides):
+    return _spec(
+        workload="zipf", n_keys=3000, n_snodes=4, min_snodes=2, max_snodes=8,
+        replication_factor=2, seed=9, **overrides,
+    )
+
+
+JOIN = ChurnEvent(kind="snode_join", snode=4, vnodes=2)
+LEAVE = ChurnEvent(kind="snode_leave", snode=1)
+CRASH = ChurnEvent(kind="snode_crash", snode=2)
+
+
+class TestOneMover:
+    """Every topology event hands rows over with the same snode-to-snode push."""
+
+    @pytest.mark.parametrize(
+        "event, flavour",
+        [
+            pytest.param(JOIN, ("primary", "primary", True), id="join"),
+            pytest.param(LEAVE, ("primary", "primary", True), id="leave"),
+            pytest.param(CRASH, ("replica", "primary", False), id="crash-rebuild"),
+            pytest.param(JOIN, ("primary", "replica", False), id="replica-refill"),
+        ],
+    )
+    def test_every_event_kind_adopts_before_it_drops(self, event, flavour):
+        """With ``after_adopt`` armed, the range of each transfer is counted
+        on *both* ends at that instant; once the transfer is over, on the
+        target only for a move, on source and target for a copy."""
+        trace = [ChurnEvent(kind="load", lo=0, hi=3000)]
+
+        async def scenario():
+            probes = {}
+            seen = []
+
+            async def count(address, ref, tier, ranges):
+                probe = probes.get(address)
+                if probe is None:
+                    probe = probes[address] = RpcClient(address)
+                reply = await probe.call(
+                    RangeCount(src=-1, dst=-1, ref=ref, tier=tier, ranges=ranges)
+                )
+                return sum(reply.payload)
+
+            def watch(handle):
+                node, serve = handle.node, handle.node.dispatch
+
+                async def dispatch(order):
+                    async def both_ends():
+                        return (
+                            await count(handle.address, order.ref, order.tier, order.ranges),
+                            await count(
+                                order.target_address, order.target_ref,
+                                order.target_tier, order.ranges,
+                            ),
+                        )
+
+                    window = []
+
+                    async def after_adopt():
+                        window.append(await both_ends())
+
+                    node.transfer_hooks["after_adopt"] = after_adopt
+                    ack = await serve(order)
+                    del node.transfer_hooks["after_adopt"]
+                    seen.append(
+                        (order.tier, order.target_tier, order.pop, ack.error,
+                         ack.payload, window, await both_ends())
+                    )
+                    return ack
+
+                node.dispatch = dispatch
+
+            async with ClusterHarness(_rf2_spec(), trace=trace) as harness:
+                await harness.run(oracle=False)
+                for handle in harness.handles.values():
+                    watch(handle)
+                try:
+                    done = await harness.apply(event)
+                    assert done.applied
+                    await harness.check_conservation(allow_loss=False)
+                    assert await harness.verify_replication() > 0
+                finally:
+                    for probe in probes.values():
+                        await probe.close()
+            return seen
+
+        seen = asyncio.run(scenario())
+        moved = 0
+        for tier, target_tier, pop, error, payload, window, after in seen:
+            assert error is None
+            rows = payload["rows"]
+            assert window == [(rows, rows)]
+            assert after == ((0 if pop else rows), rows)
+            if (tier, target_tier, pop) == flavour:
+                moved += rows
+        assert moved > 0, f"no {flavour} transfer with rows was observed"
 
 
 @pytest.mark.slow

@@ -200,6 +200,40 @@ class TestRuntimeRebalance:
         assert out["rebalances"][0]["peer_bytes"] == record["peer_bytes"]
         assert out["coordinator_bytes"] > 0
 
+    def test_every_topology_event_moves_rows_peer_to_peer(self):
+        """The sibling for the other event kinds: a join, a crash and a
+        leave at factor 2 each put more bytes on the snode-to-snode links
+        than on the coordinator's, which carries orders, acks, topology
+        pushes and counts but no rows."""
+        spec = _spec(n_keys=12_000)
+        trace = [ChurnEvent(kind="load", lo=0, hi=12_000)]
+        events = [
+            ChurnEvent(kind="snode_join", snode=4, vnodes=2),
+            ChurnEvent(kind="snode_crash", snode=2),
+            ChurnEvent(kind="snode_leave", snode=1),
+        ]
+
+        async def scenario():
+            grown = []
+            async with ClusterHarness(spec, trace=trace) as harness:
+                await harness.run(oracle=False)
+                for event in events:
+                    coordinator, peers = harness._coordinator_bytes(), harness.peer_bytes
+                    assert (await harness.apply(event)).applied
+                    grown.append(
+                        (
+                            event.kind,
+                            harness._coordinator_bytes() - coordinator,
+                            harness.peer_bytes - peers,
+                        )
+                    )
+                    await harness.check_conservation(allow_loss=False)
+                    assert await harness.verify_replication() > 0
+            return grown
+
+        for kind, coordinator, peers in asyncio.run(scenario()):
+            assert 0 < coordinator < peers, (kind, coordinator, peers)
+
     def test_served_cluster_cuts_skewed_load_at_least_in_half(self):
         """The in-process headline (``test_skewed_load_is_actually_cut``)
         measured over the wire: NodeStats-planned peer transfers cut the
