@@ -325,10 +325,9 @@ class BaseDHT(ABC):
           (:func:`~repro.core.rebalance.measure_loads`, one columnar
           ``count_buckets`` pass per vnode);
         * transfers move whole partitions between vnodes of the same
-          balancing scope through the vectorized migration machinery
+          balancing scope through the columnar migration machinery
           (:meth:`~repro.core.storage.DHTStorage.migrate_partition`, i.e.
-          ``pop_buckets`` / ``adopt_parts`` — or the legacy per-item path
-          when ``storage.vectorized_migration`` is off);
+          ``pop_buckets`` / ``adopt_parts``);
         * when a single partition is too hot to place anywhere, its whole
           scope binary-splits (:class:`~repro.core.rebalance.LoadSplitAction`)
           to halve the transfer granularity — at most ``max_splits`` times,

@@ -137,8 +137,8 @@ class DHTConfig:
         paper's cost model is single-threaded).  ``None`` (default) or
         ``ParallelConfig(workers=0)`` keeps every path the serial,
         bit-identical engine; ``workers > 0`` fans the hot bulk pipelines
-        (``hash_keys``, ``bulk_load``, ``lookup_many``, the replica-sync
-        count pass) out over a persistent pool of worker processes
+        (``hash_keys``, ``bulk_load``, ``lookup_many``) out over a
+        persistent pool of worker processes
         operating on shared-memory columnar segments (see
         :mod:`repro.parallel`).
     """

@@ -30,11 +30,11 @@ reproduces the live store, no matter where a kill lands.
 segment files, replays the WAL tail on top and returns columnar segments
 ready to extend a store's pending-segment tier.  A *torn tail* — a partial
 or corrupt final record from a kill mid-append — is truncated and
-discarded, never fatal.  When the WAL tail contains no destructive ops
-(deletes/drops/retains) the checkpoint segments are adopted as-is
-(memory-mapped, zero-copy) and WAL batches become additional pending
-segments; destructive tails fall back to an exact merge that materializes
-one segment.
+discarded, never fatal.  Replay is columnar: the checkpoint segments are
+adopted as-is (memory-mapped, zero-copy), WAL batches become additional
+pending segments, and a migration ``drop`` / ``retain`` is one column mask
+per accumulated segment.  Only a tail holding a point delete falls back to
+an exact per-row merge that materializes one segment.
 
 **Recovery choice.**  After a restart
 (:meth:`~repro.core.base.BaseDHT.restart_snode`) a vnode's content can
@@ -61,6 +61,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import DurabilityError
+from repro.utils.arrays import locate_ranges
 
 #: One WAL record: ``<payload length><crc32(payload)>`` then the payload.
 _RECORD_HEADER = struct.Struct("<II")
@@ -70,10 +71,6 @@ _SEGMENT_MAGIC = b"RSEG1\n"
 _SEGMENT_HEADER = struct.Struct("<I")
 #: Name of the generation manifest inside a vnode directory.
 _MANIFEST_NAME = "MANIFEST"
-
-#: WAL op kinds that can remove rows — their presence in a WAL tail forces
-#: the exact (merge) replay path instead of zero-copy segment adoption.
-_DESTRUCTIVE_OPS = frozenset({"del", "drop", "retain"})
 
 #: A recovered columnar segment: ``(keys, indexes, values-or-None)``,
 #: the same shape as :data:`repro.core.storage._Segment`.
@@ -276,16 +273,9 @@ def _columns_from_dict(items: Dict[Any, Tuple[Any, Any]]) -> _Columns:
     keys = np.empty(n, dtype=object)
     keys[:] = list(items.keys())
     pairs = list(items.values())
-    try:
-        indexes: np.ndarray = np.fromiter(
-            (p[0] for p in pairs), dtype=np.uint64, count=n
-        )
-    except (OverflowError, ValueError, TypeError):
-        indexes = np.empty(n, dtype=object)
-        indexes[:] = [p[0] for p in pairs]
     values = np.empty(n, dtype=object)
     values[:] = [p[1] for p in pairs]
-    return keys, indexes, values
+    return keys, _index_column([p[0] for p in pairs]), values
 
 
 def _merge_columns(target: Dict[Any, Tuple[Any, Any]], segment: _Columns) -> None:
@@ -318,15 +308,12 @@ def _apply_op(target: Dict[Any, Tuple[Any, Any]], op: Tuple) -> None:
         _merge_columns(target, (op[1], op[2], op[3]))
     elif kind == "pairs":
         target.update(op[1])
-    elif kind == "drop":
+    elif kind in ("drop", "retain"):
         starts, lasts = op[1], op[2]
-        doomed = [k for k, (i, _) in target.items() if _index_in_ranges(i, starts, lasts)]
-        for key in doomed:
-            del target[key]
-    elif kind == "retain":
-        starts, lasts = op[1], op[2]
+        dropping = kind == "drop"
         doomed = [
-            k for k, (i, _) in target.items() if not _index_in_ranges(i, starts, lasts)
+            k for k, (i, _) in target.items()
+            if _index_in_ranges(i, starts, lasts) == dropping
         ]
         for key in doomed:
             del target[key]
@@ -341,63 +328,91 @@ def _pairs_to_columns(pairs: List[Tuple[Any, Tuple[Any, Any]]]) -> _Columns:
     return _columns_from_dict(merged)
 
 
+def _index_column(indexes: List[Any]) -> np.ndarray:
+    """A list of hash indexes (or range bounds) as ``uint64``, or as an
+    object column of python ints when the hash space is wider."""
+    try:
+        return np.fromiter(indexes, dtype=np.uint64, count=len(indexes))
+    except (OverflowError, ValueError, TypeError):
+        column = np.empty(len(indexes), dtype=object)
+        column[:] = indexes
+        return column
+
+
+def _filter_ranges(
+    segments: List[_Columns], starts: List[Any], lasts: List[Any], keep_inside: bool
+) -> List[_Columns]:
+    """Apply a ``retain`` (``keep_inside``) or ``drop`` op as one column mask
+    per segment.  Segments the op leaves whole are passed through untouched
+    (a memory-mapped checkpoint column stays mapped)."""
+    start_col, last_col = _index_column(starts), _index_column(lasts)
+    out: List[_Columns] = []
+    for segment in segments:
+        keys, indexes, values = segment
+        keep = locate_ranges(indexes, start_col, last_col)[1]
+        if not keep_inside:
+            keep = ~keep
+        kept = int(np.count_nonzero(keep))
+        if kept == len(keys):
+            out.append(segment)
+        elif kept:
+            out.append((keys[keep], indexes[keep], None if values is None else values[keep]))
+    return out
+
+
 def replay_ops(segments: List[_Columns], ops: List[Tuple]) -> Tuple[List[_Columns], bool]:
     """Replay ``ops`` over checkpoint ``segments``; return ``(segments, zero_copy)``.
 
-    Non-destructive tails keep the checkpoint segments untouched (possibly
-    memory-mapped) and append each WAL batch as a further pending segment —
-    consecutive point puts are coalesced into one columnar batch, in order.
-    Any delete/drop/retain forces the exact path: everything merges into one
-    dict (write order, last write wins) and out comes a single segment.
+    The replay stays columnar: every WAL batch becomes a further pending
+    segment after the checkpoint's (consecutive point puts coalesce into one
+    batch, in order), and a ``drop`` / ``retain`` masks the rows accumulated
+    so far — a key always hashes to the same index, so removing a range
+    from every earlier batch equals removing its keys.  ``zero_copy`` tells
+    that no op removed anything and the checkpoint segments (possibly
+    memory-mapped) came through untouched.  Only a point ``del`` forces the
+    exact path: everything merges into one dict (write order, last write
+    wins) and out comes a single segment.
     """
-    if not any(op[0] in _DESTRUCTIVE_OPS for op in ops):
-        out = list(segments)
-        put_keys: List[Any] = []
-        put_indexes: List[Any] = []
-        put_values: List[Any] = []
-
-        def flush_puts() -> None:
-            if not put_keys:
-                return
-            keys = np.empty(len(put_keys), dtype=object)
-            keys[:] = put_keys
-            try:
-                indexes: np.ndarray = np.fromiter(
-                    put_indexes, dtype=np.uint64, count=len(put_indexes)
-                )
-            except (OverflowError, ValueError, TypeError):
-                indexes = np.empty(len(put_indexes), dtype=object)
-                indexes[:] = put_indexes
-            values = np.empty(len(put_values), dtype=object)
-            values[:] = put_values
-            out.append((keys, indexes, values))
-            put_keys.clear()
-            put_indexes.clear()
-            put_values.clear()
-
+    if any(op[0] == "del" for op in ops):
+        merged: Dict[Any, Tuple[Any, Any]] = {}
+        for segment in segments:
+            _merge_columns(merged, segment)
         for op in ops:
-            if op[0] == "put":
-                put_keys.append(op[1])
-                put_indexes.append(op[2])
-                put_values.append(op[3])
-            elif op[0] == "batch":
-                flush_puts()
-                out.append((op[1], op[2], op[3]))
-            elif op[0] == "pairs":
-                flush_puts()
-                if op[1]:
-                    out.append(_pairs_to_columns(op[1]))
-            else:  # pragma: no cover - defensive
-                raise DurabilityError(f"unknown WAL op kind {op[0]!r}")
-        flush_puts()
-        return out, True
+            _apply_op(merged, op)
+        return ([_columns_from_dict(merged)] if merged else []), False
 
-    merged: Dict[Any, Tuple[Any, Any]] = {}
-    for segment in segments:
-        _merge_columns(merged, segment)
+    out = list(segments)
+    puts: List[Tuple] = []
+
+    def flush_puts() -> None:
+        if not puts:
+            return
+        keys = np.empty(len(puts), dtype=object)
+        keys[:] = [op[1] for op in puts]
+        values = np.empty(len(puts), dtype=object)
+        values[:] = [op[3] for op in puts]
+        out.append((keys, _index_column([op[2] for op in puts]), values))
+        puts.clear()
+
+    zero_copy = True
     for op in ops:
-        _apply_op(merged, op)
-    return ([_columns_from_dict(merged)] if merged else []), False
+        kind = op[0]
+        if kind == "put":
+            puts.append(op)
+            continue
+        flush_puts()
+        if kind == "batch":
+            out.append((op[1], op[2], op[3]))
+        elif kind == "pairs":
+            if op[1]:
+                out.append(_pairs_to_columns(op[1]))
+        elif kind in ("drop", "retain"):
+            out = _filter_ranges(out, op[1], op[2], keep_inside=kind == "retain")
+            zero_copy = False
+        else:  # pragma: no cover - defensive
+            raise DurabilityError(f"unknown WAL op kind {kind!r}")
+    flush_puts()
+    return out, zero_copy
 
 
 # -- per-vnode durable store ---------------------------------------------------

@@ -435,15 +435,13 @@ class StorageEngine:
         """
         if self._replica_ranks == 0:
             return SyncReport()
-        return sync_replicas(
-            self.store, self._placement.placement(), parallel=self.parallel
-        )
+        return sync_replicas(self.store, self._placement.placement())
 
     def sync_after_topology_change(self) -> None:
         """Post-mutation hook: re-sync replicas unless paused or disabled."""
         if self._replica_ranks == 0 or self.sync_paused:
             return
-        sync_replicas(self.store, self._placement.placement(), parallel=self.parallel)
+        sync_replicas(self.store, self._placement.placement())
 
     @contextmanager
     def deferred_sync(self) -> Iterator[None]:

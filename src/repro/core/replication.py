@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.errors import ReplicationError
 from repro.core.hashspace import Partition
 from repro.core.ids import VnodeRef
-from repro.core.storage import DHTStorage, _parts_size
+from repro.core.storage import DHTStorage, _parts_size, join_parts
 
 #: One entry of the router's sorted interval table.
 _TableEntry = Tuple[Partition, VnodeRef]
@@ -248,53 +248,30 @@ def _range_pairs(storage: DHTStorage, placement: ReplicaPlacement) -> List[Tuple
     return pairs
 
 
-def _store_counts(
-    jobs: List[Tuple["object", np.ndarray, np.ndarray]], parallel=None
-) -> List[np.ndarray]:
-    """Range counts for several ``(store, starts, lasts)`` jobs at once.
-
-    The batch form of :meth:`~repro.core.storage.VnodeStore.count_buckets`
-    — and the sync passes' parallelization point: with a
-    :class:`~repro.parallel.executor.ParallelExecutor` attached (duck-typed,
-    optional) the per-store bucketing fans out across worker processes,
-    one shared-memory job per store.  Output is identical either way; the
-    executor declines (``None``) small batches and wide hash spaces.
-    """
-    if parallel is not None and jobs and jobs[0][1].dtype == np.uint64:
-        shm_jobs = [
-            (store.index_columns(np.uint64), starts, lasts)
-            for store, starts, lasts in jobs
-        ]
-        results = parallel.count_ranges_many(shm_jobs)
-        if results is not None:
-            return results
-    return [store.count_buckets(starts, lasts) for store, starts, lasts in jobs]
+def _positions_by_store(
+    positions: Sequence[int], stores: Sequence[VnodeRef]
+) -> Dict[VnodeRef, List[int]]:
+    """Group table positions (ascending) by the store each one involves, so a
+    pass makes one multi-range call per store instead of one per position."""
+    grouped: Dict[VnodeRef, List[int]] = {}
+    for pos, ref in zip(positions, stores):
+        grouped.setdefault(ref, []).append(pos)
+    return grouped
 
 
 def _primary_counts(
-    storage: DHTStorage,
-    placement: ReplicaPlacement,
-    pairs: List[Tuple[int, int]],
-    parallel=None,
+    storage: DHTStorage, placement: ReplicaPlacement, pairs: List[Tuple[int, int]]
 ) -> np.ndarray:
-    """Physical primary rows per table position (one bucketing per owner)."""
+    """Physical primary rows per table position (one range pass per owner)."""
     counts = np.zeros(len(pairs), dtype=np.int64)
-    by_primary: Dict[VnodeRef, List[int]] = {}
-    for pos, ref in enumerate(placement.primaries):
-        by_primary.setdefault(ref, []).append(pos)
-    owners = list(by_primary.items())
-    jobs = []
-    for ref, positions in owners:
+    by_primary = _positions_by_store(range(len(pairs)), placement.primaries)
+    for ref, positions in by_primary.items():
         starts, lasts = storage.range_arrays([pairs[p] for p in positions])
-        jobs.append((storage.primary_store(ref), starts, lasts))
-    for (ref, positions), owner_counts in zip(owners, _store_counts(jobs, parallel)):
-        counts[positions] = owner_counts
+        counts[positions] = storage.primary_store(ref).count_buckets(starts, lasts)
     return counts
 
 
-def sync_replicas(
-    storage: DHTStorage, placement: ReplicaPlacement, parallel=None
-) -> SyncReport:
+def sync_replicas(storage: DHTStorage, placement: ReplicaPlacement) -> SyncReport:
     """Reconcile every replica store with ``placement``.
 
     Two phases per replica store, both columnar and merge-free:
@@ -328,7 +305,7 @@ def sync_replicas(
         return report
 
     pairs = _range_pairs(storage, placement)
-    primary_counts = _primary_counts(storage, placement, pairs, parallel)
+    primary_counts = _primary_counts(storage, placement, pairs)
     if bool(np.any(primary_counts == 0)) and any(
         store.fast_len() for store in [s for _, s in storage.replica_store_items()]
     ):
@@ -337,17 +314,10 @@ def sync_replicas(
         # The precomputed pairs/counts are reused, so this adds no extra
         # full scan when nothing needs restoring (legitimately empty
         # partitions on sparse datasets).
-        recovery = recover_primaries(storage, placement, pairs, primary_counts, parallel)
+        recovery = recover_primaries(storage, placement, pairs, primary_counts)
         if recovery.rows_restored:
-            primary_counts = _primary_counts(storage, placement, pairs, parallel)
+            primary_counts = _primary_counts(storage, placement, pairs)
 
-    # Retain first for every store, then count every store in one batched
-    # pass (the parallelization point — see _store_counts), then refill.
-    # The phases commute with the original per-store interleaving: retain
-    # and refill touch only that replica store, and refill *reads* primaries
-    # non-destructively (copy_buckets), so no store's counts are affected
-    # by another store's reconciliation.
-    refill_jobs = []
     for ref, store in storage.replica_store_items():
         positions = placement.positions_of.get(ref)
         if not positions:
@@ -355,25 +325,25 @@ def sync_replicas(
             continue
         starts, lasts = storage.range_arrays([pairs[p] for p in positions])
         report.rows_dropped += store.drop_outside(starts, lasts)
-        refill_jobs.append((store, positions, starts, lasts))
-
-    have_counts = _store_counts(
-        [(store, starts, lasts) for store, _, starts, lasts in refill_jobs], parallel
-    )
-    for (store, positions, starts, lasts), have in zip(refill_jobs, have_counts):
-        for k, pos in enumerate(positions):
-            need = int(primary_counts[pos])
-            if int(have[k]) == need:
-                continue
-            single = storage.range_arrays([pairs[pos]])
-            if int(have[k]):
-                report.rows_dropped += _parts_size(store.pop_buckets(*single)[0])
-            if need:
-                source = storage.primary_store(placement.primaries[pos])
-                parts = source.copy_buckets(*single)[0]
-                store.adopt_parts(*parts)
-                report.rows_refilled += need
-                report.ranges_refilled += 1
+        have = store.count_buckets(starts, lasts)
+        stale = [
+            pos for k, pos in enumerate(positions) if int(have[k]) != primary_counts[pos]
+        ]
+        if not stale:
+            continue
+        # Mismatched ranges are discarded in one pass and re-copied with one
+        # multi-range call per primary store holding them.
+        popped = store.pop_buckets(*storage.range_arrays([pairs[p] for p in stale]))
+        report.rows_dropped += sum(_parts_size(parts) for parts in popped)
+        refill = [pos for pos in stale if primary_counts[pos]]
+        by_primary = _positions_by_store(refill, [placement.primaries[p] for p in refill])
+        for primary, wanted in by_primary.items():
+            copied = storage.primary_store(primary).copy_buckets(
+                *storage.range_arrays([pairs[p] for p in wanted])
+            )
+            store.adopt_parts(*join_parts(copied))
+        report.rows_refilled += sum(int(primary_counts[pos]) for pos in refill)
+        report.ranges_refilled += len(refill)
 
     stats.rows_dropped += report.rows_dropped
     stats.rows_refilled += report.rows_refilled
@@ -386,7 +356,6 @@ def recover_primaries(
     placement: ReplicaPlacement,
     pairs: Optional[List[Tuple[int, int]]] = None,
     primary_counts: Optional[np.ndarray] = None,
-    parallel=None,
 ) -> RecoveryReport:
     """Rebuild empty primaries from surviving replica rows (crash recovery).
 
@@ -420,7 +389,7 @@ def recover_primaries(
     if pairs is None:
         pairs = _range_pairs(storage, placement)
     if primary_counts is None:
-        primary_counts = _primary_counts(storage, placement, pairs, parallel)
+        primary_counts = _primary_counts(storage, placement, pairs)
     needy = [pos for pos in range(placement.n_positions) if primary_counts[pos] == 0]
     if not needy and not storage.has_pending_replay():
         return report
@@ -430,33 +399,32 @@ def recover_primaries(
     best_source: List[Optional[VnodeRef]] = [None] * len(needy)
     if needy:
         starts, lasts = storage.range_arrays(needy_pairs)
-        survivors = [
-            (ref, store)
-            for ref, store in storage.replica_store_items()
-            if store.fast_len() > 0
-        ]
-        survivor_counts = _store_counts(
-            [(store, starts, lasts) for _, store in survivors], parallel
-        )
-        for (ref, store), counts in zip(survivors, survivor_counts):
+        for ref, store in storage.replica_store_items():
+            if store.fast_len() == 0:
+                continue
+            counts = store.count_buckets(starts, lasts)
             for k in np.flatnonzero(counts > best_rows).tolist():
                 best_rows[k] = counts[k]
                 best_source[k] = ref
 
     replayed = _replay_pending_logs(storage, placement, needy, best_rows, report)
 
+    # One multi-range pop per (surviving replica store, primary store) pair.
+    moves: Dict[Tuple[VnodeRef, VnodeRef], List[int]] = {}
     for k, pos in enumerate(needy):
         if replayed[k]:
             continue
-        source = best_source[k]
-        if source is None:
+        if best_source[k] is None:
             report.ranges_without_source += 1
             continue
-        single = storage.range_arrays([needy_pairs[k]])
-        parts = storage.replica_store(source).pop_buckets(*single)[0]
-        storage.primary_store(placement.primaries[pos]).adopt_parts(*parts)
-        report.rows_restored += _parts_size(parts)
-        report.ranges_restored += 1
+        moves.setdefault((best_source[k], placement.primaries[pos]), []).append(pos)
+    for (source, primary), positions in moves.items():
+        popped = storage.replica_store(source).pop_buckets(
+            *storage.range_arrays([pairs[p] for p in positions])
+        )
+        storage.primary_store(primary).adopt_parts(*join_parts(popped))
+        report.rows_restored += sum(_parts_size(parts) for parts in popped)
+        report.ranges_restored += len(positions)
 
     storage.replication.rows_restored += report.rows_restored
     storage.replication.ranges_restored += report.ranges_restored

@@ -68,6 +68,21 @@ def _vnode_to_dict(vnode: Vnode) -> Dict[str, Any]:
     }
 
 
+def _canonical_rows(ref: VnodeRef, stored) -> List[Dict[str, Any]]:
+    """One vnode's stored rows as snapshot items, sorted by ``(index,
+    str(key))``: row order is not behaviour, so the snapshot must not depend
+    on how the storage engine happens to lay a store out."""
+    return [
+        {
+            "vnode": ref.canonical_name,
+            "key": key,
+            "index": item.index,
+            "value": item.value,
+        }
+        for key, item in sorted(stored, key=lambda row: (row[1].index, str(row[0])))
+    ]
+
+
 def snapshot_dht(dht: AnyDHT, include_data: bool = True) -> Dict[str, Any]:
     """Capture the full state of a DHT as a JSON-compatible dictionary."""
     config = {
@@ -134,24 +149,8 @@ def snapshot_dht(dht: AnyDHT, include_data: bool = True) -> Dict[str, Any]:
         items: List[Dict[str, Any]] = []
         replica_items: List[Dict[str, Any]] = []
         for ref in dht.vnodes:
-            for key, item in dht.storage.primary_rows(ref):
-                items.append(
-                    {
-                        "vnode": ref.canonical_name,
-                        "key": key,
-                        "index": item.index,
-                        "value": item.value,
-                    }
-                )
-            for key, item in dht.storage.replica_rows(ref):
-                replica_items.append(
-                    {
-                        "vnode": ref.canonical_name,
-                        "key": key,
-                        "index": item.index,
-                        "value": item.value,
-                    }
-                )
+            items.extend(_canonical_rows(ref, dht.storage.primary_rows(ref)))
+            replica_items.extend(_canonical_rows(ref, dht.storage.replica_rows(ref)))
         snapshot["items"] = items
         snapshot["replica_items"] = replica_items
     return snapshot

@@ -15,30 +15,53 @@ This module provides:
   performs migrations, keeping counters that the examples and tests use to
   quantify data movement.
 
-The engine is a two-tier design borrowed from bulk-load paths of real
-storage systems:
+Every store is a **hash tier + one index-sorted run + an unsorted tail**:
 
 * the *hash tier* — one dict of ``key -> (index, value)`` tuples per vnode,
   serving point reads/writes in O(1);
-* the *segment tier* — columnar batches (numpy key/index/value arrays)
-  appended by :meth:`VnodeStore.put_many` in O(1) per batch, without
-  materializing a single per-key python object.
+* the *segment tier* — columnar batches (numpy key/index/value arrays) that
+  never materialize a per-key python object.  Its first segment may be the
+  *run*: every pending row sorted by hash index (stable, so the rows of one
+  key — one index — keep their write order); the segments after it are the
+  *tail*, the batches :meth:`VnodeStore.put_many` appended since, in O(1)
+  each and in write order.
+
+The paper's unit of balancing is the partition — a contiguous
+``[start, last]`` range of the hash space — and on a sorted run a range is a
+slice: ``lo = searchsorted(run_index, starts, "left")``, ``hi =
+searchsorted(run_index, lasts, "right")``, counts are ``hi - lo``, buckets
+are contiguous slice copies, and what a pop or a retain leaves behind is one
+``concatenate`` of the gaps.  No per-row bucketing, no fancy indexing.
+
+*Who establishes the run:* only the passes that rewrite or copy a store
+anyway — :meth:`VnodeStore.pop_buckets`, :meth:`VnodeStore.copy_buckets`,
+:meth:`VnodeStore.drop_outside`, :meth:`VnodeStore.adopt_parts` (which folds
+what it adopts into the run) and :meth:`DHTStorage.replay_vnode` (which
+rebuilds the store from disk).  They concatenate run + tail and sort once;
+timsort merges the presorted pieces at memcpy-like speed.  *Who may not:*
+``put_many`` / ``bulk_load`` stay O(1) appends, and read-only passes
+(:meth:`VnodeStore.count_buckets`, hence ``verify_replication`` and load
+measurement) binary-search the run and scan the tail but never replace a
+segment — rewriting every store of a freshly bulk-loaded cluster to verify
+it costs memory the allocator does not hand back.
 
 Segments are merged into the hash tier lazily, the first time a point
-operation (get, delete, scan, count) needs it; merge order preserves write
-order, so later writes win exactly as they would with per-key puts.  This
-is what lets :meth:`DHTStorage.put_batch` ingest millions of keys at array
-speed while keeping the per-key API semantics bit-for-bit identical.
+operation (get, delete, scan, merged count) needs it; the merge goes run
+first, tail after — write order per key — so later writes win exactly as
+they would with per-key puts.  This is what lets
+:meth:`DHTStorage.put_batch` ingest millions of keys at array speed while
+keeping the per-key API semantics bit-for-bit identical.
 :class:`StoredItem` views are materialized on demand by the point
 accessors.
 
 Migration is *segment-preserving*: moving a partition's range out of a
-store filters the pending segments with one numpy mask per segment instead
-of merging them into the hash tier first (:meth:`VnodeStore.pop_buckets`),
-and the moved rows are adopted by the target store as columnar segments
-(:meth:`VnodeStore.adopt_parts`).  A churn burst over freshly bulk-loaded
-data therefore runs at array speed end to end — the per-key python objects
-are only ever materialized by point reads, never by rebalancing.
+store slices it out of the run instead of merging into the hash tier first
+(:meth:`VnodeStore.pop_buckets`), and the moved rows are adopted by the
+target store still columnar (:meth:`VnodeStore.adopt_parts`).  A churn burst
+over freshly bulk-loaded data therefore runs at array speed end to end — the
+per-key python objects are only ever materialized by point reads, never by
+rebalancing.  Rows of the hash tier take the per-row path of the same
+primitives (:func:`_bucket_rows`).
 
 Since the replication extension (:mod:`repro.core.replication`), every
 vnode also owns a **replica store** — a second :class:`VnodeStore` holding
@@ -47,10 +70,10 @@ Replica stores are deliberately separate from the primary stores: routing,
 migration and the storage-consistency invariant never see them, and
 :meth:`DHTStorage.item_count` keeps counting *logical* items while
 :meth:`DHTStorage.fast_item_count` counts physical rows across both tiers
-(``replication_factor × logical`` when fully synced).  The range-bucketing
+(``replication_factor × logical`` when fully synced).  The same range
 primitives (:meth:`VnodeStore.count_buckets`, :meth:`VnodeStore.copy_buckets`,
 :meth:`VnodeStore.drop_outside`) give the replica sync and crash-recovery
-passes the same merge-free columnar speed as migration.
+passes the merge-free columnar speed of migration.
 """
 
 from __future__ import annotations
@@ -70,51 +93,24 @@ from repro.core.durability import (
 from repro.core.errors import StorageError, UnknownVnodeError
 from repro.core.hashspace import HashSpace, Partition
 from repro.core.ids import VnodeRef
-from repro.utils.arrays import as_object_column
+from repro.utils.arrays import as_object_column, concat_columns, locate_ranges
 from repro.utils.gcscope import deferred_gc
 
 #: One pending columnar batch: (keys, indexes, values-or-None).
 _Segment = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
-#: Pending-segment cap: migration adopts segment *fragments*, and a long
-#: churn/rebalance run would otherwise shred a store into thousands of tiny
-#: segments, making every later range pass O(segments).  Above this count
-#: the fragments are concatenated back into one segment (write order — and
-#: therefore merge semantics — preserved exactly).
-_MAX_PENDING_SEGMENTS = 64
-
 #: Raw hash-tier pairs plus columnar segments popped for one range.
 _Parts = Tuple[List[Tuple[Hashable, Tuple[int, Any]]], List[_Segment]]
 
-
-def _locate_ranges(
-    indexes: np.ndarray, starts: np.ndarray, lasts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Bucket hash indexes into disjoint, sorted ``[start, last]`` ranges.
-
-    Returns ``(pos, inside)``: for every index, the candidate range position
-    (``searchsorted`` on the range starts) and a boolean mask telling whether
-    the index actually falls inside that range.  Works for ``uint64`` arrays
-    (``bh <= 64``) and object arrays of python ints (wider spaces) alike.
-    An empty range set matches nothing (every index is outside).
-    """
-    if len(starts) == 0:
-        return (
-            np.full(len(indexes), -1, dtype=np.int64),
-            np.zeros(len(indexes), dtype=bool),
-        )
-    pos = np.searchsorted(starts, indexes, side="right") - 1
-    safe = np.where(pos < 0, 0, pos)
-    inside = np.asarray((pos >= 0) & (indexes <= lasts[safe]), dtype=bool)
-    return pos, inside
+#: Ascending ``[lo, hi)`` row spans of an index-sorted run.
+_Spans = List[Tuple[int, int]]
 
 
-def _bucket_runs(pos: np.ndarray, inside: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+def _bucket_rows(pos: np.ndarray, inside: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield ``(bucket, row_indices)`` for every range with matching rows.
 
-    Rows are grouped with one stable argsort, so each bucket's rows come out
-    in their original (write) order — last-write-wins semantics survive the
-    split.
+    The grouping step of the *hash-tier* range passes (the segment tier
+    slices its sorted run instead).
     """
     rows = np.flatnonzero(inside)
     if rows.size == 0:
@@ -128,16 +124,66 @@ def _bucket_runs(pos: np.ndarray, inside: np.ndarray) -> Iterator[Tuple[int, np.
         lo = hi
 
 
-def _segment_rows(segment: _Segment, rows: np.ndarray) -> _Segment:
-    """Select a row subset of a segment (fancy-indexing each column)."""
-    keys, indexes, values = segment
-    return (keys[rows], indexes[rows], None if values is None else values[rows])
+def _unsorted_counts(indexes: np.ndarray, starts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+    """Rows per range of an unsorted index column (hash tier, unsorted tail)."""
+    pos, inside = locate_ranges(indexes, starts, lasts)
+    return np.bincount(pos[inside], minlength=len(starts))
+
+
+def _concat_segments(segments: Sequence[_Segment]) -> _Segment:
+    """Concatenate segments column-wise, in the order given.
+
+    Pure column concatenation — no hash-tier merge, no per-key python
+    objects.  Mixing valueless (``values is None``) and valued segments
+    materializes explicit ``None`` columns for the former.
+    """
+    if len(segments) == 1:
+        return segments[0]
+    values: Optional[np.ndarray] = None
+    if any(s[2] is not None for s in segments):
+        values = concat_columns(
+            [np.empty(len(s[0]), dtype=object) if s[2] is None else s[2] for s in segments]
+        )
+    return (
+        concat_columns([s[0] for s in segments]),
+        concat_columns([s[1] for s in segments]),
+        values,
+    )
+
+
+def _run_spans(indexes: np.ndarray, starts: np.ndarray, lasts: np.ndarray) -> _Spans:
+    """The ``[lo, hi)`` row span of every range in an index-sorted column."""
+    return list(
+        zip(
+            np.searchsorted(indexes, starts, side="left").tolist(),
+            np.searchsorted(indexes, lasts, side="right").tolist(),
+        )
+    )
+
+
+def _take_spans(run: _Segment, spans: _Spans) -> _Segment:
+    """Copy the rows of ascending spans out of a run (itself index-sorted)."""
+    keys, indexes, values = run
+    return (
+        np.concatenate([keys[lo:hi] for lo, hi in spans]),
+        np.concatenate([indexes[lo:hi] for lo, hi in spans]),
+        None if values is None else np.concatenate([values[lo:hi] for lo, hi in spans]),
+    )
 
 
 def _parts_size(parts: _Parts) -> int:
     """Number of rows in popped parts (hash pairs + segment rows)."""
     pairs, segments = parts
     return len(pairs) + sum(len(segment[0]) for segment in segments)
+
+
+def join_parts(buckets: Sequence[_Parts]) -> _Parts:
+    """Several ranges' popped or copied parts as one :meth:`VnodeStore.adopt_parts`
+    argument pair, so a store adopting many ranges is rewritten once."""
+    return (
+        [pair for pairs, _ in buckets for pair in pairs],
+        [segment for _, segments in buckets for segment in segments],
+    )
 
 
 class StoredItem(NamedTuple):
@@ -151,16 +197,22 @@ class VnodeStore:
     """The key/value items held by one vnode.
 
     Point operations work against the hash tier (``_items``); bulk batches
-    land in the segment tier (``_segments``) and are merged in on the first
-    point access (see the module docstring for the two-tier design).
+    land in the segment tier (``_segments``): one index-sorted run followed
+    by the batches written since, merged into the hash tier on the first
+    point access (see the module docstring for the layout and who may
+    establish the run).
     """
 
-    __slots__ = ("vnode", "_items", "_segments", "durable")
+    __slots__ = ("vnode", "_items", "_segments", "_sorted", "durable")
 
     def __init__(self, vnode: VnodeRef, durable: Optional[DurableVnodeStore] = None):
         self.vnode = vnode
         self._items: Dict[Hashable, Tuple[int, Any]] = {}
         self._segments: List[_Segment] = []
+        #: True when ``_segments[0]`` is the index-sorted run; the segments
+        #: after it (all of them when False) are the unsorted tail, in write
+        #: order.  Never True while ``_segments`` is empty.
+        self._sorted = False
         #: Optional durability tier (WAL + checkpoint files) of this store.
         #: ``None`` — the default, and always the case for replica stores —
         #: leaves every mutation path bit-identical to the RAM-only model.
@@ -209,13 +261,14 @@ class VnodeStore:
         return len(self._items) + self.pending_item_count()
 
     def _merge_segments(self) -> None:
-        """Merge every pending segment into the hash tier, in write order.
+        """Merge every pending segment into the hash tier, in write order
+        (the run's stable sort kept each key's rows in theirs).
 
         This is where the per-key python objects are finally materialized —
         one ``dict.update`` over zipped columns per segment, with automatic
         garbage collection paused for the duration.
         """
-        segments, self._segments = self._segments, []
+        segments, self._segments, self._sorted = self._segments, [], False
         with deferred_gc():
             for keys, indexes, values in segments:
                 if values is None:
@@ -278,33 +331,7 @@ class VnodeStore:
             self._merge_segments()
         return self._items
 
-    def _pop_range_raw(self, start: int, end: int) -> List[Tuple[Hashable, Tuple[int, Any]]]:
-        """Remove and return the raw ``(key, (index, value))`` pairs whose hash
-        index lies in ``[start, end)`` — the per-item path of
-        :meth:`DHTStorage.migrate_partition`.  The scan is linear in the
-        number of items held by the vnode."""
-        if self._segments:
-            self._merge_segments()
-        moving = [(k, item) for k, item in self._items.items() if start <= item[0] < end]
-        for key, _ in moving:
-            del self._items[key]
-        if moving and self.durable is not None:
-            self._log(("drop", [start], [end - 1]))
-        return moving
-
-    def _adopt_raw(self, pairs: Iterable[Tuple[Hashable, Tuple[int, Any]]]) -> None:
-        """Bulk-ingest raw pairs produced by another store's ``_pop_range_raw``."""
-        if self._segments:
-            self._merge_segments()
-        if self.durable is not None:
-            pairs = list(pairs)
-            self._items.update(pairs)
-            if pairs:
-                self._log(("pairs", pairs))
-            return
-        self._items.update(pairs)
-
-    # -- segment-aware migration ------------------------------------------------
+    # -- segment-aware range primitives ------------------------------------------
 
     def _hash_tier_columns(self, dtype) -> Tuple[np.ndarray, np.ndarray]:
         """The hash tier as ``(keys, indexes)`` columns (for range bucketing)."""
@@ -320,6 +347,33 @@ class VnodeStore:
             )
         return keys_arr, idx_arr
 
+    def _sorted_run(self) -> Optional[_Segment]:
+        """Establish the index-sorted run over *every* pending row; return it.
+
+        Run and tail are concatenated in write order and sorted by hash
+        index with one stable argsort, so the rows of one key (one index)
+        keep their write order and last-write-wins survives the merge.  Only
+        the passes that rewrite or copy the store anyway call this; read-only
+        passes (:meth:`count_buckets`) must not.  ``None`` when nothing is
+        pending.
+        """
+        segments = self._segments
+        if not segments:
+            return None
+        if not self._sorted or len(segments) > 1:
+            keys, indexes, values = _concat_segments(segments)
+            order = np.argsort(indexes, kind="stable")
+            self._set_run(
+                (keys[order], indexes[order], None if values is None else values[order])
+            )
+        return self._segments[0]
+
+    def _set_run(self, run: Optional[_Segment]) -> None:
+        """Make ``run`` (index-sorted; ``None`` or empty for no rows) the whole
+        segment tier."""
+        self._segments = [run] if run is not None and len(run[0]) else []
+        self._sorted = bool(self._segments)
+
     def pop_buckets(self, starts: np.ndarray, lasts: np.ndarray) -> List[_Parts]:
         """Pop every item whose hash index falls in one of the given ranges,
         *without* merging pending segments.
@@ -327,62 +381,62 @@ class VnodeStore:
         ``starts``/``lasts`` describe disjoint ``[start, last]`` (inclusive)
         ranges sorted by start, one bucket per range.  Returns one
         ``(pairs, segments)`` entry per range: the raw hash-tier pairs plus
-        the segment rows that moved, still columnar.  Rows outside every
-        range stay exactly where they were — hash-tier items in the dict,
-        segment rows in (shrunken) pending segments.
+        the range's slice of the sorted run (a copy, still columnar).  Rows
+        outside every range stay — hash-tier items in the dict, segment rows
+        in the run, rewritten as one concatenation of the gaps.
         """
         buckets: List[_Parts] = [([], []) for _ in range(len(starts))]
 
         if self._items:
             keys_arr, idx_arr = self._hash_tier_columns(starts.dtype)
-            pos, inside = _locate_ranges(idx_arr, starts, lasts)
+            pos, inside = locate_ranges(idx_arr, starts, lasts)
             pop = self._items.pop
-            for bucket, rows in _bucket_runs(pos, inside):
+            for bucket, rows in _bucket_rows(pos, inside):
                 pairs = buckets[bucket][0]
                 for key in keys_arr[rows].tolist():
                     pairs.append((key, pop(key)))
 
-        if self._segments:
-            kept: List[_Segment] = []
-            for segment in self._segments:
-                pos, inside = _locate_ranges(segment[1], starts, lasts)
-                moving = int(np.count_nonzero(inside))
-                if moving == 0:
-                    kept.append(segment)
-                    continue
-                for bucket, rows in _bucket_runs(pos, inside):
-                    buckets[bucket][1].append(_segment_rows(segment, rows))
-                if moving < len(segment[0]):
-                    kept.append(_segment_rows(segment, np.flatnonzero(~inside)))
-            self._segments = kept
+        run = self._sorted_run()
+        if run is not None:
+            gaps: _Spans = []
+            kept_from = 0
+            for bucket, (lo, hi) in enumerate(_run_spans(run[1], starts, lasts)):
+                if hi > lo:
+                    buckets[bucket][1].append(_take_spans(run, [(lo, hi)]))
+                    gaps.append((kept_from, lo))
+                    kept_from = hi
+            if gaps:
+                gaps.append((kept_from, len(run[1])))
+                self._set_run(_take_spans(run, gaps))
 
         if self.durable is not None and any(p[0] or p[1] for p in buckets):
             self._log(("drop", starts.tolist(), lasts.tolist()))
         return buckets
 
     def copy_buckets(self, starts: np.ndarray, lasts: np.ndarray) -> List[_Parts]:
-        """Like :meth:`pop_buckets` but non-destructive: the store keeps every
-        row, and the returned parts reference (hash tier) or copy (segment
-        rows, via fancy indexing) the matching data.
+        """Like :meth:`pop_buckets` but the store keeps every row: the
+        returned parts reference (hash tier) or copy (run slices) the
+        matching data.  Establishes the run like every copying pass.
 
         Used by the replica sync pass to copy a primary's range into a
-        replica store without disturbing the primary's columnar segments.
+        replica store.
         """
         buckets: List[_Parts] = [([], []) for _ in range(len(starts))]
 
         if self._items:
             keys_arr, idx_arr = self._hash_tier_columns(starts.dtype)
-            pos, inside = _locate_ranges(idx_arr, starts, lasts)
+            pos, inside = locate_ranges(idx_arr, starts, lasts)
             items = self._items
-            for bucket, rows in _bucket_runs(pos, inside):
+            for bucket, rows in _bucket_rows(pos, inside):
                 pairs = buckets[bucket][0]
                 for key in keys_arr[rows].tolist():
                     pairs.append((key, items[key]))
 
-        for segment in self._segments:
-            pos, inside = _locate_ranges(segment[1], starts, lasts)
-            for bucket, rows in _bucket_runs(pos, inside):
-                buckets[bucket][1].append(_segment_rows(segment, rows))
+        run = self._sorted_run()
+        if run is not None:
+            for bucket, (lo, hi) in enumerate(_run_spans(run[1], starts, lasts)):
+                if hi > lo:
+                    buckets[bucket][1].append(_take_spans(run, [(lo, hi)]))
 
         return buckets
 
@@ -391,22 +445,25 @@ class VnodeStore:
 
         Returns an ``int64`` array with one entry per ``[start, last]`` range.
         Rows are counted across both tiers; like :meth:`fast_len`, a key
-        stored in several tiers counts once per occurrence.
+        stored in several tiers counts once per occurrence.  Strictly
+        read-only: the run is binary-searched, the unsorted tail scanned, no
+        segment is replaced — a verification pass over a bulk-loaded cluster
+        must not rewrite (and so re-allocate) every store.
         """
         counts = np.zeros(len(starts), dtype=np.int64)
         if len(starts) == 0:
             return counts
         if self._items:
             _, idx_arr = self._hash_tier_columns(starts.dtype)
-            pos, inside = _locate_ranges(idx_arr, starts, lasts)
-            rows = np.flatnonzero(inside)
-            if rows.size:
-                counts += np.bincount(pos[rows], minlength=len(starts))
-        for segment in self._segments:
-            pos, inside = _locate_ranges(segment[1], starts, lasts)
-            rows = np.flatnonzero(inside)
-            if rows.size:
-                counts += np.bincount(pos[rows], minlength=len(starts))
+            counts += _unsorted_counts(idx_arr, starts, lasts)
+        tail = self._segments
+        if self._sorted:
+            indexes = tail[0][1]
+            counts += np.searchsorted(indexes, lasts, side="right")
+            counts -= np.searchsorted(indexes, starts, side="left")
+            tail = tail[1:]
+        for segment in tail:
+            counts += _unsorted_counts(segment[1], starts, lasts)
         return counts
 
     def drop_outside(self, starts: np.ndarray, lasts: np.ndarray) -> int:
@@ -414,31 +471,33 @@ class VnodeStore:
 
         The retention pass of the replica sync: a replica store keeps only
         the ranges its vnode is still assigned.  Returns the number of rows
-        dropped.  Pending segments are filtered columnar, never merged.
+        dropped.  The run is cut to the concatenation of the ranges' slices,
+        never merged.
         """
         dropped = 0
         if self._items:
             keys_arr, idx_arr = self._hash_tier_columns(starts.dtype)
-            _, inside = _locate_ranges(idx_arr, starts, lasts)
+            _, inside = locate_ranges(idx_arr, starts, lasts)
             out_rows = np.flatnonzero(~inside)
             for key in keys_arr[out_rows].tolist():
                 del self._items[key]
             dropped += int(out_rows.size)
-        if self._segments:
-            kept: List[_Segment] = []
-            for segment in self._segments:
-                _, inside = _locate_ranges(segment[1], starts, lasts)
-                keep_n = int(np.count_nonzero(inside))
-                if keep_n == len(segment[0]):
-                    kept.append(segment)
-                else:
-                    dropped += len(segment[0]) - keep_n
-                    if keep_n:
-                        kept.append(_segment_rows(segment, np.flatnonzero(inside)))
-            self._segments = kept
+        run = self._sorted_run()
+        if run is not None:
+            spans = [(lo, hi) for lo, hi in _run_spans(run[1], starts, lasts) if hi > lo]
+            kept = sum(hi - lo for lo, hi in spans)
+            if kept < len(run[1]):
+                dropped += len(run[1]) - kept
+                self._set_run(_take_spans(run, spans) if spans else None)
         if dropped and self.durable is not None:
             self._log(("retain", starts.tolist(), lasts.tolist()))
         return dropped
+
+    def _clear(self) -> None:
+        """Forget both in-memory tiers."""
+        self._items = {}
+        self._segments = []
+        self._sorted = False
 
     def wipe(self) -> int:
         """Discard every row (both tiers); returns the physical rows destroyed.
@@ -449,8 +508,7 @@ class VnodeStore:
         through :meth:`lose_memory` instead.
         """
         n = self.fast_len()
-        self._items = {}
-        self._segments = []
+        self._clear()
         if self.durable is not None:
             self.durable.reset()
         return n
@@ -464,8 +522,7 @@ class VnodeStore:
         of physical rows that vanished from memory.
         """
         n = self.fast_len()
-        self._items = {}
-        self._segments = []
+        self._clear()
         if self.durable is not None:
             self.durable.needs_replay = True
         return n
@@ -480,11 +537,9 @@ class VnodeStore:
         The adopted items' hash indexes must lie in ranges this store did not
         previously own (true for every partition handover), so no key can
         collide with existing data and neither side's pending segments need
-        merging: pairs go straight into the hash tier, segments are appended
-        to the segment tier with their write order preserved.  When the
-        fragments accumulate past :data:`_MAX_PENDING_SEGMENTS` they are
-        compacted into one segment so later range passes stay O(rows), not
-        O(adoptions).
+        merging: pairs go straight into the hash tier, segments are folded
+        into the sorted run (after it in write order), so a store shredded by
+        a long churn never makes later read-only range passes O(adoptions).
 
         A checkpoint snapshots the in-memory tiers and deletes the WAL, so it
         may only run once every logged part is also in memory: all records
@@ -492,38 +547,19 @@ class VnodeStore:
         most once.
         """
         durable = self.durable
+        segments = list(segments)
         if durable is not None:
             pairs = list(pairs)
-            segments = list(segments)
             if pairs:
                 durable.append(("pairs", pairs))
             for seg_keys, seg_indexes, seg_values in segments:
                 durable.append(("batch", seg_keys, seg_indexes, seg_values))
         self._items.update(pairs)
-        self._segments.extend(segments)
-        if len(self._segments) > _MAX_PENDING_SEGMENTS:
-            self._compact_segments()
+        if segments:
+            self._segments.extend(segments)
+            self._sorted_run()
         if durable is not None and durable.should_checkpoint():
             durable.checkpoint(self._items, self._segments)
-
-    def index_columns(self, dtype) -> List[np.ndarray]:
-        """Every hash-index column of this store, both tiers, no merging.
-
-        One materialized column for the hash tier (when non-empty) plus the
-        pending segments' index columns by reference.  This is the input of
-        the parallel replica-sync count pass — the worker-side counterpart
-        of :meth:`count_buckets` consumes exactly these columns.
-        """
-        columns: List[np.ndarray] = []
-        n = len(self._items)
-        if n:
-            columns.append(
-                np.fromiter((item[0] for item in self._items.values()), dtype=dtype, count=n)
-            )
-        for segment in self._segments:
-            if len(segment[1]):
-                columns.append(segment[1])
-        return columns
 
     def materialize_segments(self, owns) -> int:
         """Copy pending-segment columns out of foreign-owned memory.
@@ -542,28 +578,6 @@ class VnodeStore:
                 self._segments[i] = (new_keys, new_indexes, values)
                 changed += 1
         return changed
-
-    def _compact_segments(self) -> None:
-        """Concatenate every pending segment into one, in write order.
-
-        Pure column concatenation — no hash-tier merge, no per-key python
-        objects.  Stores mixing valueless (``values is None``) and valued
-        segments materialize explicit ``None`` columns for the former.
-        """
-        segments = self._segments
-        keys = np.concatenate([s[0] for s in segments])
-        indexes = np.concatenate([s[1] for s in segments])
-        values: Optional[np.ndarray]
-        if any(s[2] is not None for s in segments):
-            columns = []
-            for seg_keys, _, seg_values in segments:
-                if seg_values is None:
-                    seg_values = np.empty(len(seg_keys), dtype=object)
-                columns.append(seg_values)
-            values = np.concatenate(columns)
-        else:
-            values = None
-        self._segments = [(keys, indexes, values)]
 
 
 @dataclass
@@ -664,11 +678,6 @@ class DHTStorage:
             if durability is not None
             else None
         )
-        #: When True (default), partition migration filters pending segments
-        #: with numpy masks and never merges them (:meth:`VnodeStore.pop_buckets`).
-        #: When False, the legacy per-item scan path runs instead — the
-        #: reference implementation the migration tests compare against.
-        self.vectorized_migration = True
 
     # -- vnode lifecycle -------------------------------------------------------
 
@@ -778,7 +787,7 @@ class DHTStorage:
             raise StorageError("put_batch: hash index outside the hash space")
         if self.hash_space.bh <= 64 and index_arr.dtype != np.uint64:
             # Normalize the segment's index column so migration-time range
-            # masks compare a single dtype (values are validated in-range).
+            # searches compare a single dtype (values are validated in-range).
             index_arr = index_arr.astype(np.uint64)
         key_arr = np.array(as_object_column(keys))
         value_arr = None if values is None else np.array(as_object_column(values))
@@ -817,8 +826,8 @@ class DHTStorage:
         or range validation (the caller's hash kernel produced the index
         column already masked to the hash space) and no defensive copy (the
         columns are shared-memory views or freshly gathered arrays the
-        caller promises never to mutate).  Segment filters and compaction
-        always build new arrays, so adopted views are safe downstream.
+        caller promises never to mutate).  Establishing the run and slicing
+        it always build new arrays, so adopted views are safe downstream.
         """
         self._store(owner).put_many(keys, indexes, values)
         return len(keys)
@@ -954,18 +963,17 @@ class DHTStorage:
     def replay_vnode(self, ref: VnodeRef) -> RecoveredState:
         """Recover a vnode's primary rows from its durable log.
 
-        The recovered columns are appended to the store's segment tier
-        *without* re-logging them — they are already on disk — so replay is
-        write-free and (for checkpoint segments with a ``uint64`` index
-        column) zero-copy via ``numpy.memmap``.
+        The recovered columns join the store's segment tier *without*
+        being re-logged — they are already on disk — so replay is
+        write-free; the store being rebuilt anyway, they are sorted into its
+        run here rather than by the first range pass that follows.
         """
         store = self._store(ref)
         if store.durable is None:
             raise StorageError(f"vnode {ref} has no durable log to replay")
         state = store.durable.recover()
         store._segments.extend(state.segments)
-        if len(store._segments) > _MAX_PENDING_SEGMENTS:
-            store._compact_segments()
+        store._sorted_run()
         return state
 
     # -- counting ----------------------------------------------------------------
@@ -1068,9 +1076,9 @@ class DHTStorage:
 
         Returns the number of items moved.  Called by the DHT right after the
         entity layer hands the partition over, so routing and storage stay
-        consistent.  On the vectorized path, pending segments are filtered
-        with one numpy mask per segment and adopted by the target still
-        columnar; hash-tier items move as raw tuples into one ``dict.update``.
+        consistent.  The partition's slice of the source's sorted run is
+        adopted by the target still columnar; hash-tier items move as raw
+        tuples into one ``dict.update``.
 
         A self-migration (``source == target``) is a guarded no-op: it moves
         nothing and leaves :class:`MigrationStats` untouched (it used to
@@ -1081,14 +1089,9 @@ class DHTStorage:
         if source == target:
             return 0
         start, end = self.hash_space.partition_range(partition)
-        if not self.vectorized_migration:
-            moving = src._pop_range_raw(start, end)
-            dst._adopt_raw(moving)
-            self.stats.record(len(moving))
-            return len(moving)
         starts, lasts = self.range_arrays([(start, end - 1)])
         pairs, segments = src.pop_buckets(starts, lasts)[0]
-        moved = len(pairs) + sum(len(s[0]) for s in segments)
+        moved = _parts_size((pairs, segments))
         dst.adopt_parts(pairs, segments)
         self.stats.record(moved)
         return moved
@@ -1102,8 +1105,8 @@ class DHTStorage:
         owners.  The hash tier is scanned once for *all* ranges (one
         ``searchsorted`` bucketing instead of one full scan per partition,
         which is what makes draining a vnode O(items) instead of
-        O(items × partitions)); pending segments are filtered the same way,
-        staying columnar.  Stats record one handover per partition, exactly
+        O(items × partitions)); the sorted run is sliced once per range and
+        rewritten once.  Stats record one handover per partition, exactly
         like per-partition :meth:`migrate_partition` calls would.
         Self-moves (target == source) are skipped without touching stats.
         Returns the total number of items moved.
@@ -1112,8 +1115,6 @@ class DHTStorage:
         src = self._store(source)
         if not real:
             return 0
-        if not self.vectorized_migration:
-            return sum(self.migrate_partition(p, source, t) for p, t in real)
         bh = self.hash_space.bh
         real.sort(key=lambda move: move[0].start(bh))
         targets = [self._store(t) for _, t in real]
@@ -1154,8 +1155,7 @@ class DHTStorage:
         moved = src.fast_len()
         if moved:
             dst.adopt_parts(src._items.items(), src._segments)
-            src._items = {}
-            src._segments = []
+            src._clear()
             if src.durable is not None:
                 src.durable.reset()
             self.stats.record(moved)

@@ -12,7 +12,7 @@ instead of pickled rows:
     adoption bookkeeping.
 ``tasks``
     Worker-side kernels (SplitMix64/BLAKE2b hashing, routing, position
-    sort, range counting) — numerically identical to the serial engine.
+    sort) — numerically identical to the serial engine.
 ``worker`` / ``pool``
     The persistent worker-process pool and its fail-fast pipe protocol.
 ``executor``

@@ -366,55 +366,6 @@ class ParallelExecutor:
             if order_ref is not None:
                 self.arena.release(order_ref)
 
-    # ---------------------------------------------------------- count_ranges
-
-    def count_ranges_many(
-        self, jobs: Sequence[Tuple[List[np.ndarray], np.ndarray, np.ndarray]]
-    ) -> Optional[List[np.ndarray]]:
-        """Parallel per-store range counting (the ``sync_replicas`` count
-        pass).  Each job is ``(index_columns, starts, lasts)`` for one
-        store; returns one int64 count array per job, or ``None`` when the
-        total row count is too small or any column is not uint64.
-        """
-        if self._closed or self.config.workers == 0:
-            return None
-        total = sum(len(col) for cols, _, _ in jobs for col in cols)
-        if total < self.config.min_batch:
-            return None
-        for cols, starts, _ in jobs:
-            if starts.dtype != np.uint64 or any(c.dtype != np.uint64 for c in cols):
-                return None
-        pool = self._ensure_pool()
-        scratch: List[ArrayRef] = []
-        try:
-            tasks = []
-            for cols, starts, lasts in jobs:
-                col_refs = []
-                for col in cols:
-                    ref, _ = self.arena.store(col)
-                    scratch.append(ref)
-                    col_refs.append(ref)
-                starts_ref, _ = self.arena.store(starts)
-                lasts_ref, _ = self.arena.store(lasts)
-                scratch.extend((starts_ref, lasts_ref))
-                tasks.append(
-                    (
-                        "count_ranges",
-                        {
-                            "columns": col_refs,
-                            "starts": starts_ref,
-                            "lasts": lasts_ref,
-                            "npos": len(starts),
-                        },
-                    )
-                )
-            results = pool.run_tasks(tasks)
-            self._count("count_ranges")
-            return results
-        finally:
-            for ref in scratch:
-                self.arena.release(ref)
-
     # ------------------------------------------------------------------ close
 
     def close(self) -> None:

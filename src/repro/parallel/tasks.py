@@ -15,9 +15,7 @@ The kernels mirror the serial engine *exactly*:
 * routing replicates :meth:`~repro.core.lookup.PartitionRouter.locate_batch`
   — ``searchsorted(side="right") - 1`` over partition starts plus the
   post-hoc gap check, raising :class:`~repro.core.errors.KeyLookupError`
-  with the identical messages;
-* range counting replicates the ``searchsorted``/``bincount`` bucketing of
-  ``VnodeStore.count_buckets``.
+  with the identical messages.
 
 Keys reach hash kernels as **uint64 bit patterns**: the caller reinterprets
 signed arrays via two's complement (``.view(np.uint64)``), which is exactly
@@ -178,33 +176,6 @@ def task_route_u64(payload: dict, attached: dict):
     return np.bincount(pos, minlength=payload["npos"])
 
 
-def task_count_ranges(payload: dict, attached: dict):
-    """Count rows per ``[start, last]`` range across uint64 index columns.
-
-    Payload: ``columns`` (list of uint64 refs — one store's hash-tier index
-    column plus its pending-segment index columns), ``starts``/``lasts``
-    (the ranges, sorted by start), ``npos``.  Returns int64 counts, length
-    ``npos`` — the same bucketing as ``VnodeStore.count_buckets``.
-    """
-    starts = attach_view(payload["starts"], attached)
-    lasts = attach_view(payload["lasts"], attached)
-    npos = payload["npos"]
-    counts = np.zeros(npos, dtype=np.int64)
-    for ref in payload["columns"]:
-        indexes = attach_view(ref, attached)
-        # count_buckets semantics, vectorized (_locate_ranges + bincount):
-        # a position is valid only when the index falls inside its range.
-        pos = np.searchsorted(starts, indexes, side="right").astype(
-            np.int64, copy=False
-        ) - 1
-        safe = np.where(pos < 0, 0, pos)
-        inside = (pos >= 0) & (indexes <= lasts[safe])
-        rows = np.flatnonzero(inside)
-        if rows.size:
-            counts += np.bincount(pos[rows], minlength=npos)
-    return counts
-
-
 #: Task registry the worker loop dispatches through.
 TASKS: Dict[str, Callable[[dict, dict], object]] = {
     "ping": task_ping,
@@ -212,7 +183,6 @@ TASKS: Dict[str, Callable[[dict, dict], object]] = {
     "hash_blobs": task_hash_blobs,
     "hash_locate_u64": task_hash_locate_u64,
     "route_u64": task_route_u64,
-    "count_ranges": task_count_ranges,
 }
 
 __all__ = ["TASKS"]

@@ -51,7 +51,7 @@ from repro.core.durability import DurabilityConfig
 from repro.core.engine.placement import PlacementService
 from repro.core.hashspace import HashSpace, Partition
 from repro.core.ids import VnodeRef
-from repro.core.storage import DHTStorage
+from repro.core.storage import DHTStorage, join_parts
 from repro.runtime.codec import FrameProtocol
 from repro.runtime.rpc import RpcClient
 
@@ -182,9 +182,7 @@ class SnodeNode:
                 ref.snode.value,
             )
         if isinstance(msg, RangeAdopt):
-            store = self._tier_store(msg.ref, msg.tier)
-            for pairs, segments in msg.parts:
-                store.adopt_parts(pairs, segments)
+            self._tier_store(msg.ref, msg.tier).adopt_parts(*join_parts(msg.parts))
             return None
         if isinstance(msg, RangeDrop):
             store = self._tier_store(msg.ref, msg.tier)

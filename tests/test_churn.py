@@ -17,6 +17,7 @@ from repro.workloads.churn import (
 )
 from repro.workloads.driver import build_cluster
 from repro.workloads.keys import id_keys, zipf_id_keys
+from tests.conftest import MigrationOracle
 
 
 def vref(v: int) -> VnodeRef:
@@ -30,39 +31,44 @@ def make_storage(bh: int = 16, vnodes: int = 3) -> DHTStorage:
     return storage
 
 
+def mixed_tier_rows(space: int, n: int = 64) -> dict:
+    """The rows :func:`fill_mixed_tiers` stores, as ``key -> (index, value)``."""
+    rows = {}
+    for i in range(n):
+        tier, label = ("s", "seg") if i % 2 else ("h", "hash")
+        rows[f"{tier}{i}"] = ((i * space) // n, f"{label}-{i}")
+    return rows
+
+
 def fill_mixed_tiers(storage: DHTStorage, owner: VnodeRef, n: int = 64) -> None:
     """Half the items via per-key puts (hash tier), half via put_batch (segments)."""
-    space = storage.hash_space.size
-    for i in range(0, n, 2):
-        storage.put(owner, f"h{i}", (i * space) // n, f"hash-{i}")
-    keys = [f"s{i}" for i in range(1, n, 2)]
-    indexes = [(i * space) // n for i in range(1, n, 2)]
-    values = [f"seg-{i}" for i in range(1, n, 2)]
-    storage.put_batch(owner, keys, indexes, values)
+    rows = mixed_tier_rows(storage.hash_space.size, n)
+    for key in (k for k in rows if k.startswith("h")):
+        storage.put(owner, key, *rows[key])
+    keys = [k for k in rows if k.startswith("s")]
+    storage.put_batch(
+        owner, keys, [rows[k][0] for k in keys], [rows[k][1] for k in keys]
+    )
 
 
 class TestVectorizedMigration:
-    """The segment-aware range-pop must match the merged path bit for bit."""
+    """The segment-aware range-pop must match a brute-force dict filter bit
+    for bit (:class:`tests.conftest.MigrationOracle`)."""
 
     def test_matches_merged_path_bit_for_bit(self):
         partition = Partition(2, 1)  # covers [0x4000, 0x8000) of a 16-bit space
-        results = []
-        for vectorized in (True, False):
-            storage = make_storage()
-            fill_mixed_tiers(storage, vref(0))
-            storage.vectorized_migration = vectorized
-            moved = storage.migrate_partition(partition, vref(0), vref(1))
-            results.append(
-                (
-                    moved,
-                    dict(storage._store(vref(0)).raw_dict()),
-                    dict(storage._store(vref(1)).raw_dict()),
-                    storage.stats.partitions_moved,
-                    storage.stats.items_moved,
-                )
-            )
-        assert results[0] == results[1]
-        assert results[0][0] > 0
+        storage = make_storage()
+        fill_mixed_tiers(storage, vref(0))
+        oracle = MigrationOracle(mixed_tier_rows(storage.hash_space.size))
+        moving = oracle.rows_in([(0x4000, 0x8000)])
+        moved = storage.migrate_partition(partition, vref(0), vref(1))
+        assert moved == len(moving) > 0
+        assert dict(storage._store(vref(1)).raw_dict()) == moving
+        assert dict(storage._store(vref(0)).raw_dict()) == {
+            k: item for k, item in oracle.rows.items() if k not in moving
+        }
+        assert storage.stats.partitions_moved == 1
+        assert storage.stats.items_moved == moved
 
     def test_segments_stay_pending_on_both_sides(self):
         storage = make_storage()
@@ -158,28 +164,30 @@ class TestVectorizedMigration:
 
     def test_churn_burst_matches_per_item_path(self):
         """A join, a full snode drain, an enrollment grow and a shrink over
-        pending segments: both migration paths end in the same placement."""
-        results = []
-        for vectorized in (True, False):
-            dht = build_cluster("local", 4, 8, pmin=8, vmin=8, seed=0)
-            dht.bulk_load(id_keys(20_000, rng=0))
-            dht.storage.vectorized_migration = vectorized
-            dht.set_enrollment(dht.add_snode(), 8)
-            dht.remove_snode(SnodeId(0))
-            dht.set_enrollment(SnodeId(1), 12)
-            dht.set_enrollment(SnodeId(1), 6)
-            dht.check_invariants()
-            stats = dht.storage.stats
-            results.append(
-                (
-                    {ref: dht.storage.item_count(ref) for ref in sorted(dht.vnodes)},
-                    stats.partitions_moved,
-                    stats.items_moved,
-                    stats.migrations,
-                )
-            )
-            assert dht.storage.total_items() == 20_000
-        assert results[0] == results[1]
+        pending segments: every handover moves exactly the rows a per-item
+        dict filter says it should, and the burst ends in that placement."""
+        dht = build_cluster("local", 4, 8, pmin=8, vmin=8, seed=0)
+        keys = id_keys(20_000, rng=0)
+        dht.bulk_load(keys)
+        indexes = dht.hash_space.hash_keys(keys).tolist()
+        oracle = MigrationOracle(
+            {k: (i, None) for k, i in zip(keys.tolist(), indexes)}
+        ).watch(dht.storage)
+        stats = dht.storage.stats
+        partitions_before = stats.partitions_moved  # build_cluster's own handovers
+        dht.set_enrollment(dht.add_snode(), 8)
+        dht.remove_snode(SnodeId(0))
+        dht.set_enrollment(SnodeId(1), 12)
+        dht.set_enrollment(SnodeId(1), 6)
+        dht.check_invariants()
+        assert stats.items_moved == oracle.rows_moved > 0
+        assert stats.partitions_moved - partitions_before == oracle.partitions_moved
+        assert stats.partitions_moved == stats.migrations
+        bh = dht.hash_space.bh
+        for ref, vnode in dht.vnodes.items():
+            ranges = [(p.start(bh), p.end(bh)) for p in vnode.partitions]
+            assert dict(dht.storage.primary_store(ref).raw_dict()) == oracle.rows_in(ranges)
+        assert dht.storage.total_items() == 20_000
 
 
 class TestChurnTrace:

@@ -7,8 +7,9 @@ Three layers, matched to the subsystem's own:
   (a ``kill -9``'d worker surfaces as a precise
   :class:`~repro.core.errors.ParallelError`, never a hang);
 * **equivalence** — every parallel pipeline (hash, fused hash+locate,
-  route+sort, range counting, end-to-end ``bulk_load``/``lookup_many``/
-  ``sync_replicas``) must produce *exactly* what the serial code produces,
+  route+sort, end-to-end ``bulk_load``/``lookup_many``, and the serial
+  ``sync_replicas`` over stores a parallel load filled) must produce
+  *exactly* what the serial code produces,
   across key dtypes, duplicate keys, values, and replication;
 * **property** — randomized workloads replayed at workers ∈ {0, 1, 2, 4}
   against a plain-dict reference model.

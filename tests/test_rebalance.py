@@ -37,10 +37,11 @@ from repro.core.rebalance import (
     plan_vnode_creation,
     plan_vnode_removal,
 )
-from repro.core.storage import _MAX_PENDING_SEGMENTS, VnodeStore
+from repro.core.storage import VnodeStore
 from repro.metrics.balance import item_load_stats
 from repro.workloads.driver import build_cluster
 from repro.workloads.keys import zipf_id_keys
+from tests.conftest import MigrationOracle
 
 SETTINGS = settings(
     max_examples=25,
@@ -333,21 +334,25 @@ class TestLoadRebalanceProperties:
         assert report.actions_total == 0
 
     def test_legacy_migration_path_makes_identical_decisions(self):
-        results = []
-        for vectorized in (True, False):
-            dht = build_cluster("local", 8, 2, pmin=8, vmin=8, seed=2)
-            keys = zipf_id_keys(20000, bh=dht.config.bh, exponent=1.2,
-                                n_ranges=128, rng=2)
-            dht.bulk_load(keys)
-            dht.storage.vectorized_migration = vectorized
-            report = dht.rebalance_load()
-            loads = {
-                ref: dht.storage.item_count(ref) for ref in sorted(dht.vnodes)
-            }
-            results.append((report.transfers, report.splits,
-                            report.rows_moved, loads))
-            dht.check_invariants()
-        assert results[0] == results[1]
+        """The rebalancer's transfers against the per-item reference (a dict
+        filtered by range): every handover moves the rows the filter names,
+        and the reported movement and final loads are the filter's."""
+        dht = build_cluster("local", 8, 2, pmin=8, vmin=8, seed=2)
+        keys = zipf_id_keys(20000, bh=dht.config.bh, exponent=1.2,
+                            n_ranges=128, rng=2)
+        dht.bulk_load(keys)
+        indexes = dht.hash_space.hash_keys(keys).tolist()
+        oracle = MigrationOracle(
+            {k: (i, None) for k, i in zip(keys.tolist(), indexes)}
+        ).watch(dht.storage)
+        report = dht.rebalance_load()
+        dht.check_invariants()
+        assert report.transfers > 0
+        assert report.rows_moved == oracle.rows_moved
+        bh = dht.config.bh
+        for ref, vnode in dht.vnodes.items():
+            ranges = [(p.start(bh), p.end(bh)) for p in vnode.partitions]
+            assert dict(dht.storage.primary_store(ref).raw_dict()) == oracle.rows_in(ranges)
 
     def test_plan_round_rejects_bad_tolerance(self):
         dht = build_cluster("local", 4, 2, pmin=4, vmin=4, seed=0)
@@ -385,27 +390,31 @@ class TestSegmentCompaction:
     def test_fragmented_adoptions_compact_without_changing_content(self):
         source = VnodeStore(vref(0))
         target = VnodeStore(vref(1))
-        n = 4 * (_MAX_PENDING_SEGMENTS + 10)
+        n = 4 * 74
         keys = np.arange(n, dtype=object)
-        indexes = np.arange(n).astype(np.uint64)
+        indexes = np.arange(n).astype(np.uint64)[::-1].copy()
         values = np.array([f"v{i}" for i in range(n)], dtype=object)
         for i in range(0, n, 4):
             source.put_many(keys[i:i + 4], indexes[i:i + 4], values[i:i + 4])
-            # Adopt one fragment at a time, as migration does.
+            # Adopt one fragment at a time, as migration does: each one is
+            # folded into the target's index-sorted run.
             target.adopt_parts([], source._segments[-1:])
-        assert len(target._segments) <= _MAX_PENDING_SEGMENTS + 1
+            assert len(target._segments) == 1 and target._sorted
+        assert np.all(np.diff(target._segments[0][1].astype(np.int64)) > 0)
         assert target.fast_len() == n
         assert target.get(5).value == "v5"
         assert len(target) == n
 
     def test_compaction_handles_valueless_segments(self):
         store = VnodeStore(vref(0))
-        for i in range(_MAX_PENDING_SEGMENTS + 2):
+        rounds = 66
+        for i in range(rounds):
             base = 2 * i
             keys = np.array([base, base + 1], dtype=object)
             idx = np.array([base, base + 1], dtype=np.uint64)
             store.adopt_parts([], [(keys, idx, None if i % 2 else keys.copy())])
-        total = 2 * (_MAX_PENDING_SEGMENTS + 2)
+        total = 2 * rounds
         assert store.fast_len() == total
-        assert store.get(2).value is None or store.get(2).value == 2
+        assert len(store._segments) == 1
+        assert store.get(2).value is None and store.get(4).value == 4
         assert len(store) == total

@@ -124,10 +124,8 @@ class TestSelfMigration:
     def test_migrate_partition_to_self_records_no_stats(self, storage):
         # Regression: the move survived but recorded a phantom handover.
         storage.put(vref(0), "inside", 10, "a")
-        for vectorized in (True, False):
-            storage.vectorized_migration = vectorized
-            moved = storage.migrate_partition(Partition(8, 0), vref(0), vref(0))
-            assert moved == 0
+        moved = storage.migrate_partition(Partition(8, 0), vref(0), vref(0))
+        assert moved == 0
         assert storage.get(vref(0), "inside") == "a"
         assert storage.stats.partitions_moved == 0
         assert storage.stats.items_moved == 0
