@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +194,27 @@ class TestCreationGolden:
         for approach in ("local", "global"):
             stats = make_sim(approach).run()
             assert stats.lock_grants == stats.n_creations
+
+
+class TestLifecycleGolden:
+    """Pin the lifecycle-path numbers: the summary and every profile field.
+
+    ``tests/goldens/lifecycle_protocol.json`` was captured before the two
+    simulators were folded onto one queue and the profiles onto the one
+    trace replayer; both must stay bit-identical.
+    """
+
+    GOLDEN_PATH = Path(__file__).parent / "goldens" / "lifecycle_protocol.json"
+
+    @pytest.mark.parametrize("approach", ["local", "global"])
+    def test_lifecycle_stats_and_profiles_bit_identical(self, approach):
+        golden = json.loads(self.GOLDEN_PATH.read_text())[approach]
+        sim = LifecycleProtocolSimulator(
+            dataclasses.replace(lifecycle_spec(), approach=approach)
+        )
+        rows = [dataclasses.astuple(p) for p in sim.profiles()]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == golden["profiles_sha256"]
+        assert sim.run().as_dict() == golden["stats"]
 
 
 class TestLifecycle:
