@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core import DHTConfig, GlobalDHT, LocalDHT
 from repro.core.errors import ReproError
@@ -45,6 +45,58 @@ from repro.experiments.persistence import save_result
 from repro.report import format_table
 from repro.workloads import KeyWorkload
 from repro.workloads.churn import ChurnEngine, ChurnSpec
+
+
+#: What each event-rate flag of :func:`_add_trace_flags` makes a fraction of.
+_RATE_HELP = {
+    "crash": "crash an snode without a graceful drain",
+    "rebalance": "run a load-aware rebalance pass",
+    "restart": "kill -9 and restart an snode",
+}
+
+
+def _add_trace_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    keys: int,
+    events: int,
+    snodes: int,
+    vnodes_per_snode: int,
+    vmin: int,
+    replication: int,
+    rates: Dict[str, float],
+    approaches: Sequence[str] = ("local", "global"),
+    workloads: Sequence[str] = ("ids", "uniform"),
+) -> None:
+    """Add the churn-trace flags the three ``*-bench`` commands share.
+
+    Each command passes its own defaults; ``rates`` names the event-rate
+    flags it offers (keys of :data:`_RATE_HELP`) with their defaults, and
+    the first of ``approaches`` is the default approach.
+    """
+    parser.add_argument("--keys", type=int, default=keys, help="distinct keys to load")
+    parser.add_argument("--events", type=int, default=events, help="topology events in the trace")
+    parser.add_argument(
+        "--approach", choices=approaches, default=approaches[0],
+        help="DHT approach to run (default %(default)s)",
+    )
+    parser.add_argument("--workload", choices=workloads, default="ids")
+    parser.add_argument("--snodes", type=int, default=snodes, help="initial snodes")
+    parser.add_argument("--vnodes-per-snode", type=int, default=vnodes_per_snode)
+    parser.add_argument("--pmin", type=int, default=8)
+    parser.add_argument("--vmin", type=int, default=vmin)
+    parser.add_argument(
+        "--replication", type=int, default=replication, metavar="N",
+        help="copies kept of every item (1 = no replication; default %(default)s)",
+    )
+    for kind, rate in rates.items():
+        parser.add_argument(
+            f"--{kind}-rate", type=float, default=rate, metavar="P",
+            help=f"fraction of topology events that {_RATE_HELP[kind]} "
+                 f"(0 <= P < 1, default %(default)s)",
+        )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--output", default=None, help="write the report to this JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,44 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
         "churn-bench",
         help="replay a join/leave/enrollment churn trace against live data",
     )
-    churn.add_argument("--keys", type=int, default=100_000, help="distinct keys to load")
-    churn.add_argument("--events", type=int, default=64, help="topology events in the trace")
-    churn.add_argument("--approach", choices=("local", "global"), default="local")
-    churn.add_argument("--workload", choices=("ids", "uniform"), default="ids")
-    churn.add_argument("--snodes", type=int, default=8, help="initial snodes")
-    churn.add_argument("--vnodes-per-snode", type=int, default=4)
-    churn.add_argument("--pmin", type=int, default=8)
-    churn.add_argument("--vmin", type=int, default=8)
-    churn.add_argument(
-        "--replication",
-        type=int,
-        default=1,
-        metavar="N",
-        help="copies kept of every item (default 1 = no replication)",
-    )
-    churn.add_argument(
-        "--crash-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="fraction of topology events that are ungraceful snode crashes "
-             "(0 <= P < 1, default 0)",
-    )
-    churn.add_argument(
-        "--rebalance-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="fraction of topology events that run a load-aware rebalance pass "
-             "(0 <= P < 1, default 0)",
-    )
-    churn.add_argument(
-        "--restart-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="fraction of topology events that kill -9 and restart a snode "
-             "(0 <= P < 1, default 0)",
+    _add_trace_flags(
+        churn, keys=100_000, events=64, snodes=8, vnodes_per_snode=4, vmin=8,
+        replication=1, rates={"crash": 0.0, "rebalance": 0.0, "restart": 0.0},
     )
     churn.add_argument(
         "--durable",
@@ -123,39 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
              "segments) in a temporary directory, so restarted snodes replay "
              "their local disk instead of losing unreplicated data",
     )
-    churn.add_argument("--seed", type=int, default=0)
-    churn.add_argument("--output", default=None, help="write the churn report to this JSON file")
 
     proto = sub.add_parser(
         "protocol-bench",
         help="simulate the control-plane cost of a churn trace (global vs local)",
     )
-    proto.add_argument("--keys", type=int, default=5_000,
-                       help="distinct keys loaded during profiling")
-    proto.add_argument("--events", type=int, default=32, help="topology events in the trace")
-    proto.add_argument(
-        "--approach", choices=("both", "local", "global"), default="both",
-        help="which lock structure(s) to simulate (default: both, with speedup)",
+    _add_trace_flags(
+        proto, keys=5_000, events=32, snodes=12, vnodes_per_snode=4, vmin=4,
+        replication=2, rates={"crash": 0.2, "rebalance": 0.1},
+        approaches=("both", "local", "global"),
     )
-    proto.add_argument("--workload", choices=("ids", "uniform"), default="ids")
-    proto.add_argument("--snodes", type=int, default=12, help="initial snodes")
-    proto.add_argument("--vnodes-per-snode", type=int, default=4)
     proto.add_argument("--min-snodes", type=int, default=4)
     proto.add_argument("--max-snodes", type=int, default=32)
-    proto.add_argument("--pmin", type=int, default=8)
-    proto.add_argument("--vmin", type=int, default=4)
-    proto.add_argument(
-        "--replication", type=int, default=2, metavar="N",
-        help="copies kept of every item (default 2: prices crash recovery)",
-    )
-    proto.add_argument(
-        "--crash-rate", type=float, default=0.2, metavar="P",
-        help="fraction of topology events that are ungraceful crashes",
-    )
-    proto.add_argument(
-        "--rebalance-rate", type=float, default=0.1, metavar="P",
-        help="fraction of topology events that run a load-aware rebalance",
-    )
     proto.add_argument(
         "--batch-size", type=int, default=8,
         help="topology events arriving concurrently per batch",
@@ -164,42 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--gap", type=float, default=0.02,
         help="simulated seconds between event batches",
     )
-    proto.add_argument("--seed", type=int, default=0)
-    proto.add_argument("--output", default=None,
-                       help="write the protocol report to this JSON file")
 
     cluster = sub.add_parser(
         "cluster-bench",
         help="replay a churn trace over the networked snode runtime",
     )
-    cluster.add_argument("--keys", type=int, default=10_000, help="distinct keys to load")
-    cluster.add_argument("--events", type=int, default=12, help="topology events in the trace")
-    cluster.add_argument("--approach", choices=("local", "global"), default="local")
-    cluster.add_argument("--workload", choices=("ids", "uniform", "zipf"), default="ids")
+    _add_trace_flags(
+        cluster, keys=10_000, events=12, snodes=3, vnodes_per_snode=2, vmin=8,
+        replication=2, rates={"crash": 0.0, "restart": 0.0, "rebalance": 0.0},
+        workloads=("ids", "uniform", "zipf"),
+    )
     cluster.add_argument(
         "--zipf-exponent", type=float, default=1.1, metavar="S",
         help="skew exponent for --workload zipf (default 1.1)",
-    )
-    cluster.add_argument("--snodes", type=int, default=3, help="initial snodes")
-    cluster.add_argument("--vnodes-per-snode", type=int, default=2)
-    cluster.add_argument("--pmin", type=int, default=8)
-    cluster.add_argument("--vmin", type=int, default=8)
-    cluster.add_argument(
-        "--replication", type=int, default=2, metavar="N",
-        help="copies kept of every item (default 2: crashes are survivable)",
-    )
-    cluster.add_argument(
-        "--crash-rate", type=float, default=0.0, metavar="P",
-        help="fraction of topology events that crash a served snode",
-    )
-    cluster.add_argument(
-        "--restart-rate", type=float, default=0.0, metavar="P",
-        help="fraction of topology events that kill -9 and reboot a snode",
-    )
-    cluster.add_argument(
-        "--rebalance-rate", type=float, default=0.0, metavar="P",
-        help="fraction of topology events that run a NodeStats-driven "
-             "load rebalance with peer-to-peer row transfers",
     )
     cluster.add_argument(
         "--read-multiplier", type=float, default=0.1, metavar="X",
@@ -220,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-oracle", action="store_true",
         help="skip the differential cost-model oracle annotation",
     )
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--output", default=None,
-                         help="write the runtime report to this JSON file")
 
     serve = sub.add_parser(
         "serve", help="serve one snode as an asyncio RPC endpoint"
@@ -328,17 +298,16 @@ def _event_weights(
     )
 
 
-def _churn_spec(
-    args: argparse.Namespace, restart_rate: float = 0.0, **fields
-) -> ChurnSpec:
+def _churn_spec(args: argparse.Namespace, **fields) -> ChurnSpec:
     """The :class:`ChurnSpec` a ``*-bench`` subcommand's flags describe.
 
-    Covers the flags all three commands share; ``fields`` carries the rest
+    Covers the flags of :func:`_add_trace_flags` (a command without
+    ``--restart-rate`` restarts nothing); ``fields`` carries the rest
     (approach, cluster-size bounds, data directory, ...).  Raises
     ``ValueError`` for rates or sizes the spec rejects.
     """
     crash_weight, rebalance_weight, restart_weight = _event_weights(
-        args.crash_rate, args.rebalance_rate, restart_rate
+        args.crash_rate, args.rebalance_rate, getattr(args, "restart_rate", 0.0)
     )
     return ChurnSpec(
         name=f"{args.command.partition('-')[0]}-{args.workload}",
@@ -371,9 +340,7 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
                 tempfile.TemporaryDirectory(prefix="repro-churn-durable-")
             )
         try:
-            spec = _churn_spec(
-                args, args.restart_rate, approach=args.approach, data_dir=data_dir
-            )
+            spec = _churn_spec(args, approach=args.approach, data_dir=data_dir)
         except ValueError as exc:
             print(f"churn-bench: {exc}", file=sys.stderr)
             return 2
@@ -528,7 +495,6 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         try:
             spec = _churn_spec(
                 args,
-                args.restart_rate,
                 approach=args.approach,
                 zipf_exponent=args.zipf_exponent,
                 read_multiplier=args.read_multiplier,

@@ -12,26 +12,29 @@ paper (sections 1, 3 and 6), which its evaluation argues only qualitatively:
   the victim group (section 3.6), so creations targeting different groups
   overlap; the simulation uses one FIFO lock per group.
 
-Two simulators share this substrate:
+Every control-plane event is described by one :class:`EventProfile`,
+priced by one cost function (:func:`lifecycle_event_cost`: request fan-out
+with acks, record update and synchronization, data movement) and queued on
+one discrete-event queue under the approach's locks.  Profiles come from
+two sources:
 
 * :class:`CreationProtocolSimulator` — the paper's own scenario, a schedule
   of vnode *creations*.  The balance dynamics (which group receives a vnode,
   how many partitions are handed over, when groups split) come from the fast
-  count-level simulators of :mod:`repro.sim`; the protocol layer adds
-  message costs from the network model and the per-snode record-processing
-  cost, then lets the event engine resolve queueing.  The outcome feeds the
-  ``ablation_parallelism`` experiment.
+  count-level simulators of :mod:`repro.sim`; each creation becomes a
+  ``"create"`` profile.  The outcome feeds the ``ablation_parallelism``
+  experiment.
 * :class:`LifecycleProtocolSimulator` — the **full topology lifecycle**: a
   churn trace (:mod:`repro.workloads.churn`) of snode joins, graceful
   leaves, crashes with replica rebuild, kill-9 restarts with WAL replay,
-  enrollment changes and load-aware rebalance passes is first replayed
-  against a *live* DHT to learn what
-  every event actually did (vnodes created/removed, partitions and rows
-  migrated, surviving-replica rows promoted by crash recovery, replica-sync
-  fan-out volume, rebalance plan actions), and the resulting
-  :class:`EventProfile` per event is then priced through the network model
-  and queued under the same two lock structures.  The outcome feeds the
-  ``ablation_lifecycle`` experiment and ``repro protocol-bench``.
+  enrollment changes and load-aware rebalance passes is replayed by the one
+  trace replayer (:func:`repro.workloads.replay.replay`, conservation and
+  replication checked after every topology event) against a *live* DHT,
+  and a recording backend captures what every event actually did (vnodes
+  created/removed, partitions and rows migrated, surviving-replica rows
+  promoted by crash recovery, replica-sync fan-out volume, rebalance plan
+  actions).  The outcome feeds the ``ablation_lifecycle`` experiment,
+  ``repro protocol-bench`` and the runtime harness's cost-model oracle.
 
 Simplification: the *identity* of the victim group — and, for the lifecycle
 simulator, the effect of every event — does not depend on the request
@@ -43,7 +46,7 @@ queueing that timing induces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,11 +66,23 @@ from repro.cluster.messages import (
 from repro.cluster.network import NetworkModel
 from repro.cluster.simulator import EventScheduler, FifoResource
 from repro.core.config import DHTConfig
-from repro.core.errors import ProtocolError, ReproError
+from repro.core.errors import ProtocolError
+from repro.core.ids import SnodeId
 from repro.sim.global_ import GlobalBalanceSimulator
-from repro.sim.local import CreationRecord, LocalBalanceSimulator
+from repro.sim.local import LocalBalanceSimulator
+from repro.utils.coro import run_sync
 from repro.utils.rng import RngLike, ensure_rng
 from repro.workloads.arrivals import ArrivalEvent
+from repro.workloads.churn import (
+    TOPOLOGY_KINDS,
+    ChurnEvent,
+    ChurnSpec,
+    DHTBackend,
+    TopologyOutcome,
+    apply_topology_event,
+    make_churn_trace,
+)
+from repro.workloads.replay import Applied, replay
 
 Approach = Literal["global", "local"]
 
@@ -85,7 +100,8 @@ class ProtocolCosts:
     #: GPDR/LPDR replica (section 4.1.2 points out this grows with the table).
     record_entry_processing_s: float = 2e-6
     #: Application data moved when one partition is handed over.  Used by the
-    #: creation simulator, whose count-level substrate has no stored rows.
+    #: creation simulator, whose count-level substrate has no stored rows: a
+    #: handover is priced as this many bytes of ``row_payload_bytes`` rows.
     partition_payload_bytes: float = 64 * 1024
     #: Wire size of one stored row (key + value + envelope).  Used by the
     #: lifecycle simulator, which prices transfers by actual row counts.
@@ -279,164 +295,71 @@ class CreationProtocolSimulator:
         events: List[ArrivalEvent] = []
         for index, item in enumerate(arrivals):
             if isinstance(item, ArrivalEvent):
-                if item.kind not in ("create", "remove"):
+                if item.kind != "create":
                     raise ProtocolError(
                         f"unsupported arrival event kind {item.kind!r} "
-                        f"(expected 'create' or 'remove')"
+                        f"(expected 'create')"
                     )
                 events.append(item)
             else:
                 events.append(ArrivalEvent(time=float(item), snode=index, kind="create"))
         return sorted(events, key=lambda e: e.time)
 
-    # ------------------------------------------------------------------ costs
-
-    def _creation_duration(self, record: CreationRecord, involved_snodes: int) -> tuple:
-        """Service time of one creation once its lock is held.
-
-        Returns ``(duration_s, n_messages, n_bytes)``.
-        """
-        net = self.costs.network
-        peers = max(0, involved_snodes - 1)
-        messages = 0
-        total_bytes = 0.0
-        duration = 0.0
-
-        if self.approach == "local":
-            # Lookup of the victim vnode/group (one RPC to the owner snode).
-            request = CreateVnodeRequest(src=0, dst=0, vnode=record.vnode)
-            duration += net.rpc_time(request.size_bytes())
-            messages += 2
-            total_bytes += request.size_bytes() + Ack.BASE_SIZE_BYTES
-
-        # Creation request broadcast to the other involved snodes + acks.
-        request = CreateVnodeRequest(src=0, dst=0, vnode=record.vnode)
-        duration += net.broadcast_time(request.size_bytes(), peers) + net.latency_s
-        messages += 2 * peers
-        total_bytes += peers * (request.size_bytes() + Ack.BASE_SIZE_BYTES)
-
-        # Every involved snode updates and re-sorts its record replica; the
-        # coordinator then distributes the synchronized record.
-        record_entries = record.group_size
-        duration += self.costs.record_entry_processing_s * record_entries
-        sync = RecordSync(src=0, dst=0, n_entries=record_entries)
-        duration += net.broadcast_time(sync.size_bytes(), peers)
-        messages += peers
-        total_bytes += peers * sync.size_bytes()
-
-        # A group split doubles the record exchanges (two new LPDRs are built).
-        if record.group_split:
-            duration += net.broadcast_time(sync.size_bytes(), peers)
-            messages += peers
-            total_bytes += peers * sync.size_bytes()
-
-        # Partition transfers all land on the snode hosting the new vnode, so
-        # they serialize on its link.
-        transfer = PartitionTransfer(
-            src=0, dst=0, payload_bytes=self.costs.partition_payload_bytes
-        )
-        duration += record.n_transfers * net.message_time(transfer.size_bytes())
-        messages += record.n_transfers
-        total_bytes += record.n_transfers * transfer.size_bytes()
-
-        return duration, messages, total_bytes
-
-    # ------------------------------------------------------------------ running
-
     def run(self) -> ProtocolStats:
         """Run the discrete-event simulation and return its statistics.
 
-        Schedules that mix creations with ``remove`` events (e.g.
-        :class:`~repro.workloads.arrivals.ChurnSchedule`) are routed to the
-        lifecycle simulator, which replays them against a live DHT — the
-        count-level balance simulators model creations only.  Create-only
-        schedules keep the historical creation-protocol behaviour exactly.
+        The balance simulator, driven in arrival order, says what each
+        creation does (victim group, transfers, split); each becomes a
+        ``"create"`` :class:`EventProfile`, priced and queued like any
+        lifecycle event.
         """
-        if any(event.kind == "remove" for event in self.events):
-            return LifecycleProtocolSimulator.from_arrivals(
-                self.config,
-                self.n_snodes,
-                self.events,
-                approach=self.approach,  # type: ignore[arg-type]
-                costs=self.costs,
-                rng=self.rng,
-            ).run()
-        # Drive the balance simulator in arrival order to learn what each
-        # creation does (victim group, transfers, splits).
         if self.approach == "local":
             balance = LocalBalanceSimulator(self.config, rng=self.rng)
         else:
             balance = GlobalBalanceSimulator(self.config, rng=self.rng)
-        records: List[CreationRecord] = [balance.create_vnode() for _ in self.events]
+        records = [balance.create_vnode() for _ in self.events]
 
         # Map vnodes to hosting snodes (the snode that issued the creation).
         vnode_snode: Dict[int, int] = {
             record.vnode: event.snode % self.n_snodes
             for record, event in zip(records, self.events)
         }
+        row_bytes = self.costs.row_payload_bytes
 
-        scheduler = EventScheduler()
-        locks: Dict[object, FifoResource] = {}
-        latencies = np.zeros(len(self.events), dtype=np.float64)
-        completion = np.zeros(len(self.events), dtype=np.float64)
-        total_messages = 0
-        total_bytes = 0.0
-
-        def lock_key(record: CreationRecord) -> object:
+        profiles: List[EventProfile] = []
+        for event, record in zip(self.events, records):
             if self.approach == "global":
-                return "global"
-            return ("group", record.group_id)
-
-        def get_lock(key: object) -> FifoResource:
-            if key not in locks:
-                locks[key] = FifoResource(scheduler, name=str(key))
-            return locks[key]
-
-        for index, (event, record) in enumerate(zip(self.events, records)):
-            involved = {vnode_snode[m] for m in record.group_members}
-            involved.add(event.snode % self.n_snodes)
-            if self.approach == "global":
-                involved_count = self.n_snodes
+                involved = self.n_snodes
+                lock_key: object = GLOBAL_LOCK
             else:
-                involved_count = len(involved)
-            duration, messages, nbytes = self._creation_duration(record, involved_count)
-            total_messages += messages
-            total_bytes += nbytes
-            key = lock_key(record)
-
-            def make_handlers(i: int, dur: float, lock_key_value: object):
-                def on_grant() -> None:
-                    def on_complete() -> None:
-                        completion[i] = scheduler.now
-                        latencies[i] = scheduler.now - self.events[i].time
-                        get_lock(lock_key_value).release()
-
-                    scheduler.schedule_after(dur, on_complete)
-
-                def on_arrival() -> None:
-                    get_lock(lock_key_value).acquire(on_grant)
-
-                return on_arrival
-
-            scheduler.schedule_at(event.time, make_handlers(index, duration, key))
-
-        scheduler.run()
-        first_arrival = min(e.time for e in self.events)
-        makespan = float(completion.max() - first_arrival) if len(completion) else 0.0
-        lock_waits = sum(lock.total_waits for lock in locks.values())
-        return ProtocolStats(
-            approach=self.approach,
-            n_snodes=self.n_snodes,
-            latencies=latencies,
-            makespan=makespan,
-            total_messages=total_messages,
-            total_bytes=total_bytes,
-            lock_waits=lock_waits,
-            lock_grants=sum(lock.total_grants for lock in locks.values()),
-        )
+                hosts = {vnode_snode[m] for m in record.group_members}
+                hosts.add(event.snode % self.n_snodes)
+                involved = len(hosts)
+                lock_key = ("group", record.group_id)
+            # The count-level substrate stores no rows: each handover carries
+            # partition_payload_bytes, priced as rows of row_payload_bytes.
+            payload = record.n_transfers * self.costs.partition_payload_bytes
+            profiles.append(
+                EventProfile(
+                    kind="create",
+                    time=event.time,
+                    lookup_rpc=(self.approach == "local"),
+                    vnodes_created=1,
+                    involved_snodes=involved,
+                    record_entries=record.group_size,
+                    partitions_moved=record.n_transfers,
+                    rows_moved=int(payload // row_bytes) if row_bytes else 0,
+                    rebalance_splits=int(record.group_split),
+                    lock_keys=(lock_key,),
+                )
+            )
+        stats = _simulate(profiles, self.costs, self.approach, self.n_snodes)
+        # Creation runs report the aggregate fields only.
+        stats.per_kind = {}
+        return stats
 
 
-# --------------------------------------------------------------------- lifecycle
+# ------------------------------------------------------- profile, cost, queue
 
 
 @dataclass
@@ -444,13 +367,14 @@ class EventProfile:
     """What one control-plane event did, as input to the cost model.
 
     Produced by :class:`LifecycleProtocolSimulator` replaying a trace
-    against a live DHT; priced by :func:`lifecycle_event_cost`.  All row
-    counts are physical rows actually moved by the live replay (migration
-    and replication statistics deltas), so the protocol costs scale with
-    the data the cluster really holds.
+    against a live DHT (or by :class:`CreationProtocolSimulator` from the
+    count-level balance simulators); priced by :func:`lifecycle_event_cost`.
+    Lifecycle row counts are physical rows actually moved by the live replay
+    (migration and replication statistics deltas), so the protocol costs
+    scale with the data the cluster really holds.
     """
 
-    #: Event kind: a churn topology kind, ``"create"`` or ``"remove"``.
+    #: Event kind: a churn topology kind or ``"create"``.
     kind: str
     #: Arrival time of the request (seconds).
     time: float
@@ -480,7 +404,8 @@ class EventProfile:
     #: Replica-sync fan-out: replica ranks written and rows refilled.
     sync_ranks: int = 0
     rows_refilled: int = 0
-    #: Load-aware rebalance scope splits executed (each re-broadcasts records).
+    #: Load-aware rebalance scope splits executed, or the group split of a
+    #: creation (each re-broadcasts records).
     rebalance_splits: int = 0
     #: FIFO locks the event must hold (sorted; chained in this order).
     lock_keys: Tuple[object, ...] = ()
@@ -491,13 +416,15 @@ class EventProfile:
 def lifecycle_event_cost(
     costs: ProtocolCosts, profile: EventProfile
 ) -> Tuple[float, int, float]:
-    """Service time of one lifecycle event once its locks are held.
+    """Service time of one control-plane event once its locks are held.
 
-    Returns ``(duration_s, n_messages, n_bytes)``.  The model mirrors the
-    creation simulator's: request fan-out with acknowledgements, record
-    update/sort plus synchronization broadcast, then bulk data movement
-    serialized onto the coordinator's link.  Data volumes come from the
-    live replay: graceful migration is priced per partition handover with
+    Returns ``(duration_s, n_messages, n_bytes)``.  The model: request
+    fan-out with acknowledgements, record update/sort plus synchronization
+    broadcast, then bulk data movement serialized onto the coordinator's
+    link.  A vnode creation is one creation request, one record broadcast
+    (two on a group split) and its partition handovers.  Lifecycle data
+    volumes come from the live replay: graceful migration is priced per
+    partition handover with
     the rows it actually moved, crash recovery by the surviving-replica
     rows promoted back to primaries, the replica-sync fan-out by the rows
     refilled per replica rank, and rebalance passes by the plan's
@@ -521,7 +448,7 @@ def lifecycle_event_cost(
         request = CrashNotice(src=0, dst=0)
     elif profile.kind == "snode_restart":
         request = RestartNotice(src=0, dst=0)
-    elif profile.kind in ("snode_leave", "remove"):
+    elif profile.kind == "snode_leave":
         request = RemoveVnodeRequest(src=0, dst=0)
     else:
         request = CreateVnodeRequest(src=0, dst=0)
@@ -643,270 +570,137 @@ def staggered_arrival_times(n_events: int, batch_size: int, gap: float) -> List[
     return [(i // batch_size) * gap for i in range(n_events)]
 
 
-class LifecycleProtocolSimulator:
-    """Simulate the control-protocol cost of a full topology-lifecycle trace.
+def _simulate(
+    profiles: Sequence[EventProfile],
+    costs: ProtocolCosts,
+    approach: str,
+    n_snodes: int,
+) -> ProtocolStats:
+    """Price every profile and resolve the queueing on the event engine.
 
-    The simulation runs in two deterministic phases:
+    Each profile is priced by :func:`lifecycle_event_cost` and arrives at
+    its ``time``.  Events chain-acquire their locks in ``lock_keys`` order
+    (sorted, hence deadlock-free) and hold them for the whole service time,
+    so events on disjoint locks overlap and events sharing one serialize.
+    """
+    scheduler = EventScheduler()
+    locks: Dict[object, FifoResource] = {}
+    n = len(profiles)
+    latencies = np.zeros(n, dtype=np.float64)
+    completion = np.zeros(n, dtype=np.float64)
+    durations = np.zeros(n, dtype=np.float64)
+    event_messages = np.zeros(n, dtype=np.int64)
+    event_bytes = np.zeros(n, dtype=np.float64)
 
-    1. **Profiling** — the trace is replayed, in trace order, against a live
-       DHT (built exactly like the churn engine builds it, same seed, same
-       event semantics via
-       :func:`repro.workloads.churn.apply_topology_event`).  ``load`` events
-       populate the stores so data-dependent costs are real; each topology
-       event yields an :class:`EventProfile` capturing what it did — vnodes
-       created/removed, partitions and rows migrated, surviving-replica rows
-       promoted by crash recovery, replica-sync fan-out volume, rebalance
-       plan actions — plus the lock scope it needs (the DHT-wide barrier for
-       the global approach, the touched groups for the local one).
-    2. **Queueing** — each profile is priced by :func:`lifecycle_event_cost`
-       and scheduled on the discrete-event engine at its arrival time.
-       Events chain-acquire their locks in sorted order (deadlock-free) and
-       hold them for the whole service time, so concurrent events targeting
-       disjoint groups overlap under the local approach and serialize under
-       the global one.
+    def get_lock(key: object) -> FifoResource:
+        if key not in locks:
+            locks[key] = FifoResource(scheduler, name=str(key))
+        return locks[key]
 
-    Parameters
-    ----------
-    spec:
-        A :class:`~repro.workloads.churn.ChurnSpec` describing the cluster
-        and the trace (churn mode).  Mutually exclusive with ``config``.
-    trace:
-        Optional explicit churn trace (defaults to
-        :func:`~repro.workloads.churn.make_churn_trace` on ``spec``).
-        ``lookup`` events are ignored (pure data plane); ``load`` events are
-        applied during profiling but not priced.
-    arrival_times:
-        Arrival time of each *topology* event of the trace, non-decreasing
-        and aligned with the trace's topology events (see
-        :func:`staggered_arrival_times`).  Defaults to all zero — one
-        maximally concurrent burst.
-    costs:
-        Network and processing cost parameters.
-    config, n_snodes, arrivals, approach, rng:
-        Arrival-schedule mode (used by
-        :meth:`from_arrivals` and the creation simulator's remove-event
-        routing): replay a create/remove
-        :class:`~repro.workloads.arrivals.ArrivalEvent` schedule against a
-        live DHT with ``n_snodes`` enrolled snodes and no initial vnodes.
-        Mutually exclusive with ``spec``.
+    for index, profile in enumerate(profiles):
+        duration, messages, nbytes = lifecycle_event_cost(costs, profile)
+        durations[index] = duration
+        event_messages[index] = messages
+        event_bytes[index] = nbytes
 
-    Examples
-    --------
-    >>> from repro.workloads.churn import ChurnSpec
-    >>> spec = ChurnSpec(n_keys=2000, n_events=12, n_snodes=4,
-    ...                  vnodes_per_snode=2, pmin=8, vmin=8, seed=3)
-    >>> stats = LifecycleProtocolSimulator(spec).run()
-    >>> stats.n_events
-    12
+        def make_handlers(i: int, dur: float, keys: Tuple[object, ...]):
+            def on_complete() -> None:
+                completion[i] = scheduler.now
+                latencies[i] = scheduler.now - profiles[i].time
+                for key in reversed(keys):
+                    get_lock(key).release()
+
+            def acquire_from(j: int) -> None:
+                if j >= len(keys):
+                    scheduler.schedule_after(dur, on_complete)
+                else:
+                    get_lock(keys[j]).acquire(lambda: acquire_from(j + 1))
+
+            def on_arrival() -> None:
+                acquire_from(0)
+
+            return on_arrival
+
+        scheduler.schedule_at(profile.time, make_handlers(index, duration, profile.lock_keys))
+
+    scheduler.run()
+    makespan = float(completion.max() - min(p.time for p in profiles))
+
+    per_kind: Dict[str, KindStats] = {}
+    for kind in dict.fromkeys(p.kind for p in profiles):
+        mask = np.asarray([p.kind == kind for p in profiles], dtype=bool)
+        kind_latencies = latencies[mask]
+        per_kind[kind] = KindStats(
+            kind=kind,
+            count=int(mask.sum()),
+            applied=sum(1 for p in profiles if p.kind == kind and p.applied),
+            mean_latency_s=float(kind_latencies.mean()),
+            p95_latency_s=float(np.percentile(kind_latencies, 95)),
+            max_latency_s=float(kind_latencies.max()),
+            messages=int(event_messages[mask].sum()),
+            bytes=float(event_bytes[mask].sum()),
+            service_s=float(durations[mask].sum()),
+        )
+
+    return ProtocolStats(
+        approach=approach,
+        n_snodes=n_snodes,
+        latencies=latencies,
+        makespan=makespan,
+        total_messages=int(event_messages.sum()),
+        total_bytes=float(event_bytes.sum()),
+        lock_waits=sum(lock.total_waits for lock in locks.values()),
+        per_kind=per_kind,
+        events_skipped=sum(1 for p in profiles if not p.applied),
+        lock_grants=sum(lock.total_grants for lock in locks.values()),
+    )
+
+
+def _snapshot(dht) -> Dict[object, Tuple[object, int]]:
+    """Per-vnode ``(group id, partition count)`` map of the live DHT."""
+    return {
+        ref: (vnode.group_id, vnode.partition_count)
+        for ref, vnode in dht.vnodes.items()
+    }
+
+
+class _ProfileRecorder(DHTBackend):
+    """The in-process replay backend, recording what each topology event did.
+
+    ``apply`` applies the event exactly like :class:`DHTBackend` and appends
+    one :class:`EventProfile` to :attr:`profiles`: vnodes created/removed,
+    partitions and rows migrated, recovery and replica-sync volume,
+    rebalance splits, and the lock scope the event needs under ``approach``
+    (the DHT-wide barrier for the global approach, the touched groups for
+    the local one).  The ``i``-th topology event arrives at
+    ``arrival_times[i]``.
     """
 
-    def __init__(
-        self,
-        spec: Optional["ChurnSpec"] = None,
-        trace: Optional[Sequence["ChurnEvent"]] = None,
-        arrival_times: Optional[Sequence[float]] = None,
-        costs: Optional[ProtocolCosts] = None,
-        *,
-        config: Optional[DHTConfig] = None,
-        n_snodes: Optional[int] = None,
-        arrivals: Optional[Sequence[ArrivalEvent]] = None,
-        approach: Optional[Approach] = None,
-        rng: RngLike = None,
-    ):
-        from repro.workloads.churn import TOPOLOGY_KINDS, make_churn_trace
+    def __init__(self, dht, approach: str, arrival_times: Sequence[float]):
+        super().__init__(dht, self._apply_and_keep)
+        self.approach = approach
+        self.arrival_times = arrival_times
+        self.profiles: List[EventProfile] = []
+        self._outcome = TopologyOutcome()
 
-        if (spec is None) == (config is None):
-            raise ValueError("pass exactly one of 'spec' (churn mode) or 'config'")
-        self.costs = costs if costs is not None else ProtocolCosts()
-        self.spec = spec
-        self._config = config
-        self._rng = ensure_rng(rng)
-        self._profiles: Optional[List[EventProfile]] = None
+    def _apply_and_keep(self, event: ChurnEvent) -> str:
+        self._outcome = apply_topology_event(self.dht, event)
+        return self._outcome.note
 
-        if spec is not None:
-            if arrivals is not None:
-                raise ValueError("'arrivals' requires config mode")
-            self.approach: str = spec.approach
-            self.n_snodes = spec.n_snodes
-            self.trace: List[object] = list(
-                trace if trace is not None else make_churn_trace(spec)
-            )
-            n_topology = sum(
-                1 for e in self.trace if getattr(e, "kind", None) in TOPOLOGY_KINDS
-            )
-            if arrival_times is None:
-                self._arrival_times = [0.0] * n_topology
-            else:
-                self._arrival_times = [float(t) for t in arrival_times]
-                if len(self._arrival_times) != n_topology:
-                    raise ValueError(
-                        f"arrival_times has {len(self._arrival_times)} entries but "
-                        f"the trace contains {n_topology} topology events"
-                    )
-                if any(t < 0 for t in self._arrival_times):
-                    raise ValueError("arrival times must be non-negative")
-                if any(
-                    b < a
-                    for a, b in zip(self._arrival_times, self._arrival_times[1:])
-                ):
-                    raise ValueError(
-                        "arrival times must be non-decreasing (events are "
-                        "profiled in trace order)"
-                    )
-            if n_topology == 0:
-                raise ValueError("the trace contains no topology events")
-        else:
-            if trace is not None or arrival_times is not None:
-                raise ValueError("'trace'/'arrival_times' require churn (spec) mode")
-            if n_snodes is None or n_snodes < 1:
-                raise ValueError("config mode requires n_snodes >= 1")
-            if approach not in ("global", "local"):
-                raise ValueError(
-                    f"approach must be 'global' or 'local', got {approach!r}"
-                )
-            events = sorted(arrivals or [], key=lambda e: e.time)
-            if not events:
-                raise ValueError("the arrival schedule is empty")
-            self.approach = approach
-            self.n_snodes = n_snodes
-            self.trace = list(events)
-            self._arrival_times = [float(e.time) for e in events]
-
-    @classmethod
-    def from_arrivals(
-        cls,
-        config: DHTConfig,
-        n_snodes: int,
-        arrivals: Sequence[ArrivalEvent],
-        approach: Approach = "local",
-        costs: Optional[ProtocolCosts] = None,
-        rng: RngLike = None,
-    ) -> "LifecycleProtocolSimulator":
-        """Lifecycle simulator for a create/remove arrival schedule.
-
-        This is the routing target for
-        :class:`CreationProtocolSimulator` schedules that contain
-        ``remove`` events (e.g.
-        :class:`~repro.workloads.arrivals.ChurnSchedule`): the count-level
-        balance simulators cannot model removals, so the schedule is
-        replayed against a live DHT instead.
-        """
-        return cls(
-            costs=costs,
-            config=config,
-            n_snodes=n_snodes,
-            arrivals=arrivals,
-            approach=approach,
-            rng=rng,
-        )
-
-    # ----------------------------------------------------------------- profiling
-
-    def _build_dht(self):
-        from repro.core.global_model import GlobalDHT
-        from repro.core.local_model import LocalDHT
-
-        if self.spec is not None:
-            return self.spec.build_dht(workers=0)
-        if self.approach == "local":
-            dht = LocalDHT(self._config, rng=self._rng)
-        else:
-            dht = GlobalDHT(self._config, rng=self._rng)
-        dht.add_snodes(self.n_snodes)
-        return dht
-
-    @staticmethod
-    def _snapshot(dht) -> Dict[object, Tuple[object, int]]:
-        """Per-vnode ``(group id, partition count)`` map of the live DHT."""
-        return {
-            ref: (vnode.group_id, vnode.partition_count)
-            for ref, vnode in dht.vnodes.items()
-        }
-
-    def profiles(self) -> List[EventProfile]:
-        """The per-event profiles (replaying the trace on first call)."""
-        if self._profiles is None:
-            self._profiles = self._profile_trace()
-        return self._profiles
-
-    def _profile_trace(self) -> List[EventProfile]:
-        from repro.workloads.churn import (
-            TOPOLOGY_KINDS,
-            TopologyOutcome,
-            apply_topology_event,
-        )
-
-        dht = self._build_dht()
-        keys = self.spec.make_keys() if self.spec is not None else None
-        profiles: List[EventProfile] = []
-        topology_index = 0
-        for event in self.trace:
-            kind = getattr(event, "kind")
-            if kind == "lookup":
-                continue  # pure data plane: no control-protocol cost
-            if kind == "load":
-                if keys is not None and event.hi > event.lo:
-                    dht.bulk_load(keys[event.lo : event.hi])
-                continue
-            if kind in TOPOLOGY_KINDS:
-                time = self._arrival_times[topology_index]
-                topology_index += 1
-                target = event.snode
-
-                def apply(event=event):
-                    return apply_topology_event(dht, event)
-
-            elif kind in ("create", "remove"):
-                time = float(event.time)
-                target = event.snode
-
-                def apply(event=event):
-                    self._apply_arrival(dht, event)
-                    return TopologyOutcome()
-
-            else:  # pragma: no cover - defensive
-                raise ProtocolError(f"unknown lifecycle event kind {kind!r}")
-            profiles.append(self._profile_one(dht, kind, time, target, apply))
-        return profiles
-
-    @staticmethod
-    def _apply_arrival(dht, event: ArrivalEvent) -> None:
-        """Apply one create/remove arrival to the live DHT."""
-        ids = sorted(dht.snodes)
-        node = dht.snodes[ids[event.snode % len(ids)]]
-        if event.kind == "create":
-            dht.create_vnode(node)
-            return
-        candidates = list(node.vnodes) or list(dht.vnodes)
-        if not candidates:
-            raise ReproError("no vnode left to remove")
-        newest = max(candidates, key=lambda r: (r.vnode_index, r.snode))
-        dht.remove_vnode(newest)
-
-    def _profile_one(self, dht, kind, time, target_snode, apply) -> EventProfile:
-        from repro.core.ids import SnodeId
-
-        before = self._snapshot(dht)
+    async def apply(self, event: ChurnEvent) -> Applied:
+        dht = self.dht
+        before = _snapshot(dht)
         snodes_before = len(dht.snodes)
-        stats = dht.storage.stats
         replication = dht.storage.replication
-        rows0, partitions0 = stats.items_moved, stats.partitions_moved
         restored0, refilled0 = replication.rows_restored, replication.rows_refilled
         durability = dht.storage.durability
         replayed0, wal0 = durability.rows_replayed, durability.wal_records_replayed
+        self._outcome = TopologyOutcome()  # stays empty if the model refuses
 
-        applied = True
-        note = ""
-        outcome = None
-        try:
-            outcome = apply()
-        except ReproError as exc:
-            applied = False
-            note = str(exc)
-        if outcome is not None and outcome.note:
-            note = outcome.note
+        done = await super().apply(event)
+        outcome = self._outcome
 
-        after = self._snapshot(dht)
+        after = _snapshot(dht)
         added = [ref for ref in after if ref not in before]
         removed = [ref for ref in before if ref not in after]
         changed = added + removed + [
@@ -926,140 +720,167 @@ class LifecycleProtocolSimulator:
             record_entries = len(after) if changed else 0
             lock_keys: Tuple[object, ...] = (GLOBAL_LOCK,)
         else:
-            hosts = {
-                ref.snode
+            members = {
+                ref
                 for snap in (before, after)
                 for ref, (gid, _) in snap.items()
                 if gid in touched_groups
             }
-            if target_snode is not None and target_snode >= 0:
-                hosts.add(SnodeId(target_snode))
+            hosts = {ref.snode for ref in members}
+            if event.snode >= 0:
+                hosts.add(SnodeId(event.snode))
             involved = max(1, len(hosts))
-            record_entries = len(
-                {
-                    ref
-                    for snap in (before, after)
-                    for ref, (gid, _) in snap.items()
-                    if gid in touched_groups
-                }
-            )
+            record_entries = len(members)
             lock_keys = tuple(
                 sorted(("group", gid.depth, gid.value) for gid in touched_groups)
             )
 
         recovery_transfers = 0
-        sync_ranks = dht.config.replication_factor - 1
-        if outcome is not None and outcome.crash is not None:
-            crash = outcome.crash
-            if crash.recovery is not None:
-                recovery_transfers = crash.recovery.ranges_restored
-        if outcome is not None and outcome.restart is not None:
-            restart = outcome.restart
-            if restart.recovery is not None:
-                recovery_transfers = restart.recovery.ranges_restored
-        rebalance_splits = 0
-        if outcome is not None and outcome.rebalance is not None:
-            rebalance_splits = outcome.rebalance.splits
+        for report in (outcome.crash, outcome.restart):
+            if report is not None and report.recovery is not None:
+                recovery_transfers = report.recovery.ranges_restored
 
-        return EventProfile(
-            kind=kind,
-            time=time,
-            applied=applied,
-            lookup_rpc=(self.approach == "local" and len(added) > 0),
-            vnodes_created=len(added),
-            vnodes_removed=len(removed),
-            involved_snodes=involved,
-            record_entries=record_entries,
-            partitions_moved=stats.partitions_moved - partitions0,
-            rows_moved=stats.items_moved - rows0,
-            recovery_transfers=recovery_transfers,
-            rows_restored=replication.rows_restored - restored0,
-            rows_replayed=durability.rows_replayed - replayed0,
-            wal_records_replayed=durability.wal_records_replayed - wal0,
-            sync_ranks=sync_ranks,
-            rows_refilled=replication.rows_refilled - refilled0,
-            rebalance_splits=rebalance_splits,
-            lock_keys=lock_keys,
-            note=note,
+        self.profiles.append(
+            EventProfile(
+                kind=event.kind,
+                time=self.arrival_times[len(self.profiles)],
+                applied=done.applied,
+                lookup_rpc=(self.approach == "local" and len(added) > 0),
+                vnodes_created=len(added),
+                vnodes_removed=len(removed),
+                involved_snodes=involved,
+                record_entries=record_entries,
+                partitions_moved=done.partitions_moved,
+                rows_moved=done.items_moved,
+                recovery_transfers=recovery_transfers,
+                rows_restored=replication.rows_restored - restored0,
+                rows_replayed=durability.rows_replayed - replayed0,
+                wal_records_replayed=durability.wal_records_replayed - wal0,
+                sync_ranks=dht.config.replication_factor - 1,
+                rows_refilled=replication.rows_refilled - refilled0,
+                rebalance_splits=(
+                    outcome.rebalance.splits if outcome.rebalance is not None else 0
+                ),
+                lock_keys=lock_keys,
+                note=done.note,
+            )
         )
+        return done
 
-    # ------------------------------------------------------------------ running
+
+class LifecycleProtocolSimulator:
+    """Simulate the control-protocol cost of a full topology-lifecycle trace.
+
+    The simulation runs in two deterministic phases:
+
+    1. **Profiling** — the trace is replayed, in trace order, by
+       :func:`repro.workloads.replay.replay` against a live DHT (built
+       exactly like the churn engine builds it, same seed, same event
+       semantics via :func:`repro.workloads.churn.apply_topology_event`),
+       with the replayer's conservation and replication checks after every
+       topology event.  ``load`` events populate the stores so
+       data-dependent costs are real; each topology event yields an
+       :class:`EventProfile` capturing what it did — vnodes
+       created/removed, partitions and rows migrated, surviving-replica rows
+       promoted by crash recovery, replica-sync fan-out volume, rebalance
+       plan actions — plus the lock scope it needs (the DHT-wide barrier for
+       the global approach, the touched groups for the local one).
+    2. **Queueing** — the profiles are priced and queued on the same
+       discrete-event queue as the creation simulator's.
+
+    Parameters
+    ----------
+    spec:
+        A :class:`~repro.workloads.churn.ChurnSpec` describing the cluster
+        and the trace.
+    trace:
+        Optional explicit churn trace (defaults to
+        :func:`~repro.workloads.churn.make_churn_trace` on ``spec``).
+        ``load`` and ``lookup`` events are replayed during profiling but
+        not priced.
+    arrival_times:
+        Arrival time of each *topology* event of the trace, non-decreasing
+        and aligned with the trace's topology events (see
+        :func:`staggered_arrival_times`).  Defaults to all zero — one
+        maximally concurrent burst.
+    costs:
+        Network and processing cost parameters.
+
+    Examples
+    --------
+    >>> from repro.workloads.churn import ChurnSpec
+    >>> spec = ChurnSpec(n_keys=2000, n_events=12, n_snodes=4,
+    ...                  vnodes_per_snode=2, pmin=8, vmin=8, seed=3)
+    >>> stats = LifecycleProtocolSimulator(spec).run()
+    >>> stats.n_events
+    12
+    """
+
+    def __init__(
+        self,
+        spec: ChurnSpec,
+        trace: Optional[Sequence[ChurnEvent]] = None,
+        arrival_times: Optional[Sequence[float]] = None,
+        costs: Optional[ProtocolCosts] = None,
+    ):
+        self.costs = costs if costs is not None else ProtocolCosts()
+        self.spec = spec
+        self.approach: str = spec.approach
+        self.n_snodes = spec.n_snodes
+        self.trace: List[ChurnEvent] = list(
+            trace if trace is not None else make_churn_trace(spec)
+        )
+        self._profiles: Optional[List[EventProfile]] = None
+
+        n_topology = sum(1 for e in self.trace if e.kind in TOPOLOGY_KINDS)
+        if arrival_times is None:
+            self._arrival_times = [0.0] * n_topology
+        else:
+            self._arrival_times = [float(t) for t in arrival_times]
+            if len(self._arrival_times) != n_topology:
+                raise ValueError(
+                    f"arrival_times has {len(self._arrival_times)} entries but "
+                    f"the trace contains {n_topology} topology events"
+                )
+            if any(t < 0 for t in self._arrival_times):
+                raise ValueError("arrival times must be non-negative")
+            if any(
+                b < a for a, b in zip(self._arrival_times, self._arrival_times[1:])
+            ):
+                raise ValueError(
+                    "arrival times must be non-decreasing (events are "
+                    "profiled in trace order)"
+                )
+        if n_topology == 0:
+            raise ValueError("the trace contains no topology events")
+
+    def profiles(self) -> List[EventProfile]:
+        """The per-event profiles (replaying the trace on first call).
+
+        Raises :class:`~repro.core.errors.ReproError` naming the event if
+        the replay's conservation or replication check fails.
+        """
+        if self._profiles is None:
+            dht = self.spec.build_dht(workers=0)
+            recorder = _ProfileRecorder(dht, self.approach, self._arrival_times)
+            try:
+                run_sync(
+                    replay(
+                        self.trace,
+                        self.spec.make_keys(),
+                        recorder,
+                        seed=self.spec.seed,
+                        replication_factor=self.spec.replication_factor,
+                    )
+                )
+            finally:
+                dht.close()
+            self._profiles = recorder.profiles
+        return self._profiles
 
     def run(self) -> ProtocolStats:
         """Run the discrete-event simulation and return its statistics."""
-        profiles = self.profiles()
-        scheduler = EventScheduler()
-        locks: Dict[object, FifoResource] = {}
-        n = len(profiles)
-        latencies = np.zeros(n, dtype=np.float64)
-        completion = np.zeros(n, dtype=np.float64)
-        durations = np.zeros(n, dtype=np.float64)
-        event_messages = np.zeros(n, dtype=np.int64)
-        event_bytes = np.zeros(n, dtype=np.float64)
-
-        def get_lock(key: object) -> FifoResource:
-            if key not in locks:
-                locks[key] = FifoResource(scheduler, name=str(key))
-            return locks[key]
-
-        for index, profile in enumerate(profiles):
-            duration, messages, nbytes = lifecycle_event_cost(self.costs, profile)
-            durations[index] = duration
-            event_messages[index] = messages
-            event_bytes[index] = nbytes
-
-            def make_handlers(i: int, dur: float, keys: Tuple[object, ...]):
-                def on_complete() -> None:
-                    completion[i] = scheduler.now
-                    latencies[i] = scheduler.now - profiles[i].time
-                    for key in reversed(keys):
-                        get_lock(key).release()
-
-                def acquire_from(j: int) -> None:
-                    if j >= len(keys):
-                        scheduler.schedule_after(dur, on_complete)
-                    else:
-                        get_lock(keys[j]).acquire(lambda: acquire_from(j + 1))
-
-                def on_arrival() -> None:
-                    acquire_from(0)
-
-                return on_arrival
-
-            scheduler.schedule_at(profile.time, make_handlers(index, duration, profile.lock_keys))
-
-        scheduler.run()
-        first_arrival = min(p.time for p in profiles)
-        makespan = float(completion.max() - first_arrival) if n else 0.0
-
-        per_kind: Dict[str, KindStats] = {}
-        for kind in dict.fromkeys(p.kind for p in profiles):
-            mask = np.asarray([p.kind == kind for p in profiles], dtype=bool)
-            kind_latencies = latencies[mask]
-            per_kind[kind] = KindStats(
-                kind=kind,
-                count=int(mask.sum()),
-                applied=sum(1 for p in profiles if p.kind == kind and p.applied),
-                mean_latency_s=float(kind_latencies.mean()),
-                p95_latency_s=float(np.percentile(kind_latencies, 95)),
-                max_latency_s=float(kind_latencies.max()),
-                messages=int(event_messages[mask].sum()),
-                bytes=float(event_bytes[mask].sum()),
-                service_s=float(durations[mask].sum()),
-            )
-
-        return ProtocolStats(
-            approach=self.approach,
-            n_snodes=self.n_snodes,
-            latencies=latencies,
-            makespan=makespan,
-            total_messages=int(event_messages.sum()),
-            total_bytes=float(event_bytes.sum()),
-            lock_waits=sum(lock.total_waits for lock in locks.values()),
-            per_kind=per_kind,
-            events_skipped=sum(1 for p in profiles if not p.applied),
-            lock_grants=sum(lock.total_grants for lock in locks.values()),
-        )
+        return _simulate(self.profiles(), self.costs, self.approach, self.n_snodes)
 
 
 @dataclass
@@ -1067,7 +888,7 @@ class LifecycleComparison:
     """One churn trace replayed under several lock structures."""
 
     #: The exact trace every approach replayed (same object, same order).
-    trace: List[object]
+    trace: List[ChurnEvent]
     #: Arrival time of each topology event (shared by every approach).
     arrival_times: List[float]
     #: ``{approach: stats}`` for each simulated approach.
@@ -1085,8 +906,8 @@ class LifecycleComparison:
 
 
 def compare_lifecycle_protocols(
-    spec: "ChurnSpec",
-    trace: Optional[Sequence["ChurnEvent"]] = None,
+    spec: ChurnSpec,
+    trace: Optional[Sequence[ChurnEvent]] = None,
     batch_size: int = 1,
     gap: float = 0.0,
     arrival_times: Optional[Sequence[float]] = None,
@@ -1104,19 +925,15 @@ def compare_lifecycle_protocols(
     *same* trace and times — only the lock structure (and the live DHT
     model it prices) differs between the runs.
     """
-    import dataclasses
-
-    from repro.workloads.churn import TOPOLOGY_KINDS, make_churn_trace
-
     events = list(trace) if trace is not None else make_churn_trace(spec)
-    n_topology = sum(1 for e in events if getattr(e, "kind", None) in TOPOLOGY_KINDS)
+    n_topology = sum(1 for e in events if e.kind in TOPOLOGY_KINDS)
     if arrival_times is None:
         times = staggered_arrival_times(n_topology, batch_size=batch_size, gap=gap)
     else:
         times = [float(t) for t in arrival_times]
     results = {
         approach: LifecycleProtocolSimulator(
-            dataclasses.replace(spec, approach=approach),
+            replace(spec, approach=approach),
             trace=events,
             arrival_times=times,
             costs=costs,

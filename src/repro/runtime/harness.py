@@ -1024,8 +1024,9 @@ class ClusterHarness:
 
         The lifecycle simulator replays the *same trace* against its own
         single-process DHT (loads included, so data-dependent costs are
-        real) and produces one profile per topology event, in trace order —
-        the pairing is positional.
+        real) and produces one profile per topology event, in trace order.
+        Raises :class:`HarnessError` unless every topology outcome has
+        exactly one profile, of the same kind, at the same position.
         """
         simulator = LifecycleProtocolSimulator(
             spec=self.spec, trace=self.trace, costs=self.costs
@@ -1034,6 +1035,13 @@ class ClusterHarness:
         topology_records = [
             record for record in records if record.kind not in ("load", "lookup")
         ]
+        replayed = [record.kind for record in topology_records]
+        profiled = [profile.kind for profile in profiles]
+        if replayed != profiled:
+            raise HarnessError(
+                f"oracle cannot pair {len(replayed)} topology outcomes "
+                f"{replayed} with {len(profiled)} profiles {profiled}"
+            )
         for record, profile in zip(topology_records, profiles):
             duration, _messages, _nbytes = lifecycle_event_cost(self.costs, profile)
             record.simulated_s = duration

@@ -131,7 +131,7 @@ class LocalBalanceSimulator:
     >>> from repro.sim import LocalBalanceSimulator
     >>> sim = LocalBalanceSimulator(DHTConfig.for_local(pmin=8, vmin=8), rng=3)
     >>> trace = sim.run(256)
-    >>> trace.sigma_qv[7]        # V = 8 <= Vmax: still one group, perfectly balanced
+    >>> float(trace.sigma_qv[7])  # V = 8 <= Vmax: still one group, perfectly balanced
     0.0
     >>> sim.n_groups >= 2
     True

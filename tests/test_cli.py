@@ -152,6 +152,56 @@ class TestParser:
         assert args.approach == "local"
         assert args.vnodes == 32
 
+    # The three *-bench commands share one flag block with per-command
+    # defaults: each keeps exactly its own flags (protocol-bench has no
+    # --restart-rate), defaults and choices.
+    BENCH_DEFAULTS = {
+        "churn-bench": dict(
+            keys=100_000, events=64, approach="local", workload="ids", snodes=8,
+            vnodes_per_snode=4, pmin=8, vmin=8, replication=1, crash_rate=0.0,
+            rebalance_rate=0.0, restart_rate=0.0, durable=False, seed=0, output=None,
+        ),
+        "protocol-bench": dict(
+            keys=5_000, events=32, approach="both", workload="ids", snodes=12,
+            vnodes_per_snode=4, min_snodes=4, max_snodes=32, pmin=8, vmin=4,
+            replication=2, crash_rate=0.2, rebalance_rate=0.1, batch_size=8,
+            gap=0.02, seed=0, output=None,
+        ),
+        "cluster-bench": dict(
+            keys=10_000, events=12, approach="local", workload="ids",
+            zipf_exponent=1.1, snodes=3, vnodes_per_snode=2, pmin=8, vmin=8,
+            replication=2, crash_rate=0.0, restart_rate=0.0, rebalance_rate=0.0,
+            read_multiplier=0.1, processes=False, durable=False, no_oracle=False,
+            seed=0, output=None,
+        ),
+    }
+    BENCH_CHOICES = {
+        "churn-bench": (("local", "global"), ("ids", "uniform")),
+        "protocol-bench": (("both", "local", "global"), ("ids", "uniform")),
+        "cluster-bench": (("local", "global"), ("ids", "uniform", "zipf")),
+    }
+
+    @pytest.mark.parametrize("command", sorted(BENCH_DEFAULTS))
+    def test_bench_flags_and_defaults(self, command):
+        args = vars(build_parser().parse_args([command]))
+        assert args.pop("command") == command
+        assert args == self.BENCH_DEFAULTS[command]
+        approaches, workloads = self.BENCH_CHOICES[command]
+        for approach in ("both", "local", "global"):
+            argv = [command, "--approach", approach]
+            if approach in approaches:
+                assert build_parser().parse_args(argv).approach == approach
+            else:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv)
+        for workload in ("ids", "uniform", "zipf"):
+            argv = [command, "--workload", workload]
+            if workload in workloads:
+                assert build_parser().parse_args(argv).workload == workload
+            else:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv)
+
 
 class TestProtocolBench:
     def test_protocol_bench_both_approaches(self, capsys, tmp_path):

@@ -23,7 +23,7 @@ from repro.cluster import (
 from repro.core import DHTConfig
 from repro.core.errors import ProtocolError
 from repro.workloads import ArrivalEvent, ChurnSchedule, ConsecutiveCreations, StaggeredBatches
-from repro.workloads.churn import TOPOLOGY_KINDS, ChurnSpec, make_churn_trace
+from repro.workloads.churn import TOPOLOGY_KINDS, ChurnEvent, ChurnSpec, make_churn_trace
 
 
 def make_sim(approach="local", n_snodes=8, creations=32, vmin=4, **kwargs):
@@ -69,17 +69,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             CreationProtocolSimulator(config, n_snodes=1, arrivals=[])
 
-    def test_remove_events_route_to_lifecycle(self):
-        # Removal schedules (e.g. ChurnSchedule) are legitimate workloads:
-        # they route to the lifecycle simulator instead of raising.
+    def test_remove_events_rejected(self):
+        # The count-level balance simulators model creations only; removals
+        # are churn-trace events for the lifecycle simulator.
         config = DHTConfig.for_local(pmin=8, vmin=4)
         schedule = ChurnSchedule(initial=12, churn_events=10, n_snodes=4, rng=3)
-        stats = CreationProtocolSimulator(
-            config, n_snodes=4, arrivals=schedule, approach="local", rng=0
-        ).run()
-        assert stats.n_events == len(schedule.events())
-        assert set(stats.per_kind) == {"create", "remove"}
-        assert stats.per_kind["remove"].count >= 1
+        with pytest.raises(ProtocolError, match="'remove'"):
+            CreationProtocolSimulator(
+                config, n_snodes=4, arrivals=schedule, approach="local", rng=0
+            )
 
     def test_unknown_arrival_kind_rejected(self):
         config = DHTConfig.for_local(pmin=8, vmin=4)
@@ -319,18 +317,34 @@ class TestLifecycle:
             LifecycleProtocolSimulator(spec, arrival_times=decreasing)
 
     def test_constructor_mode_validation(self):
-        config = DHTConfig.for_local(pmin=8, vmin=4)
-        with pytest.raises(ValueError):
-            LifecycleProtocolSimulator()  # neither spec nor config
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
+            LifecycleProtocolSimulator()  # a churn spec is required
+        with pytest.raises(ValueError, match="no topology events"):
             LifecycleProtocolSimulator(
-                lifecycle_spec(), config=config, n_snodes=4,
-                arrivals=[ArrivalEvent(0.0, 0, "create")], approach="local",
+                lifecycle_spec(), trace=[ChurnEvent("load", lo=0, hi=100)]
             )
-        with pytest.raises(ValueError):
-            LifecycleProtocolSimulator.from_arrivals(config, 0, [ArrivalEvent(0.0, 0, "create")])
-        with pytest.raises(ValueError):
-            LifecycleProtocolSimulator.from_arrivals(config, 4, [])
+
+    def test_profiles_fail_when_an_event_silently_drops_rows(self, monkeypatch):
+        # Profiling replays the trace through the one replayer, so a topology
+        # event that loses primary rows fails conservation, naming the event.
+        from repro.core.base import BaseDHT
+        from repro.core.errors import ReproError
+
+        spec = lifecycle_spec()
+        trace = make_churn_trace(spec)
+        leave = next(e for e in trace if e.kind == "snode_leave")
+        doomed = int(spec.make_keys()[0])  # loaded by the first chunk
+        original = BaseDHT.remove_snode
+
+        def leaky_remove_snode(dht, snode):
+            original(dht, snode)
+            if dht.contains(doomed):
+                dht.delete(doomed)
+
+        monkeypatch.setattr(BaseDHT, "remove_snode", leaky_remove_snode)
+        sim = LifecycleProtocolSimulator(spec, trace=trace)
+        with pytest.raises(ReproError, match=f"conservation violated by '{leave.describe()}'"):
+            sim.profiles()
 
 
 class TestLifecycleCostModel:
@@ -377,7 +391,7 @@ class TestLifecycleCostModel:
         from repro.cluster import RemoveVnodeRequest
 
         costs = ProtocolCosts()
-        skipped = EventProfile(kind="remove", time=0.0, applied=False)
+        skipped = EventProfile(kind="snode_leave", time=0.0, applied=False)
         duration, messages, nbytes = lifecycle_event_cost(costs, skipped)
         assert messages == 2
         request_bytes = RemoveVnodeRequest(src=0, dst=0).size_bytes()

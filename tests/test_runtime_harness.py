@@ -16,9 +16,10 @@ import subprocess
 import pytest
 
 from repro.cluster.messages import RangeCount
-from repro.runtime.harness import ClusterHarness
+from repro.runtime.harness import ClusterHarness, HarnessError
 from repro.runtime.rpc import RpcClient, RpcTimeoutError
 from repro.workloads.churn import ChurnEvent, ChurnSpec
+from repro.workloads.replay import EventOutcome
 
 
 def _spec(**overrides):
@@ -93,6 +94,29 @@ class TestHarnessSmoke:
         assert len(out["events"]) == 2
         assert out["rpc_calls"] > 0
         assert "p99_us" in out["rpc_latency"]
+
+    def test_oracle_pairs_outcomes_with_profiles_by_kind_or_refuses(self):
+        spec = _spec(n_keys=400)
+        trace = [
+            ChurnEvent(kind="load", lo=0, hi=400),
+            ChurnEvent(kind="snode_join", snode=3, vnodes=2),
+            ChurnEvent(kind="snode_leave", snode=1),
+        ]
+        harness = ClusterHarness(spec, trace=trace)  # the oracle needs no nodes
+
+        def outcomes(*kinds):
+            return [EventOutcome(kind, kind, 0.0) for kind in kinds]
+
+        for bad in (
+            outcomes("load", "snode_join"),  # one profile left over
+            outcomes("load", "snode_leave", "snode_join"),  # kinds out of step
+            outcomes("load", "snode_join", "snode_leave", "rebalance"),
+        ):
+            with pytest.raises(HarnessError, match="oracle cannot pair"):
+                harness._annotate_with_oracle(bad)
+        good = outcomes("load", "snode_join", "snode_leave")
+        harness._annotate_with_oracle(good)
+        assert [o.simulated_s is not None for o in good] == [False, True, True]
 
 
 class TestHarnessFaults:
