@@ -377,9 +377,9 @@ class RangeCount(Message):
 class RangeDrop(Message):
     """Drop every row of a vnode tier *inside* the given absolute ranges.
 
-    Replies ``Ack(payload=n_dropped)``.  The idempotent prelude of a
-    replica refill: the target range is cleared before the fresh copy is
-    adopted, so partial previous copies can never double-count.
+    Replies ``Ack(payload=n_dropped)``.  Idempotent: it clears a target's
+    partial adoption after a failed transfer, so the range is never held
+    twice.
     """
 
     ref: str = ""

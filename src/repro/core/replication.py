@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.errors import ReplicationError
 from repro.core.hashspace import Partition
 from repro.core.ids import VnodeRef
-from repro.core.storage import DHTStorage, _parts_size, join_parts
+from repro.core.storage import DHTStorage, join_parts, parts_size
 
 #: One entry of the router's sorted interval table.
 _TableEntry = Tuple[Partition, VnodeRef]
@@ -334,7 +334,7 @@ def sync_replicas(storage: DHTStorage, placement: ReplicaPlacement) -> SyncRepor
         # Mismatched ranges are discarded in one pass and re-copied with one
         # multi-range call per primary store holding them.
         popped = store.pop_buckets(*storage.range_arrays([pairs[p] for p in stale]))
-        report.rows_dropped += sum(_parts_size(parts) for parts in popped)
+        report.rows_dropped += sum(parts_size(parts) for parts in popped)
         refill = [pos for pos in stale if primary_counts[pos]]
         by_primary = _positions_by_store(refill, [placement.primaries[p] for p in refill])
         for primary, wanted in by_primary.items():
@@ -423,7 +423,7 @@ def recover_primaries(
             *storage.range_arrays([pairs[p] for p in positions])
         )
         storage.primary_store(primary).adopt_parts(*join_parts(popped))
-        report.rows_restored += sum(_parts_size(parts) for parts in popped)
+        report.rows_restored += sum(parts_size(parts) for parts in popped)
         report.ranges_restored += len(positions)
 
     storage.replication.rows_restored += report.rows_restored

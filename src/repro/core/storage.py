@@ -171,8 +171,8 @@ def _take_spans(run: _Segment, spans: _Spans) -> _Segment:
     )
 
 
-def _parts_size(parts: _Parts) -> int:
-    """Number of rows in popped parts (hash pairs + segment rows)."""
+def parts_size(parts: _Parts) -> int:
+    """Number of rows in popped or copied parts (hash pairs + segment rows)."""
     pairs, segments = parts
     return len(pairs) + sum(len(segment[0]) for segment in segments)
 
@@ -1091,7 +1091,7 @@ class DHTStorage:
         start, end = self.hash_space.partition_range(partition)
         starts, lasts = self.range_arrays([(start, end - 1)])
         pairs, segments = src.pop_buckets(starts, lasts)[0]
-        moved = _parts_size((pairs, segments))
+        moved = parts_size((pairs, segments))
         dst.adopt_parts(pairs, segments)
         self.stats.record(moved)
         return moved
@@ -1125,7 +1125,7 @@ class DHTStorage:
         per_target: Dict[VnodeRef, _Parts] = {}
         total = 0
         for (_, target), parts in zip(real, buckets):
-            moved = _parts_size(parts)
+            moved = parts_size(parts)
             self.stats.record(moved)
             total += moved
             acc = per_target.setdefault(target, ([], []))

@@ -10,8 +10,9 @@ between the served nodes:
 
 - every row that changes place is pushed by the snode holding it straight
   to the snode that needs it — one ``PeerTransferRequest`` from
-  :meth:`ClusterHarness._transfer`, the only mover; the coordinator link
-  carries that order and its metadata ack, never the rows;
+  :meth:`ClusterHarness._transfer`, the only mover, per store pair and tier
+  pair of an event (per planned action in rebalance rounds); the
+  coordinator link carries that order and its metadata ack, never the rows;
 - a primary ownership change is a primary → primary move;
 - a crash destroys the victim's state (fault injector) and the lost ranges
   are copied replica → primary from the replicas the *pre-event* placement
@@ -19,16 +20,17 @@ between the served nodes:
 - a restart kills and reboots the node (memory lost, disk kept) and the
   primaries come back via WAL replay — or, without durability, from
   surviving replicas;
-- replica placement changes become drop + primary → replica copies from the
-  post-move primaries, plus retention passes that clear rows a vnode no
-  longer replicates.
+- after placement changes, each replica store gets one ``RangeRetain`` of
+  the ranges it still holds intact (dropping both what it no longer
+  replicates and what went stale), then one primary → replica copy per
+  store pair refills the rest.
 
 Replaying a trace is :func:`repro.workloads.replay.replay` with the harness
 as its backend: that module owns the loop, the timers and the verification
 *policy* (the conservation ledger checked after every topology event, what
 may be lost, when replication is verified); the harness supplies the
-operations — including ``verify_replication`` over RPC (per-partition
-primary and replica range counts must agree).
+operations — including ``verify_replication`` over RPC (one ``RangeCount``
+per store and tier; per-partition primary and replica counts must agree).
 
 Finally the :class:`~repro.cluster.protocol.LifecycleProtocolSimulator`
 doubles as a **differential oracle**: the same trace is profiled and priced
@@ -55,6 +57,7 @@ import os
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -99,8 +102,10 @@ from repro.workloads.churn import (
 )
 from repro.workloads.replay import Applied, EventOutcome, check_conservation, replay
 
-#: ``(start, end, ref)`` half-open ownership interval.
-_Interval = Tuple[int, int, VnodeRef]
+#: ``(start, end, primary_ref, replica_refs)``: one half-open partition.
+_Partition = Tuple[int, int, VnodeRef, Tuple[VnodeRef, ...]]
+#: Ranges per ``(src, dst, tier, target_tier, pop)``: one ``_transfer`` each.
+_Moves = Dict[Tuple[VnodeRef, VnodeRef, str, str, bool], List[Tuple[int, int]]]
 
 
 class HarnessError(ReproError):
@@ -111,10 +116,8 @@ class HarnessError(ReproError):
 class _TwinState:
     """Range-level snapshot of the twin's ownership and placement."""
 
-    version: int
-    ownership: List[_Interval]
-    #: ``(start, end, primary_ref, replica_refs)`` per partition.
-    partitions: List[Tuple[int, int, VnodeRef, Tuple[VnodeRef, ...]]]
+    #: Every partition, sorted by start.
+    partitions: List[_Partition]
     hosted: Dict[int, Set[VnodeRef]]
 
 
@@ -229,10 +232,7 @@ def _merge_ranges(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 def _covers(merged: List[Tuple[int, int]], start: int, end: int) -> bool:
     """True when the merged ranges contain all of ``[start, end)``."""
-    for lo, hi in merged:
-        if lo <= start and end <= hi:
-            return True
-    return False
+    return any(lo <= start and end <= hi for lo, hi in merged)
 
 
 def _inclusive(ranges: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
@@ -452,46 +452,34 @@ class ClusterHarness:
     # -- twin snapshots --------------------------------------------------------
 
     def _snapshot(self) -> _TwinState:
-        bh = self.bh
+        bh, placement = self.bh, self.twin.placement
         replicated = self.spec.replication_factor > 1
-        ownership: List[_Interval] = []
-        partitions: List[Tuple[int, int, VnodeRef, Tuple[VnodeRef, ...]]] = []
-        for partition, ref in self.twin.topology.iter_ownership():
-            start, end = partition.start(bh), partition.end(bh)
-            ownership.append((start, end, ref))
-            replicas = (
-                self.twin.placement.replicas_of(partition) if replicated else ()
-            )
-            partitions.append((start, end, ref, replicas))
-        ownership.sort(key=lambda interval: interval[0])
-        partitions.sort(key=lambda entry: entry[0])
+        partitions = sorted(
+            (p.start(bh), p.end(bh), ref, placement.replicas_of(p) if replicated else ())
+            for p, ref in self.twin.topology.iter_ownership()
+        )
         hosted = {
             snode_id.value: set(snode.vnodes.keys())
             for snode_id, snode in self.twin.topology.snodes.items()
         }
-        return _TwinState(
-            version=self.twin.topology.version,
-            ownership=ownership,
-            partitions=partitions,
-            hosted=hosted,
-        )
+        return _TwinState(partitions, hosted)
 
     async def _push_topology(self) -> None:
-        state = self._snapshot()
+        topology = self.twin.topology
+        ownership = list(topology.iter_ownership())
         entries = tuple(
             (partition.level, partition.index, ref.canonical_name)
-            for partition, ref in self.twin.topology.iter_ownership()
+            for partition, ref in ownership
         )
-        view_entries = list(self.twin.topology.iter_ownership())
-        self.client.update_topology(state.version, view_entries)
-        for snode_id in sorted(state.hosted):
+        self.client.update_topology(topology.version, ownership)
+        for snode_id in sorted(snode.value for snode in topology.snodes):
             await self._call(
-                snode_id, TopologySnapshot, version=state.version, entries=entries
+                snode_id, TopologySnapshot, version=topology.version, entries=entries
             )
 
     @staticmethod
     def _replica_cover(
-        partitions: List[Tuple[int, int, VnodeRef, Tuple[VnodeRef, ...]]]
+        partitions: List[_Partition],
     ) -> Dict[VnodeRef, List[Tuple[int, int]]]:
         cover: Dict[VnodeRef, List[Tuple[int, int]]] = {}
         for start, end, _primary, replicas in partitions:
@@ -501,9 +489,9 @@ class ClusterHarness:
 
     @staticmethod
     def _diff_moves(
-        before: List[_Interval], after: List[_Interval]
+        before: List[_Partition], after: List[_Partition]
     ) -> List[Tuple[int, int, VnodeRef, VnodeRef]]:
-        """Segments whose owner changed, by merge-scanning both interval lists."""
+        """Segments whose owner changed, by merge-scanning both partition lists."""
         moves: List[Tuple[int, int, VnodeRef, VnodeRef]] = []
         i = j = 0
         cursor = before[0][0] if before else 0
@@ -539,7 +527,8 @@ class ClusterHarness:
         ``dst``'s ``target_tier`` and, with ``pop``, to drop its copy once the
         target has adopted; return the rows that travelled.
 
-        The one way rows change place, whatever the event kind.
+        The one way rows change place, whatever the event kind.  The ranges
+        go on the wire sorted and coalesced.
         """
         coordinator_before = self._coordinator_bytes()
         response = await self._call_ref(
@@ -548,7 +537,7 @@ class ClusterHarness:
             target_ref=dst.canonical_name,
             target_address=self.handles[dst.snode.value].address,
             tier=tier,
-            ranges=_inclusive(ranges),
+            ranges=_inclusive(_merge_ranges(ranges)),
             pop=pop,
             target_tier=target_tier,
         )
@@ -556,37 +545,47 @@ class ClusterHarness:
         self.peer_bytes += int(response.payload["peer_bytes"])
         return int(response.payload["rows"])
 
-    async def _rebuild_from_replica(
-        self,
-        start: int,
-        end: int,
-        dst: VnodeRef,
+    async def _move(self, moves: _Moves) -> None:
+        """One :meth:`_transfer` per store pair, carrying all of its ranges."""
+        for (src, dst, tier, target_tier, pop), ranges in moves.items():
+            await self._transfer(
+                src, dst, ranges, tier=tier, target_tier=target_tier, pop=pop
+            )
+
+    @staticmethod
+    def _plan_rebuild(
+        segments: Sequence[Tuple[int, int, VnodeRef]],
         before: _TwinState,
         dead_refs: Set[VnodeRef],
         cover: Dict[VnodeRef, List[Tuple[int, int]]],
-    ) -> bool:
-        """Rebuild ``[start, end)`` of ``dst``'s primary from a surviving replica.
+    ) -> Tuple[_Moves, List[Tuple[int, int]]]:
+        """Plan rebuilding the ``(start, end, dst)`` primary segments from
+        replicas: the replica → primary copies by store pair, and the
+        fragments no surviving replica covers (only possible without
+        replication).
 
-        Returns False when no surviving replica covers the range (the rows
-        are unrecoverable — only possible without replication).
+        Each fragment a segment shares with a pre-event partition comes from
+        the first of its replicas that is not dead and whose pre-event
+        ``cover`` contains it.
         """
-        for seg_start, seg_end, _primary, replicas in before.partitions:
-            lo, hi = max(start, seg_start), min(end, seg_end)
-            if lo >= hi:
-                continue
-            source = next(
-                (
-                    ref
-                    for ref in replicas
-                    if ref not in dead_refs
-                    and _covers(cover.get(ref, []), lo, hi)
-                ),
-                None,
-            )
-            if source is None:
-                return False
-            await self._transfer(source, dst, [(lo, hi)], tier="replica")
-        return True
+        partitions = before.partitions
+        starts = [partition[0] for partition in partitions]
+        moves: _Moves = {}
+        lost: List[Tuple[int, int]] = []
+        for start, end, dst in segments:
+            first = max(bisect_right(starts, start) - 1, 0)
+            for seg_start, seg_end, _primary, replicas in partitions[first:]:
+                lo, hi = max(start, seg_start), min(end, seg_end)
+                if lo >= hi:
+                    break
+                alive = (ref for ref in replicas if ref not in dead_refs)
+                source = next((ref for ref in alive if _covers(cover.get(ref, []), lo, hi)), None)
+                if source is None:
+                    lost.append((lo, hi))
+                else:
+                    key = (source, dst, "replica", "primary", False)
+                    moves.setdefault(key, []).append((lo, hi))
+        return moves, lost
 
     def _coordinator_bytes(self) -> int:
         """Total on-wire bytes of the coordinator's connections, ever."""
@@ -640,12 +639,9 @@ class ClusterHarness:
             for ref in sorted(refs):
                 await self._call_ref(ref, WalReplay)
             return []
-        lost: List[Tuple[int, int]] = []
-        for start, end, owner in now.ownership:
-            if owner in refs and not await self._rebuild_from_replica(
-                start, end, owner, before, refs, before_cover
-            ):
-                lost.append((start, end))
+        owned = [(start, end, owner) for start, end, owner, _ in now.partitions if owner in refs]
+        moves, lost = self._plan_rebuild(owned, before, refs, before_cover)
+        await self._move(moves)
         return lost
 
     async def apply(self, event: ChurnEvent) -> Applied:
@@ -698,26 +694,21 @@ class ClusterHarness:
             done.note = f"{done.note}; restart lost [{start}, {end})".strip("; ")
 
         # 4. Primary ownership moves (crash-owned segments come from replicas).
-        grouped: Dict[Tuple[VnodeRef, VnodeRef], List[Tuple[int, int]]] = {}
-        unrecovered = 0
-        for start, end, src, dst in self._diff_moves(before.ownership, after.ownership):
-            if src in crashed_refs:
-                recovered = await self._rebuild_from_replica(
-                    start, end, dst, before, crashed_refs, before_cover
-                )
-                if not recovered:
-                    unrecovered += 1
-            else:
-                grouped.setdefault((src, dst), []).append((start, end))
-        for (src, dst), ranges in grouped.items():
-            await self._transfer(src, dst, ranges, pop=True)
+        diff = self._diff_moves(before.partitions, after.partitions)
+        crash_owned = [(start, end, dst) for start, end, src, dst in diff if src in crashed_refs]
+        moves, unrecovered = self._plan_rebuild(crash_owned, before, crashed_refs, before_cover)
+        for start, end, src, dst in diff:
+            if src not in crashed_refs:
+                key = (src, dst, "primary", "primary", True)
+                moves.setdefault(key, []).append((start, end))
+        await self._move(moves)
         if unrecovered:
-            done.note = f"{done.note}; {unrecovered} ranges unrecoverable".strip("; ")
+            done.note = f"{done.note}; {len(unrecovered)} ranges unrecoverable".strip("; ")
 
         # 5. New routing state everywhere.
         await self._push_topology()
 
-        # 6. Replica maintenance: retention then drop+refill.
+        # 6. Replica maintenance: retain the intact ranges, refill the rest.
         await self._replica_maintenance(after, before_cover, restarted_refs)
 
         # 7. Drop drained vnodes; retire departed nodes.
@@ -743,42 +734,32 @@ class ClusterHarness:
         before_cover: Dict[VnodeRef, List[Tuple[int, int]]],
         restarted_refs: Set[VnodeRef],
     ) -> None:
-        """Retention then drop+refill until replicas match the twin's placement.
+        """Make every replica store match the twin's placement.
 
         ``before_cover`` is the replica cover *before* the topology change:
         a replica range it already covered is intact (its rows are keyed by
-        hash and primaries never mutate rows during a move), everything
-        else — new placement, or a replica hosted by a restarted node whose
-        memory is gone — is dropped and refilled from the current primary.
+        hash and primaries never mutate rows during a move) unless its
+        vnode is on a restarted node whose memory is gone.  Each replica
+        store gets one ``RangeRetain`` of its intact ranges, which discards
+        both what the vnode no longer replicates and the stale ranges; then
+        one primary → replica copy per store pair refills the rest.
         """
         if self.spec.replication_factor <= 1:
             return
-        after_cover = self._replica_cover(after.partitions)
-        for snode_id, refs in after.hosted.items():
-            for ref in sorted(refs):
-                await self._call_ref(
-                    ref,
-                    RangeRetain,
-                    tier="replica",
-                    ranges=_inclusive(after_cover.get(ref, [])),
-                )
+        intact: Dict[VnodeRef, List[Tuple[int, int]]] = {}
+        refills: _Moves = {}
         for start, end, primary, replicas in after.partitions:
             for ref in replicas:
-                intact = (
-                    ref not in restarted_refs
-                    and _covers(before_cover.get(ref, []), start, end)
-                )
-                if intact:
-                    continue
-                await self._call_ref(
-                    ref,
-                    RangeDrop,
-                    tier="replica",
-                    ranges=_inclusive([(start, end)]),
-                )
-                await self._transfer(
-                    primary, ref, [(start, end)], target_tier="replica"
-                )
+                if ref not in restarted_refs and _covers(before_cover.get(ref, []), start, end):
+                    intact.setdefault(ref, []).append((start, end))
+                else:
+                    key = (primary, ref, "primary", "replica", False)
+                    refills.setdefault(key, []).append((start, end))
+        for refs in after.hosted.values():
+            for ref in sorted(refs):
+                ranges = _inclusive(_merge_ranges(intact.get(ref, [])))
+                await self._call_ref(ref, RangeRetain, tier="replica", ranges=ranges)
+        await self._move(refills)
 
     # -- runtime load rebalance ------------------------------------------------
 
@@ -940,26 +921,36 @@ class ClusterHarness:
     async def verify_replication(self) -> int:
         """Per-partition primary vs replica range counts over RPC.
 
-        Returns the number of (partition, replica) pairs checked; raises
-        :class:`HarnessError` on the first mismatch.
+        One ``RangeCount`` per (store, tier) carries all of its partitions;
+        the requests are read-only, so they go out together.  Returns the
+        number of (partition, replica) pairs checked; raises
+        :class:`HarnessError` on the first mismatch in partition order.
         """
-        state = self._snapshot()
+        partitions = [entry for entry in self._snapshot().partitions if entry[3]]
+        wanted: Dict[Tuple[VnodeRef, str], List[Tuple[int, int]]] = {}
+        for start, end, primary, replicas in partitions:
+            for store in ((primary, "primary"), *((ref, "replica") for ref in replicas)):
+                wanted.setdefault(store, []).append((start, end))
+        replies = await asyncio.gather(
+            *(
+                self._call_ref(ref, RangeCount, tier=tier, ranges=_inclusive(ranges))
+                for (ref, tier), ranges in wanted.items()
+            )
+        )
+        held = {
+            (ref, tier, start): count
+            for ((ref, tier), ranges), reply in zip(wanted.items(), replies)
+            for (start, _end), count in zip(ranges, reply.payload)
+        }
         checked = 0
-        for start, end, primary, replicas in state.partitions:
-            if not replicas:
-                continue
-            ranges = _inclusive([(start, end)])
-            response = await self._call_ref(primary, RangeCount, ranges=ranges)
-            primary_count = response.payload[0]
+        for start, end, primary, replicas in partitions:
+            primary_count = held[primary, "primary", start]
             for ref in replicas:
-                response = await self._call_ref(
-                    ref, RangeCount, tier="replica", ranges=ranges
-                )
-                if response.payload[0] != primary_count:
+                if held[ref, "replica", start] != primary_count:
                     raise HarnessError(
                         f"replica divergence on [{start}, {end}): primary "
                         f"{primary} holds {primary_count}, replica {ref} "
-                        f"holds {response.payload[0]}"
+                        f"holds {held[ref, 'replica', start]}"
                     )
                 checked += 1
         return checked

@@ -51,7 +51,7 @@ from repro.core.durability import DurabilityConfig
 from repro.core.engine.placement import PlacementService
 from repro.core.hashspace import HashSpace, Partition
 from repro.core.ids import VnodeRef
-from repro.core.storage import DHTStorage, join_parts
+from repro.core.storage import DHTStorage, join_parts, parts_size
 from repro.runtime.codec import FrameProtocol
 from repro.runtime.rpc import RpcClient
 
@@ -185,20 +185,13 @@ class SnodeNode:
             self._tier_store(msg.ref, msg.tier).adopt_parts(*join_parts(msg.parts))
             return None
         if isinstance(msg, RangeDrop):
-            store = self._tier_store(msg.ref, msg.tier)
-            starts, lasts = storage.range_arrays(msg.ranges)
-            parts = store.pop_buckets(starts, lasts)
-            return sum(
-                len(pairs) + sum(len(seg[0]) for seg in segments)
-                for pairs, segments in parts
-            )
+            store, starts, lasts = self._store_ranges(msg)
+            return sum(parts_size(parts) for parts in store.pop_buckets(starts, lasts))
         if isinstance(msg, RangeCount):
-            store = self._tier_store(msg.ref, msg.tier)
-            starts, lasts = storage.range_arrays(msg.ranges)
+            store, starts, lasts = self._store_ranges(msg)
             return [int(n) for n in store.count_buckets(starts, lasts)]
         if isinstance(msg, RangeRetain):
-            store = self._tier_store(msg.ref, msg.tier)
-            starts, lasts = storage.range_arrays(msg.ranges)
+            store, starts, lasts = self._store_ranges(msg)
             return store.drop_outside(starts, lasts)
         if isinstance(msg, VnodeCreate):
             ref = VnodeRef.parse(msg.ref)
@@ -236,6 +229,21 @@ class SnodeNode:
             return self.storage.replica_store(ref)
         return self.storage.primary_store(ref)
 
+    def _store_ranges(self, msg: Message):
+        """``msg``'s tier store and its wire ranges as bucket columns.
+
+        The store's range primitives assume ``[start, last]`` ranges sorted,
+        disjoint and inside the hash space: any other list raises
+        :class:`ValueError` (an error ``Ack``) before the store is touched.
+        """
+        store = self._tier_store(msg.ref, msg.tier)
+        previous = -1
+        for start, last in msg.ranges:
+            if not previous < start <= last < self.hash_space.size:
+                raise ValueError(f"unsorted, overlapping or out-of-space range {start}..{last}")
+            previous = last
+        return (store, *self.storage.range_arrays(msg.ranges))
+
     # -- peer-to-peer transfers ------------------------------------------------
 
     def _peer(self, address: Any) -> RpcClient:
@@ -267,13 +275,9 @@ class SnodeNode:
         coordinator-ack payload: the row count and the bytes that flowed on
         the peer link.
         """
-        store = self._tier_store(msg.ref, msg.tier)
-        starts, lasts = self.storage.range_arrays(msg.ranges)
+        store, starts, lasts = self._store_ranges(msg)
         parts = store.copy_buckets(starts, lasts)
-        rows = sum(
-            len(pairs) + sum(len(seg[0]) for seg in segments)
-            for pairs, segments in parts
-        )
+        rows = sum(parts_size(part) for part in parts)
         peer = self._peer(msg.target_address)
         sent_before = peer.bytes_sent + peer.bytes_received
         await self._await_hook("before_adopt")

@@ -44,13 +44,15 @@ def _spec(**overrides):
     return ChurnSpec(**base)
 
 
-def _served(spec, trace):
-    """Replay over a served cluster: ``(report, final twin ownership)``."""
+def _served(spec, trace, read_back=()):
+    """Replay over a served cluster: ``(report, final twin ownership, values)``,
+    where ``values`` are the ``read_back`` keys read through the client."""
 
     async def scenario():
         async with ClusterHarness(spec, trace=trace) as harness:
             report = await harness.run(oracle=False)
-            return report, list(harness.twin.topology.iter_ownership())
+            values = [await harness.client.get(key) for key in read_back]
+            return report, list(harness.twin.topology.iter_ownership()), values
 
     return asyncio.run(scenario())
 
@@ -73,7 +75,9 @@ class TestOneReplayerTwoBackends:
         engine = ChurnEngine(spec, trace)
         dht = engine.build_dht()
         local = engine.run(dht)
-        served, served_ownership = _served(spec, trace)
+        # Every loaded key, so a move of the right number of wrong rows shows.
+        keys = spec.make_keys().tolist()
+        served, served_ownership, served_values = _served(spec, trace, keys)
 
         assert [(o.kind, o.applied) for o in local.outcomes] == [
             (o.kind, o.applied) for o in served.events
@@ -83,6 +87,7 @@ class TestOneReplayerTwoBackends:
         assert local.items_lost == served.items_lost == 0
         assert local.conservation_checks == served.conservation_checks == 6
         assert list(dht.topology.iter_ownership()) == served_ownership
+        assert served_values == dht.get_many(keys)
 
 
 class TestTheOneRule:
@@ -117,7 +122,7 @@ class TestTheOneRule:
             ChurnEvent("snode_leave", snode=4),
             ChurnEvent("lookup", hi=600, n_reads=20),
         ]
-        report, _ownership = _served(spec, trace)
+        report, _ownership, _values = _served(spec, trace)
         assert [e.applied for e in report.events] == [True, True, True, False, True]
         assert (report.applied, report.skipped) == (2, 1)
         assert report.conservation_checks == 3

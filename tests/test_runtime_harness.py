@@ -15,8 +15,9 @@ import subprocess
 
 import pytest
 
-from repro.cluster.messages import RangeCount
+from repro.cluster.messages import PeerTransferRequest, RangeCount, RangeDrop
 from repro.runtime.harness import ClusterHarness, HarnessError
+from repro.runtime.node import SnodeNode
 from repro.runtime.rpc import RpcClient, RpcTimeoutError
 from repro.workloads.churn import ChurnEvent, ChurnSpec
 from repro.workloads.replay import EventOutcome
@@ -301,6 +302,104 @@ class TestOneMover:
             if (tier, target_tier, pop) == flavour:
                 moved += rows
         assert moved > 0, f"no {flavour} transfer with rows was observed"
+
+
+def _record_requests(monkeypatch):
+    """Every request any served node dispatches from now on, in order."""
+    seen = []
+    inline, awaited = SnodeNode.dispatch_inline, SnodeNode.dispatch
+
+    def dispatch_inline(node, message):
+        seen.append(message)
+        return inline(node, message)
+
+    async def dispatch(node, message):
+        if isinstance(message, PeerTransferRequest):
+            seen.append(message)
+        return await awaited(node, message)
+
+    monkeypatch.setattr(SnodeNode, "dispatch_inline", dispatch_inline)
+    monkeypatch.setattr(SnodeNode, "dispatch", dispatch)
+    return seen
+
+
+def _loaded_rf2(check):
+    """Run ``await check(harness)`` on a loaded rf=2 cluster."""
+
+    async def scenario():
+        trace = [ChurnEvent(kind="load", lo=0, hi=3000)]
+        async with ClusterHarness(_rf2_spec(), trace=trace) as harness:
+            await harness.run(oracle=False)
+            return await check(harness)
+
+    return asyncio.run(scenario())
+
+
+class TestOneRequestPerStorePair:
+    """Outside rebalance rounds, the harness sends one request per store pair."""
+
+    @pytest.mark.parametrize(
+        "event, grouped",
+        [
+            pytest.param(JOIN, ("primary", "replica", False), id="join"),
+            pytest.param(CRASH, ("replica", "primary", False), id="crash"),
+        ],
+    )
+    def test_one_transfer_per_store_pair_and_no_range_drop(
+        self, event, grouped, monkeypatch
+    ):
+        """Each (source store, target store, tier, target tier, pop) gets
+        exactly one order, and replica maintenance clears stale ranges with
+        its ``RangeRetain`` instead of one ``RangeDrop`` per range."""
+
+        async def check(harness):
+            seen = _record_requests(monkeypatch)
+            assert (await harness.apply(event)).applied
+            await harness.check_conservation(allow_loss=False)
+            assert await harness.verify_replication() > 0
+            return seen
+
+        seen = _loaded_rf2(check)
+        orders = [
+            (m.ref, m.target_ref, m.tier, m.target_tier, m.pop)
+            for m in seen
+            if isinstance(m, PeerTransferRequest)
+        ]
+        assert len(orders) == len(set(orders))
+        assert any(order[2:] == grouped for order in orders), grouped
+        assert not any(isinstance(m, RangeDrop) for m in seen)
+
+    def test_verify_replication_sends_one_count_per_store_and_tier(
+        self, monkeypatch
+    ):
+        async def check(harness):
+            partitions = harness._snapshot().partitions
+            seen = _record_requests(monkeypatch)
+            checked = await harness.verify_replication()
+            counts = [(m.ref, m.tier) for m in seen if isinstance(m, RangeCount)]
+            stores = {(primary.canonical_name, "primary") for _, _, primary, _ in partitions}
+            stores |= {
+                (ref.canonical_name, "replica")
+                for _, _, _, replicas in partitions
+                for ref in replicas
+            }
+            assert sorted(counts) == sorted(stores)
+            assert checked == sum(len(replicas) for *_, replicas in partitions)
+
+            # A replica missing its rows is still caught, on its own partition.
+            for start, end, primary, replicas in partitions:
+                reply = await harness._call_ref(
+                    primary, RangeCount, ranges=((start, end - 1),)
+                )
+                if reply.payload[0]:
+                    break
+            await harness._call_ref(
+                replicas[0], RangeDrop, tier="replica", ranges=((start, end - 1),)
+            )
+            with pytest.raises(HarnessError, match=f"divergence on \\[{start}, {end}\\)"):
+                await harness.verify_replication()
+
+        _loaded_rf2(check)
 
 
 @pytest.mark.slow

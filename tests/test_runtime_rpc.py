@@ -16,15 +16,18 @@ import struct
 import time
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.cluster.messages import (
     Ack,
+    BulkLoadChunk,
     GetRequest,
     PeerTransferRequest,
     PingRequest,
     PutRequest,
     RangeCount,
+    RangeDrop,
     VnodeCreate,
 )
 from repro.runtime.codec import MAX_FRAME_BYTES, encode_frame, read_frame
@@ -123,6 +126,47 @@ class TestRpcRoundTrip:
                         RangeCount(src=-1, dst=0, ref="5.5", ranges=((0, 10),))
                     )
                 assert excinfo.value.kind == "UnknownVnodeError"
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            pytest.param(((500, 599), (100, 199)), id="unsorted"),
+            pytest.param(((100, 299), (200, 399)), id="overlapping"),
+            pytest.param(((300, 200),), id="start-after-last"),
+            pytest.param(((100, 2**16),), id="outside-the-hash-space"),
+        ],
+    )
+    def test_a_bad_range_list_is_refused_and_the_store_untouched(self, ranges):
+        """Range ops assume sorted, disjoint ranges inside the hash space; a
+        frame that breaks that gets an error reply, not a corrupted store."""
+
+        async def scenario():
+            node, server = await _served_node()
+            client = RpcClient(server.address)
+            buckets = tuple((start, start + 99) for start in range(0, 1000, 100))
+            try:
+                await client.call(VnodeCreate(src=-1, dst=0, ref="0.0"))
+                await client.call(
+                    BulkLoadChunk(
+                        src=-1,
+                        dst=0,
+                        ref="0.0",
+                        keys=np.arange(100),
+                        indexes=np.arange(0, 1000, 10, dtype=np.uint64),
+                    )
+                )
+                with pytest.raises(RpcRemoteError) as excinfo:
+                    await client.call(RangeDrop(src=-1, dst=0, ref="0.0", ranges=ranges))
+                assert excinfo.value.kind == "ValueError"
+                ack = await client.call(
+                    RangeCount(src=-1, dst=0, ref="0.0", ranges=buckets)
+                )
+                assert ack.payload == [10] * 10
             finally:
                 await client.close()
                 await server.stop()
