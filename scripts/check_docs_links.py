@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail if README/docs reference a module, file or CLI command that doesn't exist.
+"""Fail if docs or docstrings reference a module, file or CLI command that doesn't exist.
 
 Checks three kinds of references in ``README.md`` and ``docs/*.md``:
 
@@ -9,7 +9,14 @@ Checks three kinds of references in ``README.md`` and ``docs/*.md``:
 2. dotted modules — any ``repro[.sub]*`` token must be importable (checked
    with ``importlib.util.find_spec`` against ``src/``);
 3. CLI commands — any ``python -m repro <cmd>`` / ``repro <cmd>`` usage
-   must name a registered subcommand of ``repro.cli.build_parser``.
+   must name a registered subcommand of ``repro.cli.build_parser``;
+
+and one in the docstrings of ``src/repro/**/*.py``:
+
+4. cross-references — every Sphinx role naming a ``repro.*`` target
+   (``:class:`~repro.sim.local.LocalBalanceSimulator```, ``:func:``,
+   ``:meth:``, ``:attr:``, ``:mod:`` ...) must resolve like a dotted
+   module above; a dataclass field counts as an attribute of its class.
 
 Run from the repository root (CI does)::
 
@@ -18,6 +25,7 @@ Run from the repository root (CI does)::
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import re
 import sys
@@ -29,6 +37,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PATH_RE = re.compile(r"[`(]((?:src|docs|tests|bench|examples|scripts)/[\w./\-*]*)[`)]")
 #: Dotted repro modules inside backticks (strip trailing attribute access).
 MODULE_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: Sphinx cross-reference roles with a ``repro.*`` target in docstrings.
+ROLE_RE = re.compile(r":\w+:`~?(repro(?:\.\w+)+)`")
 #: CLI invocations: `python -m repro <cmd>` or a line starting with `repro <cmd>`.
 CLI_RE = re.compile(r"python -m repro\s+([\w-]+)|(?:^|\s)repro\s+(list|run|demo|[\w]+-[\w-]+)")
 
@@ -54,13 +64,21 @@ def module_exists(dotted: str) -> bool:
                     module = importlib.import_module(candidate)
                     obj = module
                     for attr in parts[depth:]:
-                        obj = getattr(obj, attr)
+                        obj = _attribute(obj, attr)
                     return True
             except (ImportError, AttributeError):
                 continue
         return False
     finally:
         sys.path.remove(str(REPO_ROOT / "src"))
+
+
+def _attribute(obj, name: str):
+    """``getattr``, also accepting a dataclass field that has no default."""
+    if dataclasses.is_dataclass(obj) and not hasattr(obj, name):
+        if name in {f.name for f in dataclasses.fields(obj)}:
+            return None
+    return getattr(obj, name)
 
 
 def cli_commands() -> set:
@@ -102,13 +120,21 @@ def main() -> int:
             if cmd and cmd not in commands:
                 problems.append(f"{rel}: CLI command `repro {cmd}` is not registered")
 
+    n_roles = 0
+    for source in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        rel = source.relative_to(REPO_ROOT)
+        for match in ROLE_RE.finditer(source.read_text(encoding="utf-8")):
+            n_roles += 1
+            if not module_exists(match.group(1)):
+                problems.append(f"{rel}: docstring reference `{match.group(1)}` does not resolve")
+
     if problems:
         print("documentation link check FAILED:", file=sys.stderr)
         for problem in problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     print(f"documentation link check OK ({len(doc_files())} files, "
-          f"{len(commands)} CLI commands verified)")
+          f"{len(commands)} CLI commands, {n_roles} docstring references verified)")
     return 0
 
 

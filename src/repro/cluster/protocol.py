@@ -21,7 +21,7 @@ two sources:
 * :class:`CreationProtocolSimulator` — the paper's own scenario, a schedule
   of vnode *creations*.  The balance dynamics (which group receives a vnode,
   how many partitions are handed over, when groups split) come from the fast
-  count-level simulators of :mod:`repro.sim`; each creation becomes a
+  count-level simulator of :mod:`repro.sim`; each creation becomes a
   ``"create"`` profile.  The outcome feeds the ``ablation_parallelism``
   experiment.
 * :class:`LifecycleProtocolSimulator` — the **full topology lifecycle**: a
@@ -68,7 +68,6 @@ from repro.cluster.simulator import EventScheduler, FifoResource
 from repro.core.config import DHTConfig
 from repro.core.errors import ProtocolError
 from repro.core.ids import SnodeId
-from repro.sim.global_ import GlobalBalanceSimulator
 from repro.sim.local import LocalBalanceSimulator
 from repro.utils.coro import run_sync
 from repro.utils.rng import RngLike, ensure_rng
@@ -313,10 +312,8 @@ class CreationProtocolSimulator:
         ``"create"`` :class:`EventProfile`, priced and queued like any
         lifecycle event.
         """
-        if self.approach == "local":
-            balance = LocalBalanceSimulator(self.config, rng=self.rng)
-        else:
-            balance = GlobalBalanceSimulator(self.config, rng=self.rng)
+        config = self.config if self.approach == "local" else self.config.with_(vmin=None)
+        balance = LocalBalanceSimulator(config, rng=self.rng)
         records = [balance.create_vnode() for _ in self.events]
 
         # Map vnodes to hosting snodes (the snode that issued the creation).
@@ -368,7 +365,7 @@ class EventProfile:
 
     Produced by :class:`LifecycleProtocolSimulator` replaying a trace
     against a live DHT (or by :class:`CreationProtocolSimulator` from the
-    count-level balance simulators); priced by :func:`lifecycle_event_cost`.
+    count-level balance simulator); priced by :func:`lifecycle_event_cost`.
     Lifecycle row counts are physical rows actually moved by the live replay
     (migration and replication statistics deltas), so the protocol costs
     scale with the data the cluster really holds.

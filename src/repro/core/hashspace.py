@@ -232,7 +232,9 @@ class HashSpace:
         """Hash an application key into a hash index in ``R_h``.
 
         Keys may be ``bytes``, ``str`` (UTF-8 encoded) or ``int``, mirroring
-        what a real DHT front end would do.  Two hash functions are used:
+        what a real DHT front end would do; a numpy integer scalar (what
+        indexing an id array yields) hashes like the equal ``int``.  Two hash
+        functions are used:
 
         * ``str`` / ``bytes`` keys go through BLAKE2b — fast, stable across
           processes (unlike the builtin :func:`hash`) and uniform for
@@ -258,6 +260,8 @@ class HashSpace:
             if self.bh <= 64:
                 return _splitmix64(key & _MASK64) & (self.size - 1)
             data = key.to_bytes((key.bit_length() + 8) // 8 or 1, "little", signed=True)
+        elif isinstance(key, np.integer):
+            return self.hash_key(int(key))
         else:
             raise TypeError(f"unsupported key type {type(key).__name__}")
         digest = hashlib.blake2b(data, digest_size=16).digest()

@@ -289,8 +289,8 @@ def greedy_fill(counts: Sequence[int], pmin: int) -> Tuple[List[int], int, int]:
     Implements the same algorithm as :func:`plan_vnode_creation` but
     processes whole "count buckets" at a time, so a creation costs
     ``O(distinct count values)`` instead of ``O(partitions transferred)``.
-    This is the planner the count-level simulators
-    (:mod:`repro.sim.local`, :mod:`repro.sim.global_`) consume; the
+    This is the planner the count-level simulator
+    (:mod:`repro.sim.local`, both approaches) consumes; the
     property suite checks it produces exactly the same count multiset as
     the one-transfer-at-a-time planner.
 

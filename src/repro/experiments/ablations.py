@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.baselines.consistent_hashing import ConsistentHashRing
 from repro.cluster.protocol import (
     CreationProtocolSimulator,
     ProtocolCosts,
@@ -34,10 +35,9 @@ from repro.cluster.protocol import (
 )
 from repro.core.config import DHTConfig
 from repro.experiments.base import ExperimentResult, Series
-from repro.experiments.runner import average_local_runs, default_runs
+from repro.experiments.runner import average_local_runs, ch_join_trace, default_runs
 from repro.metrics.aggregate import tail_mean
 from repro.metrics.balance import sigma_from_quotas
-from repro.sim.ch import ConsistentHashingSimulator
 from repro.sim.local import LocalBalanceSimulator
 from repro.utils.rng import derive_seed, spawn_rngs
 from repro.workloads.arrivals import StaggeredBatches
@@ -280,16 +280,12 @@ def run_ablation_heterogeneous(
         normalized = [node_quota[name] / weights[name] for name in names]
         local_devs.append(sigma_from_quotas(np.asarray(normalized) / np.sum(normalized)))
 
-        # Weighted Consistent Hashing baseline.
-        ch = ConsistentHashingSimulator(
-            partitions_per_node=ch_partitions_per_vnode * base_vnodes,
-            rng=rng,
-            weights=[weights[name] for name in names],
-        )
-        ch.run(n_nodes)
-        ch_quotas = ch.node_quotas()
-        normalized_ch = [ch_quotas[i] / weights[name] for i, name in enumerate(names)]
-        ch_devs.append(sigma_from_quotas(np.asarray(normalized_ch) / np.sum(normalized_ch)))
+        # Weighted Consistent Hashing baseline, on the same rng.
+        ring = ConsistentHashRing(ch_partitions_per_vnode * base_vnodes, rng=rng)
+        node_weights = [weights[name] for name in names]
+        ch_join_trace(ring, n_nodes, node_weights)
+        normalized_ch = np.asarray(list(ring.node_quotas().values())) / node_weights
+        ch_devs.append(sigma_from_quotas(normalized_ch / np.sum(normalized_ch)))
 
     x = np.asarray([1.0])
     return ExperimentResult(

@@ -2,8 +2,9 @@
 
 Experiment runs are cheap to regenerate but expensive at paper fidelity
 (``REPRO_RUNS=100``), so the harness can persist results to JSON and reload
-them later — e.g. to re-render tables, compare against a newer run, or fill
-in EXPERIMENTS.md without re-simulating.
+them later — e.g. to re-render tables or compare against a newer run of an
+experiment from the Evaluation table of ``docs/paper-mapping.md`` without
+re-simulating.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ defaults to a smaller number of runs and lets the environment scale it up:
     Number of physical nodes for the Consistent Hashing comparison
     (default 1024, as in the paper).
 
-EXPERIMENTS.md records which values were used for the committed results.
+The Evaluation table of ``docs/paper-mapping.md`` indexes the experiments
+these values drive.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Sequence
 
+import numpy as np
+
+from repro.baselines.consistent_hashing import ConsistentHashRing
 from repro.core.config import DHTConfig
-from repro.sim.ch import ConsistentHashingSimulator
 from repro.sim.local import LocalBalanceSimulator
 from repro.sim.trace import BalanceTrace, CHTrace
 from repro.utils.rng import derive_seed, spawn_rngs
 
-#: Defaults chosen so the full benchmark suite completes in a few minutes.
+#: Defaults chosen so the slow figure suite (``tests/test_paper_figures.py``)
+#: reruns every figure at the paper's scale in about a minute.
 DEFAULT_RUNS = 10
 DEFAULT_N_VNODES = 1024
 DEFAULT_N_NODES = 1024
@@ -90,13 +94,33 @@ def average_ch_runs(
     seed: int = 0,
     weights: Optional[Sequence[float]] = None,
 ) -> CHTrace:
-    """Average ``runs`` runs of the Consistent Hashing simulator."""
+    """Average ``runs`` runs of :func:`ch_join_trace` on fresh rings."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     base = derive_seed(seed, "ch", partitions_per_node, n_nodes)
     rngs = spawn_rngs(base, runs)
     traces = [
-        ConsistentHashingSimulator(partitions_per_node, rng=rng, weights=weights).run(n_nodes)
+        ch_join_trace(ConsistentHashRing(partitions_per_node, rng=rng), n_nodes, weights)
         for rng in rngs
     ]
     return CHTrace.average(traces)
+
+
+def ch_join_trace(
+    ring: ConsistentHashRing,
+    n_nodes: int,
+    weights: Optional[Sequence[float]] = None,
+) -> CHTrace:
+    """Join ``n_nodes`` nodes to ``ring``, measuring ``sigma-bar(Qn)`` after each.
+
+    Node ``i`` is named ``str(i)`` and joins with ``weights[i]`` (weight 1
+    when ``weights`` is omitted), so :meth:`ConsistentHashRing.node_quotas`
+    lists the quotas in the order of ``weights``.
+    """
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be >= 1")
+    sigma = np.empty(n_nodes, dtype=np.float64)
+    for i in range(n_nodes):
+        ring.add_node(str(i), weight=1.0 if weights is None else float(weights[i]))
+        sigma[i] = ring.sigma_qn()
+    return CHTrace(n_nodes=np.arange(1, n_nodes + 1, dtype=np.int64), sigma_qn=sigma)

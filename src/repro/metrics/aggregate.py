@@ -3,7 +3,8 @@
 The paper averages every curve over 100 runs to smooth the randomness of
 victim-group selection (and of CH ring positions).  The experiment harness
 uses these helpers to average traces, compute run-to-run variability and
-summarize a curve into the handful of numbers recorded in EXPERIMENTS.md.
+summarize a curve into the handful of numbers each experiment reports (the
+experiments are indexed in the Evaluation table of ``docs/paper-mapping.md``).
 """
 
 from __future__ import annotations

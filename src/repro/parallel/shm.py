@@ -18,7 +18,7 @@ Two block classes exist:
   pending segments.  They are never recycled; :meth:`ShmArena.owns` lets
   the storage layer detect such views (and materialize private copies
   before the arena goes away, see
-  :meth:`repro.core.storage.DHTStorage.materialize_shared_segments`).
+  :meth:`repro.core.storage.DHTStorage.materialize_shared`).
 
 Lifecycle notes (learned the hard way):
 

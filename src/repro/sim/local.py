@@ -1,8 +1,11 @@
-"""Count-level simulator of the local (grouped) approach.
+"""Count-level simulator of the balance model, local and global approach.
 
 The simulator keeps, per group, the partition count of each member vnode and
-the group's common splitlevel — nothing else.  This is sufficient to
-reproduce every metric of the paper's evaluation:
+the group's common splitlevel — nothing else.  The global approach is the
+degenerate case of one group that never splits (section 2.4: every
+partition shares one splitlevel, so ``sigma-bar(Qv)`` equals
+``sigma-bar(Pv)``).  This is sufficient to reproduce every metric of the
+paper's evaluation:
 
 * the quota of a vnode with ``c`` partitions in a group at splitlevel ``l``
   is exactly ``c / 2**l``;
@@ -31,7 +34,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import DHTConfig
-from repro.core.errors import ConfigError
 from repro.core.local_model import ideal_group_count
 from repro.core.rebalance import greedy_fill
 from repro.sim.trace import BalanceTrace
@@ -114,13 +116,16 @@ class CreationRecord:
 
 
 class LocalBalanceSimulator:
-    """Fast simulator of consecutive vnode creations under the local approach.
+    """Fast simulator of consecutive vnode creations.
 
     Parameters
     ----------
     config:
-        A grouped :class:`~repro.core.config.DHTConfig` (``vmin`` not None).
-        ``bh`` is irrelevant at this level (only quota fractions matter).
+        A :class:`~repro.core.config.DHTConfig`.  A grouped configuration
+        runs the local approach; ``vmin=None`` runs the global approach —
+        one group that never splits, with ``G_ideal = 1`` and
+        ``sigma-bar(Qg) = 0``, and no random draw at all.  ``bh`` is
+        irrelevant at this level (only quota fractions matter).
     rng:
         Seed or generator driving the random victim-group selection and the
         random half selection after a group split.
@@ -135,13 +140,13 @@ class LocalBalanceSimulator:
     0.0
     >>> sim.n_groups >= 2
     True
+    >>> trace = LocalBalanceSimulator(DHTConfig.for_global(pmin=16)).run(64)
+    >>> float(trace.sigma_qv[63])   # V = 64 is a power of two: perfect balance (G5)
+    0.0
     """
 
     def __init__(self, config: Optional[DHTConfig] = None, rng: RngLike = None):
-        config = config if config is not None else DHTConfig.paper_default()
-        if config.vmin is None:
-            raise ConfigError("LocalBalanceSimulator requires a grouped configuration")
-        self.config = config
+        self.config = config if config is not None else DHTConfig.paper_default()
         self.rng = ensure_rng(rng)
         self.groups: List[_SimGroup] = []
         self.n_vnodes = 0
@@ -190,6 +195,8 @@ class LocalBalanceSimulator:
 
     def ideal_group_count(self) -> int:
         """``G_ideal`` for the current number of vnodes."""
+        if self.config.vmin is None:
+            return 1
         return ideal_group_count(self.n_vnodes, self.config.vmin)
 
     def counts_snapshot(self) -> List[Tuple[int, List[int]]]:
@@ -225,7 +232,7 @@ class LocalBalanceSimulator:
         target = self._select_victim_group()
 
         group_split = False
-        if target.n_vnodes >= cfg.vmax:
+        if cfg.vmax is not None and target.n_vnodes >= cfg.vmax:
             target = self._split_group(target)
             group_split = True
 
@@ -255,8 +262,11 @@ class LocalBalanceSimulator:
 
         Equivalent to the paper's procedure of looking up a uniformly random
         hash index: the probability that the index falls inside a group's
-        partitions is exactly the group's quota.
+        partitions is exactly the group's quota.  The global approach has
+        one group and draws nothing.
         """
+        if self.config.vmin is None:
+            return self.groups[0]
         r = float(self.rng.random())
         cumulative = 0.0
         for group in self.groups:

@@ -52,6 +52,25 @@ class TestHashKeys:
         arr = np.array([0, 2**64 - 1, 2**63], dtype=np.uint64)
         assert [int(h) for h in hs.hash_keys(arr)] == [hs.hash_key(int(v)) for v in arr.tolist()]
 
+    @pytest.mark.parametrize(
+        "dtype, values",
+        [
+            (np.int64, [0, 5, -1, -(2**63), 2**63 - 1]),
+            (np.uint64, [0, 5, 2**63, 2**64 - 1]),
+        ],
+    )
+    def test_numpy_integer_scalar_hashes_like_int(self, dtype, values):
+        hs = HashSpace(32)
+        for k in values:
+            batch = hs.hash_keys(np.array([k], dtype=dtype))
+            assert hs.hash_key(dtype(k)) == hs.hash_key(k) == int(batch[0])
+
+    def test_get_accepts_numpy_integer_keys(self):
+        dht = small_dht()
+        dht.bulk_load(np.arange(10), [f"v{i}" for i in range(10)])
+        assert dht.get(np.int64(5)) == "v5"
+        assert dht.get_many([np.int64(5)]) == ["v5"]
+
     def test_str_fast_path_matches_scalar(self):
         hs = HashSpace(40)
         keys = [f"key:{i}" for i in range(257)]

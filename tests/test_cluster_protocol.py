@@ -155,6 +155,15 @@ class TestBehaviour:
         assert np.allclose(a.latencies, b.latencies)
         assert a.makespan == pytest.approx(b.makespan)
 
+    def test_global_approach_ignores_vmin(self):
+        # A grouped config run globally is one group that never splits.
+        schedule = StaggeredBatches(1, 32, gap=0.0, n_snodes=8)
+        grouped = CreationProtocolSimulator(
+            DHTConfig.for_local(pmin=8, vmin=4), n_snodes=8, arrivals=schedule,
+            approach="global", rng=0,
+        ).run()
+        assert grouped.as_dict() == make_sim("global").run().as_dict()
+
 
 class TestCreationGolden:
     """Pin the creation-path numbers so lifecycle work cannot drift them."""

@@ -32,7 +32,7 @@ from repro.baselines import ConsistentHashRing
 from repro.core import DHTConfig
 from repro.experiments.ablations import run_ablation_heterogeneous
 from repro.experiments.runner import average_ch_runs
-from repro.sim import GlobalBalanceSimulator
+from repro.sim import LocalBalanceSimulator
 from repro.workloads import CapacityProfile
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "evaluation_series.json"
@@ -47,11 +47,12 @@ def _run_lengths(counts: List[int]) -> List[List[int]]:
 
 def _global_run(n_vnodes: int = 300) -> Dict[str, Any]:
     """Count vector and sigma after every creation of a global-approach run."""
-    sim = GlobalBalanceSimulator(DHTConfig.for_global(pmin=8))
+    sim = LocalBalanceSimulator(DHTConfig.for_global(pmin=8))
     counts, sigma = [], []
     for _ in range(n_vnodes):
         sim.create_vnode()
-        counts.append(_run_lengths(sim.counts_snapshot()))
+        ((_, group_counts),) = sim.counts_snapshot()
+        counts.append(_run_lengths(group_counts))
         sigma.append(sim.sigma_qv())
     return {"counts": counts, "sigma_qv": sigma}
 

@@ -1,4 +1,8 @@
-"""Tests for the fast global-approach simulator (repro.sim.global_)."""
+"""Tests for the count-level simulator run under the global approach.
+
+The global approach is :class:`~repro.sim.local.LocalBalanceSimulator` on a
+``vmin=None`` configuration: one group that never splits.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +10,25 @@ import numpy as np
 import pytest
 
 from repro.core import DHTConfig
-from repro.sim import GlobalBalanceSimulator
+from repro.sim import LocalBalanceSimulator
 
 
-class TestGlobalBalanceSimulator:
+def group_counts(sim):
+    """Partition counts of the single group (the global approach has one)."""
+    ((_, counts),) = sim.counts_snapshot()
+    return counts
+
+
+class TestGlobalApproachSimulator:
     def make(self, pmin=4):
-        return GlobalBalanceSimulator(DHTConfig.for_global(pmin=pmin))
+        return LocalBalanceSimulator(DHTConfig.for_global(pmin=pmin))
 
     def test_first_vnode(self):
         sim = self.make()
         record = sim.create_vnode()
         assert record.vnode == 0 and record.group_size == 1
         assert sim.n_vnodes == 1
-        assert sim.total_partitions == 4
+        assert sum(group_counts(sim)) == 4
         assert sim.sigma_qv() == 0.0
 
     def test_zero_sigma_at_every_power_of_two(self):
@@ -36,13 +46,13 @@ class TestGlobalBalanceSimulator:
         sim = self.make(pmin=4)
         for _ in range(100):
             sim.create_vnode()
-            assert all(4 <= c <= 8 for c in sim.counts_snapshot())
+            assert all(4 <= c <= 8 for c in group_counts(sim))
 
     def test_total_partitions_power_of_two(self):
         sim = self.make(pmin=4)
         for _ in range(50):
             sim.create_vnode()
-            total = sim.total_partitions
+            total = sum(group_counts(sim))
             assert total & (total - 1) == 0
 
     def test_quotas_sum_to_one(self):
@@ -67,8 +77,6 @@ class TestGlobalBalanceSimulator:
 
     def test_matches_local_simulator_with_huge_vmin(self):
         """A local simulator whose groups never fill behaves exactly globally."""
-        from repro.sim import LocalBalanceSimulator
-
         n = 60
         global_trace = self.make(pmin=4).run(n)
         local_sim = LocalBalanceSimulator(DHTConfig.for_local(pmin=4, vmin=64), rng=0)

@@ -45,9 +45,15 @@ class TestLocalBalanceSimulator:
     def make(self, pmin=4, vmin=4, seed=0):
         return LocalBalanceSimulator(DHTConfig.for_local(pmin=pmin, vmin=vmin), rng=seed)
 
-    def test_requires_grouped_config(self):
-        with pytest.raises(ConfigError):
-            LocalBalanceSimulator(DHTConfig.for_global(pmin=4))
+    def test_global_config_is_one_group_that_never_splits(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        sim = LocalBalanceSimulator(DHTConfig.for_global(pmin=4), rng=rng)
+        trace = sim.run(40)
+        assert sim.n_groups == 1 and sim.group_splits == 0
+        assert (trace.g_ideal == 1).all() and (trace.sigma_qg == 0).all()
+        # The global approach is deterministic: it draws nothing.
+        assert rng.bit_generator.state == state
 
     def test_first_creation(self):
         sim = self.make()
