@@ -4,7 +4,7 @@
 The engine core (:mod:`repro.core.engine`) is the transport-agnostic heart
 of the DHT; keeping its dependency arrows pointed the right way is what
 lets a future networked runtime reuse it unchanged.  This lint AST-walks
-every module under ``src/repro`` and enforces four rules:
+every module under ``src/repro`` and enforces five rules:
 
 1. **engine isolation** — modules in ``repro.core.engine`` import nothing
    from ``repro.sim``, ``repro.cluster``, ``repro.workloads``,
@@ -24,7 +24,14 @@ every module under ``src/repro`` and enforces four rules:
    ``src/``, ``tests/``, ``examples/`` or ``bench/``, or is listed in
    :data:`KEPT_UNREFERENCED` with the reason it is kept.  The list can only
    shrink: an entry whose name has become referenced (or is gone) fails the
-   check too.
+   check too;
+5. **no unlisted unpickling** — every ``pickle.load`` / ``pickle.loads`` /
+   ``pickle.Unpickler`` call under ``src/repro`` sits in a function listed in
+   :data:`UNPICKLE_ALLOWED` with its call count and the reason it is kept
+   (unpickling bytes from a socket or a file executes whatever they say),
+   and nothing imports those names from ``pickle`` directly.  Like rule 4's
+   list it can only shrink: a listed count above what the function holds
+   fails too.
 
 Run from the repository root (CI does)::
 
@@ -36,7 +43,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -65,6 +72,24 @@ KEPT_UNREFERENCED = {
     "StorageEngineProtocol": "interface declaration: documents what the engine needs of storage",
     "RecoveryProtocol": "interface declaration: documents what the engine needs of recovery",
 }
+
+#: Functions allowed to unpickle (rule 5): ``(module, qualified function) ->
+#: (number of calls, why)``.
+UNPICKLE_ALLOWED = {
+    ("src/repro/cluster/messages.py", "decode"): (
+        1, "bodies of the small messages; BulkLoadChunk and RangeAdopt are columnar"),
+    ("src/repro/utils/columns.py", "ColumnReader.column"): (
+        1, "the tagged fallback for object columns no typed column kind covers"),
+    ("src/repro/core/durability.py", "load_segment_file"): (
+        4, "segment header and object columns, until segments use repro.utils.columns"),
+    ("src/repro/core/durability.py", "DurableVnodeStore._read_manifest"): (
+        1, "the MANIFEST, until it has a schema"),
+    ("src/repro/core/durability.py", "DurableVnodeStore._read_wal"): (
+        1, "WAL records, until they use repro.utils.columns"),
+}
+
+#: ``pickle`` attributes that unpickle (rule 5).
+_UNPICKLERS = ("load", "loads", "Unpickler")
 
 
 def _iter_modules() -> Iterator[Path]:
@@ -236,8 +261,60 @@ def check_dead_symbols() -> List[str]:
     return errors
 
 
+def _unpickle_calls(node: ast.AST, scope: str = "") -> Iterator[Tuple[int, str]]:
+    """Yield ``(lineno, enclosing qualified name)`` of every unpickling call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _unpickle_calls(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        func = getattr(child, "func", None)
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and func.attr in _UNPICKLERS
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "pickle"
+        ):
+            yield child.lineno, scope or "<module>"
+        yield from _unpickle_calls(child, scope)
+
+
+def check_unpickling() -> List[str]:
+    """Rule 5: unpickling outside :data:`UNPICKLE_ALLOWED`, and stale counts."""
+    errors: List[str] = []
+    found: Dict[Tuple[str, str], List[int]] = {}
+    for path in _iter_modules():
+        rel = path.relative_to(REPO_ROOT).as_posix()
+        tree = ast.parse(path.read_text(), filename=rel)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "pickle":
+                if any(alias.name in _UNPICKLERS for alias in node.names):
+                    errors.append(
+                        f"{rel}:{node.lineno}: imports an unpickler from pickle "
+                        f"(call pickle.load/loads so rule 5 can see the site)"
+                    )
+        for lineno, scope in _unpickle_calls(tree):
+            found.setdefault((rel, scope), []).append(lineno)
+    for (rel, scope), lines in sorted(found.items()):
+        allowed = UNPICKLE_ALLOWED.get((rel, scope), (0, ""))[0]
+        if len(lines) > allowed:
+            errors.append(
+                f"{rel}:{lines[allowed]}: {scope} unpickles {len(lines)} time(s), "
+                f"UNPICKLE_ALLOWED allows {allowed} (decode untrusted bytes with "
+                f"repro.utils.columns, or list the site with its reason)"
+            )
+    errors += [
+        f"scripts/check_layering.py: UNPICKLE_ALLOWED allows {count} unpickling "
+        f"call(s) in {rel}::{scope}, which has {len(found.get((rel, scope), []))} "
+        f"(lower the entry)"
+        for (rel, scope), (count, _why) in sorted(UNPICKLE_ALLOWED.items())
+        if len(found.get((rel, scope), [])) < count
+    ]
+    return errors
+
+
 def main() -> int:
-    errors = check() + check_dead_symbols()
+    errors = check() + check_dead_symbols() + check_unpickling()
     if errors:
         print(f"check_layering: {len(errors)} violation(s)")
         for error in errors:
@@ -245,7 +322,8 @@ def main() -> int:
         return 1
     n = sum(1 for _ in _iter_modules())
     print(f"check_layering: OK ({n} modules checked, "
-          f"{len(KEPT_UNREFERENCED)} unreferenced public symbols kept by allowlist)")
+          f"{len(KEPT_UNREFERENCED)} unreferenced public symbols kept by allowlist, "
+          f"{sum(count for count, _ in UNPICKLE_ALLOWED.values())} unpickling calls allowed)")
     return 0
 
 

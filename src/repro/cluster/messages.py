@@ -9,11 +9,14 @@ wire encoding and only matter relative to each other.
 Since the networked runtime (:mod:`repro.runtime`) the same classes are
 also the *actual* protocol: every message knows how to :meth:`~Message.encode`
 itself to bytes and the module-level :func:`decode` turns bytes back into
-the typed message.  The body encoding is a 2-byte type code (assigned from
-the registration order of the subclasses, identical on every process
-running the same code) followed by the pickled tuple of field values;
-length-prefix framing on a stream is the transport's job
-(:mod:`repro.runtime.codec`).
+the typed message.  A body is a 2-byte type code — declared by each class
+(``class PutRequest(Message, code=12)``), never derived from definition
+order, so deleting a class renumbers nothing — followed by the fields.  The
+two row-carrying messages, :class:`BulkLoadChunk` and :class:`RangeAdopt`,
+write a fixed header (``!qq`` src/dst, length-prefixed UTF-8 ``ref`` and
+``tier``) and then raw columns (:mod:`repro.utils.columns`); every other
+message pickles the tuple of its field values.  Length-prefix framing on a
+stream is the transport's job (:mod:`repro.runtime.codec`).
 
 The data-plane messages (:class:`PutRequest`, :class:`GetRequest`,
 :class:`BulkLoadChunk`, :class:`LookupRequest`, the range-transfer family)
@@ -27,13 +30,21 @@ import pickle
 import struct
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+
+from repro.utils.columns import ColumnReader, encode_column, encode_text
 
 #: Wire prefix of an encoded message body: the subclass' type code.
 _TYPE_CODE = struct.Struct("!H")
 
+#: Fixed header of a columnar body after the type code: ``src``, ``dst``.
+_ENDPOINTS = struct.Struct("!qq")
+
+#: Segment count of a :class:`RangeAdopt` body.
+_SEGMENTS = struct.Struct("!I")
+
 #: ``type code -> message class``, filled by ``Message.__init_subclass__``
-#: in definition order (deterministic across processes running this module).
+#: from the code each class declares.
 MESSAGE_TYPES: Dict[int, Type["Message"]] = {}
 
 #: ``message class -> (packed type code, getter of its field values)``, filled
@@ -57,7 +68,7 @@ class Message:
     #: Estimated wire size of the fixed part of any message (headers, ids).
     BASE_SIZE_BYTES = 64
 
-    #: Wire type code of the concrete class (set by ``__init_subclass__``).
+    #: Wire type code of the concrete class (declared in its class statement).
     TYPE_CODE = 0
 
     #: False on a request that must not be sent twice: applying it a second
@@ -65,9 +76,19 @@ class Message:
     #: reached the handler gets the error instead of a silent re-send.
     RETRY_SAFE = True
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
+    def __init_subclass__(cls, code: Optional[int] = None, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        code = len(MESSAGE_TYPES) + 1
+        if code is None:
+            raise TypeError(
+                f"{cls.__name__} must declare its wire type code: "
+                f"class {cls.__name__}(Message, code=N)"
+            )
+        taken = MESSAGE_TYPES.get(code)
+        if taken is not None or not 0 < code < 1 << 16:
+            raise TypeError(
+                f"{cls.__name__}: wire type code {code} is "
+                + (f"taken by {taken.__name__}" if taken else "outside 1..65535")
+            )
         cls.TYPE_CODE = code
         MESSAGE_TYPES[code] = cls
 
@@ -100,6 +121,12 @@ def decode(data: bytes) -> Message:
     except KeyError:
         raise WireError(f"unknown message type code {code}") from None
     try:
+        read_columns = _COLUMNAR_BODIES.get(cls)
+        if read_columns is not None:
+            reader = ColumnReader(data, _TYPE_CODE.size)
+            message = read_columns(reader)
+            reader.finish()
+            return message
         values = pickle.loads(data[_TYPE_CODE.size :])
         return cls(*values)
     except WireError:
@@ -108,8 +135,21 @@ def decode(data: bytes) -> Message:
         raise WireError(f"cannot decode {cls.__name__} body: {exc!r}") from exc
 
 
+def _columnar_head(message: Message) -> List[bytes]:
+    """Type code, endpoints, ``ref`` and ``tier`` of a columnar body."""
+    out = [_TYPE_CODE.pack(message.TYPE_CODE), _ENDPOINTS.pack(message.src, message.dst)]
+    encode_text(out, message.ref)
+    encode_text(out, message.tier)
+    return out
+
+
+def _read_head(reader: ColumnReader) -> Tuple[int, int, str, str]:
+    src, dst = reader.unpack(_ENDPOINTS)
+    return src, dst, reader.text(), reader.text()
+
+
 @dataclass(frozen=True)
-class CreateVnodeRequest(Message):
+class CreateVnodeRequest(Message, code=1):
     """Request asking the destination snode to take part in a vnode creation."""
 
     vnode: int = 0
@@ -119,7 +159,7 @@ class CreateVnodeRequest(Message):
 
 
 @dataclass(frozen=True)
-class RecordSync(Message):
+class RecordSync(Message, code=2):
     """GPDR/LPDR synchronization message carrying one record replica.
 
     The record has one entry (canonical name + partition count) per vnode.
@@ -135,7 +175,7 @@ class RecordSync(Message):
 
 
 @dataclass(frozen=True)
-class PartitionTransfer(Message):
+class PartitionTransfer(Message, code=3):
     """Hand-over of one partition and the items stored under it."""
 
     payload_bytes: float = 0.0
@@ -145,7 +185,7 @@ class PartitionTransfer(Message):
 
 
 @dataclass(frozen=True)
-class RemoveVnodeRequest(Message):
+class RemoveVnodeRequest(Message, code=4):
     """Request asking the destination snode to take part in a vnode removal.
 
     Covers both graceful leaves and enrollment shrinks: the victim vnode's
@@ -160,7 +200,7 @@ class RemoveVnodeRequest(Message):
 
 
 @dataclass(frozen=True)
-class CrashNotice(Message):
+class CrashNotice(Message, code=5):
     """Failure notification: a snode crashed without a graceful drain.
 
     Broadcast by the failure detector to every snode involved in the
@@ -175,7 +215,7 @@ class CrashNotice(Message):
 
 
 @dataclass(frozen=True)
-class RestartNotice(Message):
+class RestartNotice(Message, code=6):
     """Rejoin notification: a killed snode came back with its disk intact.
 
     Broadcast when a restarted snode re-announces itself so the cluster
@@ -191,7 +231,7 @@ class RestartNotice(Message):
 
 
 @dataclass(frozen=True)
-class ReplicaRebuildTransfer(Message):
+class ReplicaRebuildTransfer(Message, code=7):
     """Bulk copy of surviving replica rows rebuilding a lost primary.
 
     The payload is the surviving-replica rows that recovery promotes back
@@ -205,7 +245,7 @@ class ReplicaRebuildTransfer(Message):
 
 
 @dataclass(frozen=True)
-class ReplicaSyncTransfer(Message):
+class ReplicaSyncTransfer(Message, code=8):
     """Replica-sync fan-out: primary rows refilled into replica stores.
 
     Sent once per replica rank after a topology change so every partition
@@ -220,7 +260,7 @@ class ReplicaSyncTransfer(Message):
 
 
 @dataclass(frozen=True)
-class RebalanceTransfer(Message):
+class RebalanceTransfer(Message, code=9):
     """Hand-over of one partition decided by the load-aware rebalancing plan."""
 
     payload_bytes: float = 0.0
@@ -230,7 +270,7 @@ class RebalanceTransfer(Message):
 
 
 @dataclass(frozen=True)
-class Ack(Message):
+class Ack(Message, code=10):
     """Acknowledgement closing a request/response exchange.
 
     A bare ``Ack`` (no payload, no error) is the minimal reply and its size
@@ -257,12 +297,12 @@ def _measured_size(message: Message) -> float:
 
 
 @dataclass(frozen=True)
-class PingRequest(Message):
+class PingRequest(Message, code=11):
     """Liveness/readiness probe; the reply is a bare :class:`Ack`."""
 
 
 @dataclass(frozen=True)
-class PutRequest(Message):
+class PutRequest(Message, code=12):
     """Data-plane write of one item into a vnode's primary or replica tier.
 
     ``ref`` is the canonical vnode name (``"s0.1"``); ``tier`` selects the
@@ -281,7 +321,7 @@ class PutRequest(Message):
 
 
 @dataclass(frozen=True)
-class GetRequest(Message):
+class GetRequest(Message, code=13):
     """Data-plane read of one key from a vnode tier; replies ``Ack(payload=value)``."""
 
     ref: str = ""
@@ -293,7 +333,7 @@ class GetRequest(Message):
 
 
 @dataclass(frozen=True)
-class DeleteRequest(Message):
+class DeleteRequest(Message, code=14):
     """Data-plane delete of one key from a vnode tier."""
 
     ref: str = ""
@@ -305,7 +345,7 @@ class DeleteRequest(Message):
 
 
 @dataclass(frozen=True)
-class LookupRequest(Message):
+class LookupRequest(Message, code=15):
     """Route a key through the server's local placement view.
 
     Replies ``Ack(payload=(level, partition_index, ref_name, snode_id))`` —
@@ -320,12 +360,17 @@ class LookupRequest(Message):
 
 
 @dataclass(frozen=True)
-class BulkLoadChunk(Message):
+class BulkLoadChunk(Message, code=16):
     """Columnar batch write into one vnode tier.
 
     ``keys``/``indexes``/``values`` are parallel sequences (typically numpy
-    arrays) — the row-transfer unit of the bulk-load path.
+    arrays) — the row-transfer unit of the bulk-load path.  On the wire they
+    are three raw columns; a sequence that is not an ndarray arrives as an
+    ``object`` column.  Applying a chunk twice stores its rows twice, hence
+    not retry-safe.
     """
+
+    RETRY_SAFE = False
 
     ref: str = ""
     tier: str = "primary"
@@ -336,15 +381,27 @@ class BulkLoadChunk(Message):
     def size_bytes(self) -> float:
         return _measured_size(self)
 
+    def encode(self) -> bytes:
+        out = _columnar_head(self)
+        for column in (self.keys, self.indexes, self.values):
+            encode_column(out, column)
+        return b"".join(out)
+
+
+def _read_bulk_load_chunk(reader: ColumnReader) -> BulkLoadChunk:
+    return BulkLoadChunk(*_read_head(reader), reader.column(), reader.column(), reader.column())
+
 
 @dataclass(frozen=True)
-class RangeAdopt(Message):
+class RangeAdopt(Message, code=17):
     """Adopt rows into a vnode tier — the peer-link half of a range move.
 
-    ``parts`` is the ``(pairs, segments)`` columnar transfer unit of
-    :mod:`repro.core.storage`, as copied out of the source's buckets.
-    Adopting the same parts twice counts their rows twice, hence not
-    retry-safe.
+    ``parts`` is a list of the ``(pairs, segments)`` columnar transfer units
+    of :mod:`repro.core.storage`, as copied out of the source's buckets.  On
+    the wire they travel joined: the hash-tier pairs as one ``(keys,
+    indexes, values)`` column group, then three columns per segment — so a
+    decoded message holds a single ``(pairs, segments)`` entry.  Adopting
+    the same parts twice counts their rows twice, hence not retry-safe.
     """
 
     RETRY_SAFE = False
@@ -356,9 +413,51 @@ class RangeAdopt(Message):
     def size_bytes(self) -> float:
         return _measured_size(self)
 
+    def encode(self) -> bytes:
+        out = _columnar_head(self)
+        if self.parts is None:
+            out.append(_SEGMENTS.pack(0))
+            encode_column(out, None)
+            return b"".join(out)
+        pairs = [pair for part_pairs, _ in self.parts for pair in part_pairs]
+        segments = [segment for _, part_segments in self.parts for segment in part_segments]
+        out.append(_SEGMENTS.pack(len(segments)))
+        keys, items = zip(*pairs) if pairs else ((), ())
+        indexes, values = zip(*items) if pairs else ((), ())
+        for column in (keys, indexes, values, *(c for segment in segments for c in segment)):
+            encode_column(out, column)
+        return b"".join(out)
+
+
+def _read_range_adopt(reader: ColumnReader) -> RangeAdopt:
+    head = _read_head(reader)
+    (n_segments,) = reader.unpack(_SEGMENTS)
+    keys = reader.column()
+    if keys is None and not n_segments:  # ``parts=None``
+        return RangeAdopt(*head)
+    keys, indexes, values = _row_group(keys, reader.column(), reader.column())
+    pairs = list(zip(keys.tolist(), zip(indexes.tolist(), values.tolist())))
+    segments = [
+        _row_group(reader.column(), reader.column(), reader.column(), values_optional=True)
+        for _ in range(n_segments)
+    ]
+    return RangeAdopt(*head, parts=[(pairs, segments)])
+
+
+def _row_group(
+    keys: Any, indexes: Any, values: Any, values_optional: bool = False
+) -> Tuple[Any, Any, Any]:
+    """``(keys, indexes, values)`` checked to be columns of one length."""
+    if keys is None or indexes is None or (values is None and not values_optional):
+        raise WireError("a row group is missing a column")
+    lengths = {len(column) for column in (keys, indexes, values) if column is not None}
+    if len(lengths) > 1:
+        raise WireError(f"columns of one row group disagree in length: {sorted(lengths)}")
+    return keys, indexes, values
+
 
 @dataclass(frozen=True)
-class RangeCount(Message):
+class RangeCount(Message, code=18):
     """Count the rows of a vnode tier inside absolute hash ranges.
 
     Replies ``Ack(payload=[counts...])``, one count per range — the
@@ -374,7 +473,7 @@ class RangeCount(Message):
 
 
 @dataclass(frozen=True)
-class RangeDrop(Message):
+class RangeDrop(Message, code=19):
     """Drop every row of a vnode tier *inside* the given absolute ranges.
 
     Replies ``Ack(payload=n_dropped)``.  Idempotent: it clears a target's
@@ -391,7 +490,7 @@ class RangeDrop(Message):
 
 
 @dataclass(frozen=True)
-class RangeRetain(Message):
+class RangeRetain(Message, code=20):
     """Drop every row of a vnode tier *outside* the given absolute ranges.
 
     Replies ``Ack(payload=n_dropped)``.  Used after ownership shrinks so a
@@ -407,7 +506,7 @@ class RangeRetain(Message):
 
 
 @dataclass(frozen=True)
-class VnodeCreate(Message):
+class VnodeCreate(Message, code=21):
     """Runtime order to host a vnode: register primary + replica stores.
 
     ``fresh=False`` tells a rebooted server process to re-adopt the vnode's
@@ -423,7 +522,7 @@ class VnodeCreate(Message):
 
 
 @dataclass(frozen=True)
-class VnodeDrop(Message):
+class VnodeDrop(Message, code=22):
     """Runtime order to stop hosting a vnode (stores must already be empty)."""
 
     ref: str = ""
@@ -433,7 +532,7 @@ class VnodeDrop(Message):
 
 
 @dataclass(frozen=True)
-class WalReplay(Message):
+class WalReplay(Message, code=23):
     """Order a restarted node to replay one vnode's WAL/segments from disk.
 
     Replies ``Ack(payload=rows_recovered)``.
@@ -446,7 +545,7 @@ class WalReplay(Message):
 
 
 @dataclass(frozen=True)
-class TopologySnapshot(Message):
+class TopologySnapshot(Message, code=24):
     """Coordinator-pushed routing state: the full ownership table.
 
     ``entries`` is a tuple of ``(level, partition_index, ref_name)``
@@ -463,7 +562,7 @@ class TopologySnapshot(Message):
 
 
 @dataclass(frozen=True)
-class NodeStatsRequest(Message):
+class NodeStatsRequest(Message, code=25):
     """Ask a node for its per-vnode row counts and durability counters.
 
     Replies ``Ack(payload=stats_dict)``.  With ``partitions=True`` the
@@ -480,7 +579,7 @@ class NodeStatsRequest(Message):
 
 
 @dataclass(frozen=True)
-class PeerTransferRequest(Message):
+class PeerTransferRequest(Message, code=26):
     """Coordinator order: push owned rows directly to a peer node.
 
     The only row-moving order there is.  The source node copies ``ranges``
@@ -507,3 +606,10 @@ class PeerTransferRequest(Message):
     def size_bytes(self) -> float:
         return _measured_size(self)
 
+
+#: ``message class -> body reader`` of the classes whose body is columnar;
+#: :func:`decode` unpickles every other class's body.
+_COLUMNAR_BODIES: Dict[type, Callable[[ColumnReader], Message]] = {
+    BulkLoadChunk: _read_bulk_load_chunk,
+    RangeAdopt: _read_range_adopt,
+}

@@ -11,7 +11,8 @@ availability story replication pays for.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+import asyncio
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from repro.core.hashspace import HashSpace, Partition
 from repro.core.ids import VnodeRef
 from repro.runtime.node import NodeTopologyView
 from repro.runtime.rpc import RpcClient, RpcError
+from repro.utils.arrays import as_object_column
 
 #: ``src`` id the coordinator/client stamps on its messages.
 COORDINATOR_ID = -1
@@ -161,63 +163,83 @@ class ClusterClient:
         keys: Sequence[Hashable],
         values: Optional[Sequence[Any]] = None,
     ) -> int:
-        """Columnar bulk load: one chunk RPC per target vnode (plus replicas).
+        """Columnar bulk load: one chunk RPC per (target vnode, tier), all in flight.
 
-        Keys are hashed and routed client-side, grouped by owning vnode with
-        one argsort, and shipped as :class:`~repro.cluster.messages.BulkLoadChunk`
-        messages — the networked twin of the engine's ``bulk_load``.
+        Keys are hashed and routed client-side, grouped by target vnode with
+        one stable argsort per tier, and shipped as
+        :class:`~repro.cluster.messages.BulkLoadChunk` messages sent
+        concurrently — the networked twin of the engine's ``bulk_load``.  A
+        chunk keeps its rows in input order, so the last of a repeated key
+        wins as it does in the engine.  Returns the primary rows
+        acknowledged; if any chunk fails, the first error is raised once
+        every chunk has settled.
         """
-        key_column = np.asarray(keys) if not isinstance(keys, np.ndarray) else keys
+        key_column = keys if isinstance(keys, np.ndarray) else as_object_column(keys)
         if len(key_column) == 0:
             return 0
         value_column = None
         if values is not None:
-            value_column = np.asarray(values, dtype=object)
+            value_column = values if isinstance(values, np.ndarray) else as_object_column(values)
         indexes = self.hash_space.hash_keys(key_column)
         positions = self.placement.locate_batch(indexes)
-        order = np.argsort(positions, kind="stable")
-        sorted_positions = positions[order]
-        boundaries = np.nonzero(np.diff(sorted_positions))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(sorted_positions)]))
-        router = self.placement.router()
-        replicated = self.replication_factor > 1
-        placement = self.placement.placement() if replicated else None
-        loaded = 0
-        for lo, hi in zip(starts, ends):
-            rows = order[lo:hi]
-            position = int(sorted_positions[lo])
-            partition, ref = router.entry_at(position)
-            chunk_keys = key_column[rows]
-            chunk_indexes = indexes[rows]
-            chunk_values = value_column[rows] if value_column is not None else None
-            response = await self._call_vnode(
-                ref,
-                BulkLoadChunk(
-                    src=COORDINATOR_ID,
-                    dst=ref.snode.value,
-                    ref=ref.canonical_name,
-                    keys=chunk_keys,
-                    indexes=chunk_indexes,
-                    values=chunk_values,
-                ),
-            )
-            loaded += int(response.payload)
-            if placement is not None:
-                for replica in placement.replicas_at(position):
-                    await self._call_vnode(
-                        replica,
-                        BulkLoadChunk(
-                            src=COORDINATOR_ID,
-                            dst=replica.snode.value,
-                            ref=replica.canonical_name,
-                            tier="replica",
-                            keys=chunk_keys,
-                            indexes=chunk_indexes,
-                            values=chunk_values,
-                        ),
+        refs, primary, replica_ranks = self._targets_by_position()
+
+        def send(tier: str, targets: np.ndarray, rows: np.ndarray) -> list:
+            return [
+                self._call_vnode(
+                    refs[target],
+                    BulkLoadChunk(
+                        src=COORDINATOR_ID,
+                        dst=refs[target].snode.value,
+                        ref=refs[target].canonical_name,
+                        tier=tier,
+                        keys=key_column[chunk],
+                        indexes=indexes[chunk],
+                        values=None if value_column is None else value_column[chunk],
+                    ),
+                )
+                for target, chunk in _group_rows(targets, rows)
+            ]
+
+        all_rows = np.arange(len(key_column))
+        primaries = send("primary", primary[positions], all_rows)
+        replicas = []
+        if replica_ranks:
+            targets = np.concatenate([rank[positions] for rank in replica_ranks])
+            rows = np.tile(all_rows, len(replica_ranks))
+            placed = targets >= 0
+            replicas = send("replica", targets[placed], rows[placed])
+        replies = await asyncio.gather(*primaries, *replicas, return_exceptions=True)
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+        return sum(int(reply.payload) for reply in replies[: len(primaries)])
+
+    def _targets_by_position(self) -> Tuple[List[VnodeRef], np.ndarray, List[np.ndarray]]:
+        """Who receives the rows of each router position, as integer target ids.
+
+        Returns ``(refs, primary, replica_ranks)``: ``refs[id]`` is the vnode
+        of a target id, ``primary[p]`` the id of position ``p``'s owner and
+        ``replica_ranks[r][p]`` that of its rank-``r + 1`` replica (``-1``
+        where the position has fewer replicas).
+        """
+        ids: Dict[VnodeRef, int] = {}
+        entries = self.placement.router().entries()
+        primary = np.array([ids.setdefault(ref, len(ids)) for _, ref in entries])
+        replica_ranks: List[np.ndarray] = []
+        if self.replication_factor > 1:
+            placement = self.placement.placement()
+            replicas = [placement.replicas_at(p) for p in range(len(entries))]
+            for rank in range(max(map(len, replicas), default=0)):
+                replica_ranks.append(
+                    np.array(
+                        [
+                            ids.setdefault(held[rank], len(ids)) if rank < len(held) else -1
+                            for held in replicas
+                        ]
                     )
-        return loaded
+                )
+        return list(ids), primary, replica_ranks
 
     # -- plumbing --------------------------------------------------------------
 
@@ -227,6 +249,16 @@ class ClusterClient:
         except KeyError:
             raise RpcError(f"no connection to snode {ref.snode.value}") from None
         return await rpc.call(message)
+
+
+def _group_rows(targets: np.ndarray, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(target, its rows)`` per distinct target id, rows in their given order."""
+    order = np.argsort(targets, kind="stable")
+    ordered = targets[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(order)]):
+        if hi > lo:
+            yield int(ordered[lo]), rows[order[lo:hi]]
 
 
 __all__ = ["COORDINATOR_ID", "ClusterClient"]

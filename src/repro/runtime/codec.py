@@ -5,7 +5,8 @@ A frame is::
     !I  length of the rest of the frame (request id + flags + body)
     !Q  request id (matches a response to its request on one connection)
     !B  flags (bit 0: this frame is a response)
-    ..  message body — 2-byte type code + pickled fields
+    ..  message body — 2-byte type code + fields: raw columns for the
+        row messages, pickled for the rest
         (:meth:`repro.cluster.messages.Message.encode`)
 
 The frame layer is deliberately dumb: request/response correlation and

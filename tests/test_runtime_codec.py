@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.cluster.messages import (
     MESSAGE_TYPES,
@@ -29,6 +30,7 @@ from repro.cluster.messages import (
     PeerTransferRequest,
     PingRequest,
     PutRequest,
+    RangeAdopt,
     RangeCount,
     TopologySnapshot,
     WireError,
@@ -42,6 +44,40 @@ from repro.runtime.codec import (
     parse_frame,
     read_frame,
 )
+from repro.utils.columns import ColumnReader, encode_column
+
+#: The row messages, whose bodies are columns instead of a pickled tuple.
+COLUMNAR = (BulkLoadChunk, RangeAdopt)
+
+#: Every message class and its wire type code.
+WIRE_CODES = {
+    "CreateVnodeRequest": 1,
+    "RecordSync": 2,
+    "PartitionTransfer": 3,
+    "RemoveVnodeRequest": 4,
+    "CrashNotice": 5,
+    "RestartNotice": 6,
+    "ReplicaRebuildTransfer": 7,
+    "ReplicaSyncTransfer": 8,
+    "RebalanceTransfer": 9,
+    "Ack": 10,
+    "PingRequest": 11,
+    "PutRequest": 12,
+    "GetRequest": 13,
+    "DeleteRequest": 14,
+    "LookupRequest": 15,
+    "BulkLoadChunk": 16,
+    "RangeAdopt": 17,
+    "RangeCount": 18,
+    "RangeDrop": 19,
+    "RangeRetain": 20,
+    "VnodeCreate": 21,
+    "VnodeDrop": 22,
+    "WalReplay": 23,
+    "TopologySnapshot": 24,
+    "NodeStatsRequest": 25,
+    "PeerTransferRequest": 26,
+}
 
 
 class TestMessageCodec:
@@ -56,8 +92,11 @@ class TestMessageCodec:
             assert cls.TYPE_CODE == code
 
     def test_encode_is_byte_identical_to_the_per_call_fields_walk(self):
-        """The cached per-class getter must not change a byte on the wire."""
-        for code, cls in sorted(MESSAGE_TYPES.items()):
+        """The cached per-class getter must not change a byte on the wire of
+        any pickle-bodied message (all but the two columnar row messages)."""
+        pickled = {c: k for c, k in MESSAGE_TYPES.items() if k not in COLUMNAR}
+        assert len(pickled) == len(MESSAGE_TYPES) - len(COLUMNAR)
+        for code, cls in sorted(pickled.items()):
             msg = cls(src=3, dst=9)
             reference = struct.pack("!H", code) + pickle.dumps(
                 tuple(getattr(msg, f.name) for f in fields(msg)),
@@ -69,9 +108,32 @@ class TestMessageCodec:
     def test_type_codes_are_unique_and_stable(self):
         codes = [cls.TYPE_CODE for cls in MESSAGE_TYPES.values()]
         assert len(codes) == len(set(codes))
-        # Definition order is the wire contract: Ack must keep its slot or
-        # every mixed-version conversation decodes garbage.
         assert MESSAGE_TYPES[Ack.TYPE_CODE] is Ack
+
+    def test_every_type_code_is_pinned(self):
+        """The codes are the wire contract: a mixed-version conversation
+        decodes garbage if any class changes its code, so every one of them
+        is declared by its class and pinned here."""
+        assert {cls.__name__: code for code, cls in MESSAGE_TYPES.items()} == WIRE_CODES
+
+    def test_a_message_class_must_declare_a_free_code(self):
+        before = dict(MESSAGE_TYPES)
+        with pytest.raises(TypeError, match="must declare its wire type code"):
+
+            class Undeclared(Message):
+                pass
+
+        with pytest.raises(TypeError, match="taken by Ack"):
+
+            class Duplicate(Message, code=Ack.TYPE_CODE):
+                pass
+
+        with pytest.raises(TypeError, match="outside"):
+
+            class TooLarge(Message, code=1 << 16):
+                pass
+
+        assert MESSAGE_TYPES == before
 
     def test_populated_payloads_round_trip(self):
         put = PutRequest(src=1, dst=2, ref="0.1", tier="replica", key=7, index=99, value="v")
@@ -124,6 +186,218 @@ class TestMessageCodec:
         body = struct.pack("!H", Ack.TYPE_CODE) + b"not a pickle"
         with pytest.raises(WireError):
             decode(body)
+
+
+def _object_column(items):
+    column = np.empty(len(items), dtype=object)
+    column[:] = items
+    return column
+
+
+def _objects(elements):
+    return st.lists(elements, max_size=12).map(_object_column)
+
+
+#: One strategy per column kind of :mod:`repro.utils.columns`, zero rows included.
+COLUMN_KINDS = {
+    "none": st.none(),
+    "native": st.sampled_from([np.uint64, np.int64, np.float64, np.bool_]).flatmap(
+        lambda dtype: hnp.arrays(dtype, st.integers(0, 12))
+    ),
+    "fixed-bytes": st.integers(0, 8).flatmap(
+        lambda w: _objects(st.binary(min_size=w, max_size=w).map(lambda b: b + b"\x00"))
+    ),
+    "variable-bytes": _objects(st.binary(max_size=12)),
+    "str": _objects(st.text(max_size=8)),
+    "boxed": st.one_of(
+        _objects(st.integers(-(2**63), 2**63 - 1)),
+        _objects(st.integers(2**63, 2**64 - 1)),
+        _objects(st.floats(allow_nan=False)),
+        _objects(st.booleans()),
+    ),
+    "pickled": _objects(
+        st.one_of(
+            st.integers(),
+            st.text(max_size=4),
+            st.binary(max_size=4),
+            st.none(),
+            st.tuples(st.integers(), st.integers()),
+        )
+    ),
+}
+COLUMNS = st.one_of(*COLUMN_KINDS.values())
+
+_REFS = st.sampled_from(["0.0", "3.1", "é.2"])
+_TIERS = st.sampled_from(["primary", "replica"])
+BULK_CHUNKS = st.builds(
+    BulkLoadChunk, src=st.integers(-1, 9), dst=st.integers(0, 9), ref=_REFS, tier=_TIERS,
+    keys=COLUMNS, indexes=COLUMNS, values=COLUMNS,
+)
+_PAIRS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=4)),
+        st.tuples(st.integers(0, 2**32), st.binary(max_size=8)),
+    ),
+    max_size=8,
+)
+_SEGMENTS = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        hnp.arrays(np.uint64, n),
+        hnp.arrays(np.uint64, n),
+        st.one_of(st.none(), st.lists(st.binary(max_size=8), min_size=n, max_size=n).map(
+            _object_column)),
+    )
+)
+RANGE_ADOPTS = st.builds(
+    RangeAdopt, src=st.integers(-1, 9), dst=st.integers(-1, 9), ref=_REFS, tier=_TIERS,
+    parts=st.lists(st.tuples(_PAIRS, st.lists(_SEGMENTS, max_size=3)), min_size=1, max_size=3),
+)
+
+
+def assert_same_column(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert type(got) is np.ndarray
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if want.dtype == object:
+        assert [type(v) for v in got.tolist()] == [type(v) for v in want.tolist()]
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def _decode_from_a_receive_buffer(body):
+    """Decode the way ``FrameProtocol`` does — through a view of a bytearray —
+    then resize the bytearray, which raises ``BufferError`` while anything
+    decoded still exports it."""
+    buffer = bytearray(body)
+    with memoryview(buffer) as view:
+        message = decode(view)
+    del buffer[:]
+    return message
+
+
+def _decodes_or_raises_wire_error(body):
+    try:
+        message = decode(body)
+    except WireError:
+        return
+    assert isinstance(message, Message)
+
+
+class TestColumnarBodies:
+    """``BulkLoadChunk`` and ``RangeAdopt`` travel as raw columns."""
+
+    @pytest.mark.parametrize("kind", sorted(COLUMN_KINDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_column_kind_round_trips(self, kind, data):
+        column = data.draw(COLUMN_KINDS[kind], label=kind)
+        out = []
+        encode_column(out, column)
+        buffer = bytearray(b"".join(out))
+        with memoryview(buffer) as view:
+            reader = ColumnReader(view)
+            got = reader.column()
+            reader.finish()
+            del reader
+        del buffer[:]  # BufferError if the column were a view of the buffer
+        assert_same_column(got, column)
+
+    def test_each_typed_kind_is_chosen_where_it_applies(self):
+        """Equal-width values take the fixed-width path even when they end in
+        NUL (an ``S`` dtype would strip it); ragged ones the variable path."""
+
+        def kind(column):
+            out = []
+            encode_column(out, column)
+            return out[0][0]
+
+        assert kind(None) == 0
+        assert kind(np.arange(3, dtype=np.uint64)) == 1
+        assert kind(_object_column([1, 2**64 - 1])) == 2
+        assert kind(_object_column([2**64])) == 6
+        assert kind(_object_column([b"a\x00", b"b\x00"])) == 3
+        assert kind(_object_column([b"a", b"bc"])) == 4
+        assert kind(_object_column(["ä", "bc"])) == 5
+        assert kind(_object_column([1, "a"])) == 6
+        assert kind(["plain", "list"]) == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunk=BULK_CHUNKS)
+    def test_bulk_load_chunk_round_trips(self, chunk):
+        out = _decode_from_a_receive_buffer(chunk.encode())
+        assert (out.src, out.dst, out.ref, out.tier) == (
+            chunk.src, chunk.dst, chunk.ref, chunk.tier,
+        )
+        for name in ("keys", "indexes", "values"):
+            assert_same_column(getattr(out, name), getattr(chunk, name))
+        assert chunk.size_bytes() == max(Message.BASE_SIZE_BYTES, len(chunk.encode()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(adopt=RANGE_ADOPTS)
+    def test_range_adopt_round_trips_its_parts_joined(self, adopt):
+        out = _decode_from_a_receive_buffer(adopt.encode())
+        assert (out.src, out.dst, out.ref, out.tier) == (
+            adopt.src, adopt.dst, adopt.ref, adopt.tier,
+        )
+        ((pairs, segments),) = out.parts
+        assert pairs == [pair for part_pairs, _ in adopt.parts for pair in part_pairs]
+        want = [segment for _, part_segments in adopt.parts for segment in part_segments]
+        assert len(segments) == len(want)
+        for got_segment, want_segment in zip(segments, want):
+            for got, column in zip(got_segment, want_segment):
+                assert_same_column(got, column)
+
+    @settings(max_examples=100, deadline=None)
+    @given(message=st.one_of(BULK_CHUNKS, RANGE_ADOPTS), data=st.data())
+    def test_truncated_flipped_or_garbage_bodies_raise_wire_error_only(self, message, data):
+        body = message.encode()
+        for cut in range(len(body)):
+            with pytest.raises(WireError):
+                decode(body[:cut])
+        flipped = bytearray(body)
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(body) - 1), min_size=1, max_size=4)):
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        _decodes_or_raises_wire_error(bytes(flipped))
+        _decodes_or_raises_wire_error(body[:2] + data.draw(st.binary(max_size=64)))
+        with pytest.raises(WireError):
+            decode(body + b"\x00")
+
+    def test_int_bytes_and_str_rows_never_pickle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle on the row path")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "dumps", refuse)
+        n = 6
+        indexes = np.arange(n, dtype=np.uint64)
+        messages = [
+            BulkLoadChunk(
+                src=-1, dst=0, ref="0.0", keys=np.arange(n, dtype=np.uint64), indexes=indexes,
+                values=_object_column([bytes([i]) * 4 + b"\x00" for i in range(n)]),
+            ),
+            BulkLoadChunk(
+                src=-1, dst=0, ref="0.0", tier="replica", keys=_object_column(list(range(n))),
+                indexes=indexes, values=_object_column([b"x" * i for i in range(n)]),
+            ),
+            BulkLoadChunk(
+                src=-1, dst=0, ref="0.0", keys=_object_column([f"ключ-{i}" for i in range(n)]),
+                indexes=indexes, values=_object_column(["v"] * n),
+            ),
+            RangeAdopt(
+                src=1, dst=2, ref="1.0",
+                parts=[
+                    ([(7, (70, b"seven")), (8, (80, b"eight"))],
+                     [(np.arange(3, dtype=np.uint64), indexes[:3], None)]),
+                    ([(9, (90, b"nine"))], []),
+                ],
+            ),
+        ]
+        for message in messages:
+            body = message.encode()
+            assert _decode_from_a_receive_buffer(body).encode() == body
 
 
 class TestMessageSizes:
@@ -250,7 +524,15 @@ _MESSAGES = st.one_of(
         value=st.binary(max_size=300),
     ),
     st.builds(Ack, src=st.integers(0, 9), dst=st.just(-1), payload=st.text(max_size=40)),
+    BULK_CHUNKS,
+    RANGE_ADOPTS,
 )
+
+
+def _on_the_wire(frames):
+    """Frames with each message as its encoding (row messages hold arrays,
+    which ``==`` cannot compare)."""
+    return [(rid, is_response, message.encode(), n) for rid, is_response, message, n in frames]
 
 
 class TestFrameProtocol:
@@ -264,7 +546,11 @@ class TestFrameProtocol:
         data=st.data(),
     )
     def test_any_cut_of_the_stream_yields_the_same_frames(self, frames, data):
-        """``data_received`` and ``read_frame`` agree however the bytes arrive."""
+        """``data_received`` and ``read_frame`` agree however the bytes arrive.
+
+        A row message is decoded while its bytes sit in the protocol's
+        receive buffer, which is resized right after: any column still
+        viewing that buffer would raise ``BufferError`` there."""
         encoded = [
             encode_frame(request_id, message, response=is_response)
             for request_id, is_response, message in frames
@@ -291,8 +577,8 @@ class TestFrameProtocol:
             return protocol.frames, pulled
 
         pushed, pulled = asyncio.run(scenario())
-        assert pushed == expected
-        assert pulled == expected
+        assert _on_the_wire(pushed) == _on_the_wire(expected)
+        assert _on_the_wire(pulled) == _on_the_wire(expected)
 
     @pytest.mark.parametrize(
         "garbage",

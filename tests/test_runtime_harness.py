@@ -13,9 +13,10 @@ from __future__ import annotations
 import asyncio
 import subprocess
 
+import numpy as np
 import pytest
 
-from repro.cluster.messages import PeerTransferRequest, RangeCount, RangeDrop
+from repro.cluster.messages import BulkLoadChunk, PeerTransferRequest, RangeCount, RangeDrop
 from repro.runtime.harness import ClusterHarness, HarnessError
 from repro.runtime.node import SnodeNode
 from repro.runtime.rpc import RpcClient, RpcTimeoutError
@@ -400,6 +401,56 @@ class TestOneRequestPerStorePair:
                 await harness.verify_replication()
 
         _loaded_rf2(check)
+
+
+def _on_empty_rf2(check):
+    """Run ``await check(harness)`` on an rf=2 cluster holding no rows."""
+
+    async def scenario():
+        async with ClusterHarness(_rf2_spec(), trace=[]) as harness:
+            return await check(harness)
+
+    return asyncio.run(scenario())
+
+
+class TestClientBulkLoad:
+    def test_one_chunk_per_vnode_and_tier_with_rows_in_input_order(self, monkeypatch):
+        keys = np.arange(3000, dtype=np.uint64)[::-1].copy()
+        keys[-1] = keys[0]  # repeated key: the later value must win
+
+        async def check(harness):
+            seen = _record_requests(monkeypatch)
+            loaded = await harness.client.bulk_load(keys, np.arange(3000))
+            stats = await harness.gather_stats()
+            return seen, loaded, stats, await harness.client.get(int(keys[0]))
+
+        seen, loaded, stats, first_value = _on_empty_rf2(check)
+        chunks = [m for m in seen if isinstance(m, BulkLoadChunk)]
+        stores = [(m.ref, m.tier) for m in chunks]
+        assert len(stores) == len(set(stores))
+        assert {tier for _, tier in stores} == {"primary", "replica"}
+        assert loaded == sum(len(m.keys) for m in chunks if m.tier == "primary") == 3000
+        assert sum(s["replica"] for s in stats.values()) == 3000
+        # A value is its row number: every chunk keeps the input order.
+        assert all(np.all(np.diff(chunk.values) > 0) for chunk in chunks)
+        assert first_value == 2999
+
+    def test_served_cluster_returns_what_the_engine_returns(self):
+        """Mixed int/str keys keep their types (not ``"1"`` for ``1``), and
+        equal-length tuple values stay tuples (not a 2-D array the nodes
+        refuse) — the same rows the in-process engine stores."""
+        keys = [1, "1", "a", b"a", 2**40, 7, 1]
+        values = [(i, -i) for i in range(len(keys))]
+
+        async def check(harness):
+            await harness.client.bulk_load(keys, values)
+            return {key: await harness.client.get(key) for key in keys}
+
+        served = _on_empty_rf2(check)
+        engine = _rf2_spec().build_dht(data_dir=None, workers=0)
+        engine.bulk_load(keys, values)
+        assert served == {key: engine.get(key) for key in keys}
+        assert served[1] == (6, -6) and served["1"] == (1, -1)
 
 
 @pytest.mark.slow

@@ -282,6 +282,52 @@ class TestRpcFaults:
         asyncio.run(scenario())
 
 
+class TestNotRetrySafe:
+    def test_bulk_chunk_applied_before_a_dropped_reply_is_not_resent(self):
+        """The node applies a chunk, then the connection drops before the
+        reply: the call fails instead of re-sending, and the rows are held
+        once — a re-sent chunk would be appended a second time."""
+
+        async def scenario():
+            node, server = await _served_node()
+            client = RpcClient(server.address, timeout=2.0, retries=2)
+            serve = node.dispatch_inline
+            dropped = []
+
+            def apply_then_drop(message):
+                reply = serve(message)
+                if isinstance(message, BulkLoadChunk) and not dropped:
+                    dropped.append(reply)
+                    for connection in list(server.connections):
+                        connection.transport.abort()
+                return reply
+
+            node.dispatch_inline = apply_then_drop
+            try:
+                await client.call(VnodeCreate(src=-1, dst=0, ref="0.0"))
+                chunk = BulkLoadChunk(
+                    src=-1,
+                    dst=0,
+                    ref="0.0",
+                    keys=np.arange(100),
+                    indexes=np.arange(0, 1000, 10, dtype=np.uint64),
+                )
+                with pytest.raises(RpcConnectionError):
+                    await client.call(chunk)
+                assert dropped and dropped[0].payload == 100
+                await asyncio.sleep(0.05)
+                ack = await client.call(
+                    RangeCount(src=-1, dst=0, ref="0.0", ranges=((0, 2**16 - 1),))
+                )
+                assert ack.payload == [100]
+                assert node.requests_served["BulkLoadChunk"] == 1
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(scenario())
+
+
 class TestGarbageOnTheWire:
     """A frame that does not parse drops the connection — quietly."""
 
