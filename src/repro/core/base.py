@@ -526,7 +526,7 @@ class BaseDHT(ABC):
         healed by the next :meth:`recover` / sync pass yet.
         """
         result = self.lookup(key)
-        return self.data.read(result.vnode, result.partition, key)
+        return self.data.read(result.vnode, result.partition, key, result.index)
 
     def delete(self, key: Hashable) -> Any:
         """Delete and return the value stored under ``key`` (and its replicas).
@@ -546,7 +546,7 @@ class BaseDHT(ABC):
             result = self.lookup(key)
         except EmptyDHTError:
             return False
-        return self.data.holds(result.vnode, result.partition, key)
+        return self.data.holds(result.vnode, result.partition, key, result.index)
 
     # ------------------------------------------------------------------- bulk API
 
@@ -641,15 +641,26 @@ class BaseDHT(ABC):
             )
 
     def verify_storage_consistency(self) -> None:
-        """Check that every stored item lives at the vnode owning its hash index."""
+        """Check that every stored item lives at the vnode owning its hash index.
+
+        Merge-free: each vnode's keys are routed tier by tier
+        (:meth:`~repro.core.storage.VnodeStore.key_columns`), one
+        :meth:`lookup_many` per column.  Keys are re-hashed, never trusted
+        to their stored index, and no store is folded.
+        """
         for ref in self.vnodes:
-            for key, value in self.storage.items_of(ref):
-                owner = self.lookup(key).vnode
-                if owner != ref:
-                    raise InvariantViolation(
-                        "storage",
-                        f"key {key!r} stored at {ref} but routed to {owner}",
-                    )
+            for keys in self.storage.primary_store(ref).key_columns():
+                if len(keys) == 0:
+                    continue
+                routed = self.lookup_many(keys)
+                for pos, (_, owner, _, _) in routed.route_table.items():
+                    if owner != ref:
+                        row = int(np.flatnonzero(routed.positions == pos)[0])
+                        raise InvariantViolation(
+                            "storage",
+                            f"key {keys[row:row + 1].tolist()[0]!r} stored at {ref} "
+                            f"but routed to {owner}",
+                        )
 
     @abstractmethod
     def check_invariants(self, strict: Optional[bool] = None) -> None:

@@ -105,7 +105,9 @@ class StorageEngineProtocol(Protocol):
     def write(self, owner: "VnodeRef", partition: "Partition", key: Hashable, index: int, value: Any) -> None:
         """Store one item at its owner and fan it out to the replicas."""
 
-    def read(self, owner: "VnodeRef", partition: "Partition", key: Hashable) -> Any:
+    def read(
+        self, owner: "VnodeRef", partition: "Partition", key: Hashable, index: Optional[int] = None
+    ) -> Any:
         """Fetch one item, falling back to replicas on a primary miss."""
 
     def sync_replicas(self) -> "SyncReport":

@@ -58,8 +58,7 @@ def _position_runs(positions: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, i
     position's items form one contiguous run while keeping input order
     inside the run, so duplicate keys stay last-write-wins) and, per
     position present in the batch, a ``(position, lo, hi)`` slice of that
-    sorted order.  Shared by :meth:`StorageEngine.bulk_load` and
-    :meth:`StorageEngine.get_many`.
+    sorted order.  The grouping step of :meth:`StorageEngine.bulk_load`.
     """
     order = np.argsort(positions, kind="stable")
     counts = np.bincount(positions)
@@ -170,16 +169,19 @@ class StorageEngine:
         for ref in self._placement.replicas_of(partition):
             self.store.put_replica(ref, key, index, value)
 
-    def read(self, owner: VnodeRef, partition: Partition, key: Hashable) -> Any:
+    def read(
+        self, owner: VnodeRef, partition: Partition, key: Hashable, index: Optional[int] = None
+    ) -> Any:
         """Fetch one item, falling back to the partition's replicas when the
         primary misses — e.g. a primary store that lost rows in place and
-        has not been healed by the next recovery / sync pass yet."""
+        has not been healed by the next recovery / sync pass yet.  ``index``
+        is the key's routed hash index (the stores search their runs there)."""
         try:
-            return self.store.get(owner, key)
+            return self.store.get(owner, key, index)
         except KeyError:
             for ref in self._placement.replicas_of(partition):
                 try:
-                    return self.store.get_replica(ref, key)
+                    return self.store.get_replica(ref, key, index)
                 except KeyError:
                     continue
             raise
@@ -209,12 +211,15 @@ class StorageEngine:
             raise KeyError(key)
         return value
 
-    def holds(self, owner: VnodeRef, partition: Partition, key: Hashable) -> bool:
-        """True if any copy of ``key`` (primary or replica) is stored."""
-        if self.store.contains(owner, key):
+    def holds(
+        self, owner: VnodeRef, partition: Partition, key: Hashable, index: Optional[int] = None
+    ) -> bool:
+        """True if any copy of ``key`` (primary or replica) is stored
+        (``index`` as in :meth:`read`)."""
+        if self.store.contains(owner, key, index):
             return True
         return any(
-            self.store.contains_replica(ref, key)
+            self.store.contains_replica(ref, key, index)
             for ref in self._placement.replicas_of(partition)
         )
 
@@ -403,24 +408,36 @@ class StorageEngine:
         position per key).  Equivalent to ``[dht.get(k) for k in keys]``
         (including raising :class:`KeyError` for absent keys) but with one
         :meth:`DHTStorage.get_batch` per owning vnode.
+
+        The batch is ordered by one argsort of its hash indexes.  Router
+        positions are monotone in the index, so each position's keys stay
+        contiguous and reach its store as sorted needles for the run search.
+        A read leaves no state behind, so the sort need not be stable (an
+        unstable one is ~4× cheaper on ``uint64``).
         """
         n = len(keys)
+        if n == 0:
+            return []
         with deferred_gc():
-            order, runs = _position_runs(batch.positions)
+            order = np.argsort(batch.indices)
             keys_sorted = as_object_column(keys)[order]
+            indices_sorted = batch.indices[order]
+            positions = batch.positions[order]
+            bounds = [0, *(np.flatnonzero(positions[1:] != positions[:-1]) + 1).tolist(), n]
             out = np.empty(n, dtype=object)
-            for pos, lo, hi in runs:
-                partition, owner = batch.route_table[pos][0], batch.route_table[pos][1]
-                keys_run = keys_sorted[lo:hi].tolist()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                partition, owner = batch.route_table[int(positions[lo])][:2]
+                keys_run, indices_run = keys_sorted[lo:hi], indices_sorted[lo:hi]
                 try:
-                    out[order[lo:hi]] = self.store.get_batch(owner, keys_run)
+                    out[order[lo:hi]] = self.store.get_batch(owner, keys_run, indices_run)
                 except KeyError:
                     if self._replica_ranks == 0:
                         raise  # no replicas to consult: keep the fast-fail path
                     # Primary miss (e.g. mid-crash): retry per key through the
                     # replica-fallback scalar path; absent keys still raise.
                     out[order[lo:hi]] = [
-                        self.read(owner, partition, k) for k in keys_run
+                        self.read(owner, partition, k, i)
+                        for k, i in zip(keys_run.tolist(), indices_run.tolist())
                     ]
             return out.tolist()
 

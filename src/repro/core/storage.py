@@ -18,7 +18,7 @@ This module provides:
 Every store is a **hash tier + one index-sorted run + an unsorted tail**:
 
 * the *hash tier* — one dict of ``key -> (index, value)`` tuples per vnode,
-  serving point reads/writes in O(1);
+  serving point writes (and reads of what they wrote) in O(1);
 * the *segment tier* — columnar batches (numpy key/index/value arrays) that
   never materialize a per-key python object.  Its first segment may be the
   *run*: every pending row sorted by hash index (stable, so the rows of one
@@ -33,35 +33,41 @@ searchsorted(run_index, lasts, "right")``, counts are ``hi - lo``, buckets
 are contiguous slice copies, and what a pop or a retain leaves behind is one
 ``concatenate`` of the gaps.  No per-row bucketing, no fancy indexing.
 
-*Who establishes the run:* only the passes that rewrite or copy a store
-anyway — :meth:`VnodeStore.pop_buckets`, :meth:`VnodeStore.copy_buckets`,
+*Who establishes the run:* the passes that rewrite or copy a store anyway
+— :meth:`VnodeStore.pop_buckets`, :meth:`VnodeStore.copy_buckets`,
 :meth:`VnodeStore.drop_outside`, :meth:`VnodeStore.adopt_parts` (which folds
 what it adopts into the run) and :meth:`DHTStorage.replay_vnode` (which
-rebuilds the store from disk).  They concatenate run + tail and sort once;
-timsort merges the presorted pieces at memcpy-like speed.  *Who may not:*
-``put_many`` / ``bulk_load`` stay O(1) appends, and read-only passes
-(:meth:`VnodeStore.count_buckets`, hence ``verify_replication`` and load
-measurement) binary-search the run and scan the tail but never replace a
-segment — rewriting every store of a freshly bulk-loaded cluster to verify
-it costs memory the allocator does not hand back.
+rebuilds the store from disk) — and the reads.  They concatenate run + tail
+and sort once; timsort merges the presorted pieces at memcpy-like speed.
+*Who may not:* ``put_many`` / ``bulk_load`` stay O(1) appends, and the
+counting pass (:meth:`VnodeStore.count_buckets`, hence
+``verify_replication`` and load measurement) binary-searches the run and
+scans the tail but never replaces a segment — rewriting every store of a
+freshly bulk-loaded cluster to verify it costs memory the allocator does
+not hand back.
 
-Segments are merged into the hash tier lazily, the first time a point
-operation (get, delete, scan, merged count) needs it; the merge goes run
-first, tail after — write order per key — so later writes win exactly as
-they would with per-key puts.  This is what lets
-:meth:`DHTStorage.put_batch` ingest millions of keys at array speed while
-keeping the per-key API semantics bit-for-bit identical.
-:class:`StoredItem` views are materialized on demand by the point
-accessors.
+*Reads never fold.*  :meth:`VnodeStore.get`, :meth:`VnodeStore.get_many`
+and :meth:`VnodeStore.contains` search the run in place: the caller's hash
+index is binary-searched in the run's index column and the key compared
+within that index's span, newest row first (the stable sort leaves the
+newest row of an equal-index span last).  Only what the run does not hold
+comes from the hash tier.  *Writes fold:* :meth:`VnodeStore.put` and
+:meth:`VnodeStore.delete` first merge every pending row into the hash tier
+— run first, tail after, write order per key — so pending rows are always
+newer than hash-tier rows, and later writes win exactly as they would with
+per-key puts.  The whole-store views (``items``, ``len``, ``raw_dict``)
+fold too.  This is what lets :meth:`DHTStorage.put_batch` ingest millions
+of keys at array speed, and :meth:`DHTStorage.get_batch` serve them, without
+ever boxing a row into a per-key python object.
 
 Migration is *segment-preserving*: moving a partition's range out of a
 store slices it out of the run instead of merging into the hash tier first
 (:meth:`VnodeStore.pop_buckets`), and the moved rows are adopted by the
 target store still columnar (:meth:`VnodeStore.adopt_parts`).  A churn burst
 over freshly bulk-loaded data therefore runs at array speed end to end — the
-per-key python objects are only ever materialized by point reads, never by
-rebalancing.  Rows of the hash tier take the per-row path of the same
-primitives (:func:`_bucket_rows`).
+per-key python objects are only ever materialized by point writes and
+whole-store views, never by reads or rebalancing.  Rows of the hash tier
+take the per-row path of the same primitives (:func:`_bucket_rows`).
 
 Since the replication extension (:mod:`repro.core.replication`), every
 vnode also owns a **replica store** — a second :class:`VnodeStore` holding
@@ -171,6 +177,34 @@ def _take_spans(run: _Segment, spans: _Spans) -> _Segment:
     )
 
 
+def _span_row(run: _Segment, key: Hashable, index: int) -> Optional[Tuple[int, Any]]:
+    """The newest ``(index, value)`` row of ``key`` stored under hash index
+    ``index`` in a sorted run, or ``None``: the equal-index span is scanned
+    backwards, so a later write of the key wins over an earlier one."""
+    keys, indexes, values = run
+    # A python int needle makes numpy search a uint64 column ~40x slower.
+    needle = index if indexes.dtype == object else indexes.dtype.type(index)
+    row = int(indexes.searchsorted(needle, "right")) - 1
+    # ``item`` yields python objects, so ``==`` never broadcasts.
+    while row >= 0 and indexes.item(row) == index:
+        if keys.item(row) == key:
+            return indexes.item(row), None if values is None else values.item(row)
+        row -= 1
+    return None
+
+
+def _scan_row(run: _Segment, key: Hashable) -> Optional[Tuple[int, Any]]:
+    """The last row of ``key`` anywhere in a run, or ``None`` — the miss path
+    that still finds a row stored under another index than the reader's."""
+    probe = np.empty(1, dtype=object)
+    probe[0] = key  # an object probe: numpy compares every element with ``==``
+    rows = np.flatnonzero(run[0] == probe)
+    if rows.size == 0:
+        return None
+    row = int(rows[-1])
+    return run[1].item(row), None if run[2] is None else run[2].item(row)
+
+
 def parts_size(parts: _Parts) -> int:
     """Number of rows in popped or copied parts (hash pairs + segment rows)."""
     pairs, segments = parts
@@ -196,11 +230,12 @@ class StoredItem(NamedTuple):
 class VnodeStore:
     """The key/value items held by one vnode.
 
-    Point operations work against the hash tier (``_items``); bulk batches
-    land in the segment tier (``_segments``): one index-sorted run followed
-    by the batches written since, merged into the hash tier on the first
-    point access (see the module docstring for the layout and who may
-    establish the run).
+    Point writes work against the hash tier (``_items``); bulk batches land
+    in the segment tier (``_segments``): one index-sorted run followed by
+    the batches written since.  Reads search the run in place and may
+    establish it, but never fold it into the hash tier; point writes and
+    whole-store views fold it first.  Only :meth:`count_buckets` is
+    strictly read-only.  See the module docstring for the layout.
     """
 
     __slots__ = ("vnode", "_items", "_segments", "_sorted", "durable")
@@ -235,11 +270,11 @@ class VnodeStore:
         values: Optional[np.ndarray],
     ) -> None:
         """Bulk store a columnar batch: O(1) — the arrays are adopted as a
-        pending segment and merged into the hash tier lazily.
+        pending segment (sorted into the run by the next read or range pass).
 
         ``values`` may be ``None`` to store ``None`` for every key.  Later
-        duplicates win, exactly as repeated :meth:`put` calls would (segments
-        merge in arrival order, after anything already in the hash tier).
+        duplicates win, exactly as repeated :meth:`put` calls would (pending
+        rows are newer than the hash tier, and keep their write order).
         """
         if len(keys):
             self._segments.append((keys, indexes, values))
@@ -287,17 +322,95 @@ class VnodeStore:
         if self.durable is not None:
             self._log(("put", key, index, value))
 
-    def get(self, key: Hashable) -> StoredItem:
-        """Fetch an item; raises :class:`KeyError` if absent."""
-        if self._segments:
-            self._merge_segments()
-        return StoredItem(*self._items[key])
+    def _find(self, key: Hashable, index: Optional[int] = None) -> Optional[Tuple[int, Any]]:
+        """The newest ``(index, value)`` row of ``key`` across both tiers, or
+        ``None`` — without folding the segment tier into the hash tier.
 
-    def get_value(self, key: Hashable) -> Any:
+        ``index`` is the key's hash index: the run is searched at it first.
+        Then the hash tier (older than every pending row); a hash-tier row
+        stored under another index sends the search back to the run at that
+        index.  A key in neither is looked for in the whole run, so a row
+        stored under an index other than the reader's is still found.
+        """
+        if not self._segments:
+            return self._items.get(key)
+        run = self._sorted_run()
+        if index is not None:
+            row = _span_row(run, key, index)
+            if row is not None:
+                return row
+        item = self._items.get(key)
+        if item is None:
+            return _scan_row(run, key)
+        if item[0] != index:
+            row = _span_row(run, key, item[0])
+            if row is not None:
+                return row
+        return item
+
+    def get(self, key: Hashable, index: Optional[int] = None) -> StoredItem:
+        """Fetch an item; raises :class:`KeyError` if absent.  ``index`` is the
+        key's hash index (see :meth:`_find`); reads never fold."""
+        row = self._find(key, index)
+        if row is None:
+            raise KeyError(key)
+        return StoredItem(*row)
+
+    def get_value(self, key: Hashable, index: Optional[int] = None) -> Any:
         """Fetch just the stored value (no :class:`StoredItem` wrapper)."""
-        if self._segments:
-            self._merge_segments()
-        return self._items[key][1]
+        row = self._find(key, index)
+        if row is None:
+            raise KeyError(key)
+        return row[1]
+
+    def contains(self, key: Hashable, index: Optional[int] = None) -> bool:
+        """True if ``key`` is stored in either tier (``index`` as in :meth:`get`)."""
+        return self._find(key, index) is not None
+
+    def get_many(self, keys: np.ndarray, indexes: Optional[np.ndarray]) -> List[Any]:
+        """The values of a batch of keys (``indexes`` their hash indexes),
+        in the order given; raises :class:`KeyError` for the first absent key.
+
+        One ``searchsorted`` of the whole batch over the run's index column:
+        a key whose last equal-index run row is its own is served by one
+        vectorized gather.  The rest — an index span holding other keys
+        (hash collisions, duplicates) or rows only the hash tier has — take
+        :meth:`_find`.  Sorted needles make the search cache-friendly.
+        ``indexes=None`` looks every key up on its own.
+        """
+        run = self._sorted_run()
+        if run is None:
+            items = self._items
+            return [items[key][1] for key in keys.tolist()]
+        if indexes is None:
+            return [self.get_value(key) for key in keys.tolist()]
+        run_keys, run_indexes, run_values = run
+        last = np.searchsorted(run_indexes, indexes, side="right") - 1
+        at = np.maximum(last, 0)
+        hit = (last >= 0) & (run_indexes[at] == indexes) & (run_keys[at] == keys)
+        out = np.empty(len(keys), dtype=object)
+        if run_values is not None:
+            out[hit] = run_values[at[hit]]
+        missed = np.flatnonzero(~hit)
+        for row, key, index in zip(
+            missed.tolist(), keys[missed].tolist(), indexes[missed].tolist()
+        ):
+            found = self._find(key, index)
+            if found is None:
+                raise KeyError(key)
+            out[row] = found[1]
+        return out.tolist()
+
+    def key_columns(self) -> List[np.ndarray]:
+        """Every stored key, tier by tier, as columns: the hash tier's keys
+        (an object column), then each pending segment's key column.
+
+        Strictly read-only, like :meth:`count_buckets`: the storage
+        invariant check routes these columns and never folds the store.
+        """
+        hash_keys = np.empty(len(self._items), dtype=object)
+        hash_keys[:] = list(self._items)
+        return [hash_keys, *(segment[0] for segment in self._segments)]
 
     def delete(self, key: Hashable) -> StoredItem:
         """Remove and return an item; raises :class:`KeyError` if absent."""
@@ -309,9 +422,7 @@ class VnodeStore:
         return item
 
     def __contains__(self, key: Hashable) -> bool:
-        if self._segments:
-            self._merge_segments()
-        return key in self._items
+        return self.contains(key)
 
     def __len__(self) -> int:
         if self._segments:
@@ -352,10 +463,9 @@ class VnodeStore:
 
         Run and tail are concatenated in write order and sorted by hash
         index with one stable argsort, so the rows of one key (one index)
-        keep their write order and last-write-wins survives the merge.  Only
-        the passes that rewrite or copy the store anyway call this; read-only
-        passes (:meth:`count_buckets`) must not.  ``None`` when nothing is
-        pending.
+        keep their write order and last-write-wins survives the merge.  The
+        reads and the passes that rewrite or copy the store call this;
+        :meth:`count_buckets` must not.  ``None`` when nothing is pending.
         """
         segments = self._segments
         if not segments:
@@ -755,10 +865,34 @@ class DHTStorage:
 
     # -- client operations ---------------------------------------------------------
 
-    def put(self, owner: VnodeRef, key: Hashable, index: int, value: Any) -> None:
-        """Store an item under the vnode that owns hash index ``index``."""
+    def _check_index(self, index: int) -> None:
+        """Refuse a point write whose hash index lies outside the hash space."""
         if not self.hash_space.contains(index):
             raise StorageError(f"hash index {index} outside the hash space")
+
+    def _search_index(self, store: VnodeStore, key: Hashable, index: Optional[int]) -> Optional[int]:
+        """The hash index a read of ``key`` searches ``store``'s run at: the
+        caller's, else the key's own hash — computed only when the store has
+        pending rows (a folded store is one dict lookup).  ``None`` for a key
+        no hash function takes; the read then scans the run for it."""
+        if index is not None or not store._segments:
+            return index
+        try:
+            return self.hash_space.hash_key(key)
+        except TypeError:
+            return None
+
+    def _index_column(self, indexes: Union[Sequence[int], np.ndarray]) -> np.ndarray:
+        """A batch read's index column in the dtype the runs hold: ``uint64``,
+        or python ints in an object column past 64 bits."""
+        if self.hash_space.bh <= 64:
+            return np.asarray(indexes, dtype=np.uint64)
+        column = np.asarray(indexes)
+        return column if column.dtype == object else column.astype(object)
+
+    def put(self, owner: VnodeRef, key: Hashable, index: int, value: Any) -> None:
+        """Store an item under the vnode that owns hash index ``index``."""
+        self._check_index(index)
         self._store(owner).put(key, index, value)
 
     def _ingest_batch(
@@ -862,21 +996,45 @@ class DHTStorage:
             changed += store.materialize_segments(owns)
         return changed
 
-    def get(self, owner: VnodeRef, key: Hashable) -> Any:
-        """Fetch the value stored for ``key`` at vnode ``owner``."""
+    def get(self, owner: VnodeRef, key: Hashable, index: Optional[int] = None) -> Any:
+        """Fetch the value stored for ``key`` at vnode ``owner``.
+
+        ``index`` is the key's hash index when the caller has routed it
+        (the store's run is searched there); without it the key is hashed
+        here.  Never folds the store (see :meth:`VnodeStore.get`).
+        """
+        return self._read(self._store(owner), key, index)
+
+    def _read(self, store: VnodeStore, key: Hashable, index: Optional[int]) -> Any:
         try:
-            return self._store(owner).get_value(key)
+            return store.get_value(key, self._search_index(store, key, index))
         except KeyError:
             raise KeyError(key) from None
 
-    def get_batch(self, owner: VnodeRef, keys: Sequence[Hashable]) -> List[Any]:
+    def get_batch(
+        self,
+        owner: VnodeRef,
+        keys: Union[Sequence[Hashable], np.ndarray],
+        indexes: Optional[Union[Sequence[int], np.ndarray]] = None,
+    ) -> List[Any]:
         """Fetch the values for a group of keys stored at one vnode.
 
-        Raises :class:`KeyError` for the first absent key, like :meth:`get`.
+        ``indexes`` is the keys' hash index column (hashed here when
+        omitted); sorted needles make the run search cache-friendly.  One
+        :meth:`VnodeStore.get_many`, never a fold.  Raises
+        :class:`KeyError` for the first absent key, like :meth:`get`.
         """
-        items = self._store(owner).raw_dict()
+        store = self._store(owner)
+        keys = as_object_column(keys)
+        if indexes is not None:
+            indexes = self._index_column(indexes)
+        elif store._segments:
+            try:
+                indexes = self.hash_space.hash_keys(keys)
+            except TypeError:
+                pass  # a key no hash function takes: per-key run scans
         try:
-            return [items[k][1] for k in keys]
+            return store.get_many(keys, indexes)
         except KeyError as exc:
             raise KeyError(exc.args[0]) from None
 
@@ -887,14 +1045,20 @@ class DHTStorage:
         except KeyError:
             raise KeyError(key) from None
 
-    def contains(self, owner: VnodeRef, key: Hashable) -> bool:
-        """True if ``key`` is stored at vnode ``owner``."""
-        return key in self._store(owner)
+    def contains(self, owner: VnodeRef, key: Hashable, index: Optional[int] = None) -> bool:
+        """True if ``key`` is stored at vnode ``owner`` (``index`` as in :meth:`get`)."""
+        store = self._store(owner)
+        return store.contains(key, self._search_index(store, key, index))
 
     # -- replica operations ------------------------------------------------------
 
     def put_replica(self, owner: VnodeRef, key: Hashable, index: int, value: Any) -> None:
-        """Store a replica row at vnode ``owner`` (the write fan-out path)."""
+        """Store a replica row at vnode ``owner`` (the write fan-out path).
+
+        Validated exactly like :meth:`put`: the runtime feeds this straight
+        from a replica ``PutRequest`` off the socket.
+        """
+        self._check_index(index)
         self._replica(owner).put(key, index, value)
         self.replication.replica_rows_written += 1
 
@@ -911,16 +1075,17 @@ class DHTStorage:
         self.replication.replica_rows_written += n
         return n
 
-    def get_replica(self, owner: VnodeRef, key: Hashable) -> Any:
-        """Fetch the replica value stored for ``key`` at vnode ``owner``."""
-        try:
-            return self._replica(owner).get_value(key)
-        except KeyError:
-            raise KeyError(key) from None
+    def get_replica(self, owner: VnodeRef, key: Hashable, index: Optional[int] = None) -> Any:
+        """Fetch the replica value stored for ``key`` at vnode ``owner``
+        (``index`` as in :meth:`get`)."""
+        return self._read(self._replica(owner), key, index)
 
-    def contains_replica(self, owner: VnodeRef, key: Hashable) -> bool:
+    def contains_replica(
+        self, owner: VnodeRef, key: Hashable, index: Optional[int] = None
+    ) -> bool:
         """True if vnode ``owner`` holds a replica row for ``key``."""
-        return key in self._replica(owner)
+        store = self._replica(owner)
+        return store.contains(key, self._search_index(store, key, index))
 
     def delete_replica(self, owner: VnodeRef, key: Hashable) -> bool:
         """Delete the replica row for ``key`` at ``owner`` if present."""

@@ -132,6 +132,17 @@ class TestRpcRoundTrip:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("tier", ["primary", "replica"])
+    def test_a_put_outside_the_hash_space_is_refused(self, tier):
+        """Both tiers validate a write's hash index before storing it."""
+        node = SnodeNode(0, bh=16)
+        node.dispatch_inline(VnodeCreate(src=-1, dst=0, ref="0.0"))
+        ack = node.dispatch_inline(
+            PutRequest(src=-1, dst=0, ref="0.0", tier=tier, key=7, index=2**16, value="v")
+        )
+        assert ack.error is not None and ack.error.startswith("StorageError")
+        assert node.storage.fast_item_count() == 0
+
     @pytest.mark.parametrize(
         "ranges",
         [

@@ -44,6 +44,27 @@ class TestBasicOperations:
         with pytest.raises(StorageError):
             storage.put(vref(0), "k", index=2**16, value="v")
 
+    def test_replica_index_out_of_range_rejected(self, storage):
+        for index in (2**16, -1):
+            with pytest.raises(StorageError):
+                storage.put_replica(vref(0), "k", index=index, value="v")
+        assert storage.fast_replica_count() == 0
+        assert storage.replication.replica_rows_written == 0
+
+    def test_pending_rows_are_read_without_folding(self, storage):
+        """Reads search the segment tier in place, also for keys no hash
+        function takes (their rows are found by scanning the run)."""
+        keys = [("a", 1), ("b", 2), "c"]
+        storage.put_batch(vref(0), keys, [10, 20, 30], ["x", "y", "z"])
+        assert storage.get(vref(0), ("a", 1)) == "x"
+        assert storage.contains(vref(0), ("b", 2))
+        assert not storage.contains(vref(0), ("d", 4))
+        assert storage.get_batch(vref(0), [keys[1], keys[0], "c"]) == ["y", "x", "z"]
+        with pytest.raises(KeyError):
+            storage.get_batch(vref(0), ["c", ("d", 4)])
+        assert storage.primary_store(vref(0)).pending_item_count() == 3
+        assert not storage.primary_store(vref(0))._items  # nothing folded
+
     def test_unknown_vnode_rejected(self, storage):
         with pytest.raises(UnknownVnodeError):
             storage.put(vref(9), "k", 0, "v")

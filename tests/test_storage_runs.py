@@ -3,10 +3,17 @@
 * a hypothesis state machine drives two :class:`VnodeStore`\\ s through random
   interleavings of every mutating and reading primitive and checks each step
   against a brute-force model (lists and dicts filtered by range) — for
-  ``uint64`` indexes, a wide hash space (object index column) and ``str`` keys;
+  ``uint64`` indexes, a wide hash space (object index column), ``str`` keys
+  and a tiny hash space where every index span holds several keys; point and
+  batch reads must answer from the model's last write without ever growing
+  the hash tier;
 * read-only passes (``count_buckets``, ``verify_replication``) must leave
   every segment array in place — rewriting them is what raised
   ``peak_rss_mb`` on a bulk-loaded cluster;
+* reads and the storage invariant check never fold a store into its hash
+  tier: after ``get_many`` and ``check_invariants`` on a bulk-loaded engine
+  every primary store is still columnar, retaining next to no memory per
+  row, and the check still catches a misplaced row in either tier;
 * consolidation must not widen a native key column;
 * the durable tier replays a consolidated store, and a WAL tail of range ops
   replayed as column masks equals the per-row dict replay.
@@ -14,6 +21,8 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -29,6 +38,7 @@ from repro.core.durability import (
     _merge_columns,
     replay_ops,
 )
+from repro.core.errors import InvariantViolation
 from repro.core.storage import VnodeStore, join_parts
 from repro.utils.arrays import concat_columns
 from repro.workloads.driver import build_cluster
@@ -125,6 +135,13 @@ class StoreMachine(RuleBasedStateMachine):
         self.clock += 1
         return f"v{self.clock}"
 
+    def _key_column(self, keys: List[Any], native: bool) -> np.ndarray:
+        if native and not self.str_keys:
+            return np.array(keys, dtype=np.int64)
+        column = np.empty(len(keys), dtype=object)
+        column[:] = keys
+        return column
+
     def _expected_buckets(self, model: _Model, spans) -> List[Tuple[dict, List[Row]]]:
         """Per range: the hash-tier pairs inside it, and the pending rows
         inside it stably sorted by index (write order within one index)."""
@@ -163,12 +180,7 @@ class StoreMachine(RuleBasedStateMachine):
         ]
         if not rows:
             return
-        keys = [row[0] for row in rows]
-        if native and not self.str_keys:
-            key_column = np.array(keys, dtype=np.int64)
-        else:
-            key_column = np.empty(len(keys), dtype=object)
-            key_column[:] = keys
+        key_column = self._key_column([row[0] for row in rows], native)
         values = None
         if not valueless:
             values = np.empty(len(rows), dtype=object)
@@ -198,6 +210,56 @@ class StoreMachine(RuleBasedStateMachine):
         else:
             with pytest.raises(KeyError):
                 self.stores[s].delete(key)
+
+    @rule(s=st.integers(0, 1), routed=st.booleans())
+    def get(self, s, routed):
+        """A point read of every key, with its hash index or (``routed=False``)
+        without one; absent keys raise and are not contained."""
+        store = self.stores[s]
+        merged = self.models[s].merged()
+        hash_tier = dict(store._items)
+        for r in range(N_RANGES):
+            for slot in range(KEYS_PER_RANGE):
+                key = self._key(r, slot)
+                index = self._index(r, slot) if routed else None
+                want = merged.get(key)
+                if want is None:
+                    with pytest.raises(KeyError):
+                        store.get(key, index)
+                else:
+                    assert store.get(key, index) == want
+                    assert store.get_value(key, index) == want[1]
+                assert store.contains(key, index) == (want is not None)
+        assert store._items == hash_tier  # reads never fold
+
+    @rule(
+        s=st.integers(0, 1),
+        picks=st.lists(
+            st.tuples(st.integers(0, N_RANGES - 1), st.integers(0, KEYS_PER_RANGE - 1)),
+            min_size=1, max_size=12,
+        ),
+        native=st.booleans(),
+        ordered=st.booleans(),
+    )
+    def get_many(self, s, picks, native, ordered):
+        """A batch read (sorted needles, as the engine sends them, or not):
+        the model's values in order, or ``KeyError`` for the first absent key."""
+        if ordered:
+            picks = sorted(picks, key=lambda pick: self._index(*pick))
+        store = self.stores[s]
+        keys = [self._key(r, slot) for r, slot in picks]
+        indexes = self._index_column([self._index(r, slot) for r, slot in picks])
+        merged = self.models[s].merged()
+        hash_tier = dict(store._items)
+        absent = [key for key in keys if key not in merged]
+        if absent:
+            with pytest.raises(KeyError) as excinfo:
+                store.get_many(self._key_column(keys, native), indexes)
+            assert excinfo.value.args[0] == absent[0]
+        else:
+            got = store.get_many(self._key_column(keys, native), indexes)
+            assert got == [merged[key][1] for key in keys]
+        assert store._items == hash_tier  # reads never fold
 
     @rule(s=st.integers(0, 1),
           ranges=st.lists(st.integers(0, N_RANGES - 1), min_size=1, max_size=4))
@@ -279,15 +341,22 @@ class StrKeyStoreMachine(StoreMachine):
     str_keys = True
 
 
+class TinyStoreMachine(StoreMachine):
+    """Two indexes per range: four of a range's six keys share one index."""
+
+    bh = 4
+
+
 _MACHINE_SETTINGS = settings(
     max_examples=40, stateful_step_count=30, deadline=None,
     suppress_health_check=list(HealthCheck),
 )
-for _machine in (StoreMachine, WideStoreMachine, StrKeyStoreMachine):
+for _machine in (StoreMachine, WideStoreMachine, StrKeyStoreMachine, TinyStoreMachine):
     _machine.TestCase.settings = _MACHINE_SETTINGS
 TestStoreMachine = StoreMachine.TestCase
 TestWideStoreMachine = WideStoreMachine.TestCase
 TestStrKeyStoreMachine = StrKeyStoreMachine.TestCase
+TestTinyStoreMachine = TinyStoreMachine.TestCase
 
 
 # --------------------------------------------------------------------------- read-only
@@ -319,6 +388,64 @@ def test_read_only_passes_leave_every_segment_array_in_place():
         dht.storage.primary_store(ref)._sorted or dht.storage.replica_store(ref)._sorted
         for ref in dht.vnodes
     )
+
+
+# --------------------------------------------------------------------------- merge-free reads
+
+#: What one ``get_many`` over every key plus ``check_invariants()`` may keep
+#: per bulk-loaded row.  Sorting a store's tail into its run replaces arrays
+#: of the same size; folding into the hash tier keeps ~200 B per row.
+RETAINED_BYTES_PER_ROW = 16
+
+
+def test_reads_and_the_invariant_check_retain_no_memory_per_row():
+    n = 50_000
+    keys = np.arange(n, dtype=np.int64)
+    dht = build_cluster("local", 4, 4, pmin=8, vmin=8, seed=0)
+    tracemalloc.start()
+    try:
+        dht.bulk_load(keys, keys * 3)
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        got = dht.get_many(keys)
+        assert got[:3] == [0, 3, 6] and got[-1] == 3 * (n - 1)
+        del got
+        dht.check_invariants()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / n < RETAINED_BYTES_PER_ROW, f"{retained / n:.1f} B/row retained"
+
+
+def test_the_invariant_check_is_merge_free_and_catches_a_misplaced_row():
+    keys = np.arange(5_000, dtype=np.int64)
+    dht = build_cluster("local", 4, 4, pmin=8, vmin=8, seed=0)
+    dht.bulk_load(keys, keys)
+    assert dht.get_many(keys) == keys.tolist()
+    dht.check_invariants()
+    stores = [dht.storage.primary_store(ref) for ref in dht.vnodes]
+    assert not any(store._items for store in stores)
+    assert sum(store.pending_item_count() for store in stores) == len(keys)
+
+    planted = 10**9
+    routed = dht.lookup(planted)
+    wrong = next(ref for ref in dht.vnodes if ref != routed.vnode)
+    plants = (  # (plant, remove): the hash tier, then a pending segment
+        (lambda: dht.storage.put(wrong, planted, routed.index, "x"),
+         lambda: dht.storage.delete(wrong, planted)),
+        (lambda: dht.storage.put_batch(wrong, [planted], [routed.index], ["x"]),
+         None),
+    )
+    for plant, remove in plants:
+        plant()
+        with pytest.raises(InvariantViolation) as excinfo:
+            dht.check_invariants()
+        assert excinfo.value.invariant == "storage"
+        assert repr(planted) in str(excinfo.value)
+        if remove is not None:
+            remove()
+            dht.check_invariants()
 
 
 # --------------------------------------------------------------------------- dtypes
