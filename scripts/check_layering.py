@@ -4,7 +4,7 @@
 The engine core (:mod:`repro.core.engine`) is the transport-agnostic heart
 of the DHT; keeping its dependency arrows pointed the right way is what
 lets a future networked runtime reuse it unchanged.  This lint AST-walks
-every module under ``src/repro`` and enforces five rules:
+every module under ``src/repro`` and enforces six rules:
 
 1. **engine isolation** — modules in ``repro.core.engine`` import nothing
    from ``repro.sim``, ``repro.cluster``, ``repro.workloads``,
@@ -31,7 +31,13 @@ every module under ``src/repro`` and enforces five rules:
    (unpickling bytes from a socket or a file executes whatever they say),
    and nothing imports those names from ``pickle`` directly.  Like rule 4's
    list it can only shrink: a listed count above what the function holds
-   fails too.
+   fails too;
+6. **one model** — no ``isinstance(..., GlobalDHT)`` /
+   ``isinstance(..., LocalDHT)`` call and no ``GPDR`` name under
+   ``src/repro``.  The global approach is a ``LocalDHT`` with one group
+   that never splits, so such a check would silently misroute a global
+   DHT; approach-dependent code reads ``config.is_grouped`` or
+   ``dht.approach`` instead.
 
 Run from the repository root (CI does)::
 
@@ -90,6 +96,9 @@ UNPICKLE_ALLOWED = {
 
 #: ``pickle`` attributes that unpickle (rule 5).
 _UNPICKLERS = ("load", "loads", "Unpickler")
+
+#: Model classes no ``isinstance`` may test (rule 6).
+_MODEL_CLASSES = ("GlobalDHT", "LocalDHT")
 
 
 def _iter_modules() -> Iterator[Path]:
@@ -313,8 +322,43 @@ def check_unpickling() -> List[str]:
     return errors
 
 
+def _identifier(node: ast.AST) -> str:
+    """The name a ``Name`` / ``Attribute`` / import alias / definition binds or reads."""
+    for field in ("id", "attr", "name"):
+        value = getattr(node, field, None)
+        if isinstance(value, str):
+            return value.rpartition(".")[2]
+    return ""
+
+
+def check_one_model() -> List[str]:
+    """Rule 6: no model-class ``isinstance`` and no ``GPDR`` name."""
+    errors: List[str] = []
+    for path in _iter_modules():
+        rel = path.relative_to(REPO_ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=rel)):
+            if _identifier(node) == "GPDR":
+                errors.append(
+                    f"{rel}:{node.lineno}: names GPDR (the global approach's record "
+                    f"is the LPDR of its one group)"
+                )
+            elif (
+                isinstance(node, ast.Call)
+                and _identifier(node.func) == "isinstance"
+                and len(node.args) == 2
+                and any(
+                    _identifier(n) in _MODEL_CLASSES for n in ast.walk(node.args[1])
+                )
+            ):
+                errors.append(
+                    f"{rel}:{node.lineno}: isinstance on a DHT model class (a global "
+                    f"DHT is a LocalDHT; read config.is_grouped or dht.approach)"
+                )
+    return errors
+
+
 def main() -> int:
-    errors = check() + check_dead_symbols() + check_unpickling()
+    errors = check() + check_dead_symbols() + check_unpickling() + check_one_model()
     if errors:
         print(f"check_layering: {len(errors)} violation(s)")
         for error in errors:

@@ -34,7 +34,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import DHTConfig, GlobalDHT, LocalDHT
+from repro.core import DHTConfig, LocalDHT
 from repro.core.errors import ReproError
 from repro.experiments import (
     get_experiment,
@@ -245,10 +245,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    if args.approach == "local":
-        dht = LocalDHT(DHTConfig.for_local(pmin=args.pmin, vmin=args.vmin), rng=args.seed)
-    else:
-        dht = GlobalDHT(DHTConfig.for_global(pmin=args.pmin), rng=args.seed)
+    vmin = args.vmin if args.approach == "local" else None
+    dht = LocalDHT(DHTConfig(pmin=args.pmin, vmin=vmin), rng=args.seed)
     snodes = dht.add_snodes(args.snodes)
     for i in range(args.vnodes):
         dht.create_vnode(snodes[i % len(snodes)])

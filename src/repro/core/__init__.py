@@ -5,7 +5,8 @@ The package is layered:
 * :mod:`repro.core.hashspace` / :mod:`repro.core.ids` — the value types
   (partitions, hash space, canonical names, group identifiers);
 * :mod:`repro.core.records` / :mod:`repro.core.rebalance` — the *record
-  layer*: GPDR/LPDR tables and the unified rebalancing engine (creation,
+  layer*: LPDR tables (one per group; the GPDR is the global approach's
+  single LPDR) and the unified rebalancing engine (creation,
   removal and load-aware policies);
 * :mod:`repro.core.entities` / :mod:`repro.core.storage` /
   :mod:`repro.core.lookup` — the *entity layer*: vnodes, snodes, groups,
@@ -13,8 +14,8 @@ The package is layered:
 * :mod:`repro.core.engine` — the transport-agnostic *engine core*: the
   membership, placement, data and failure planes behind narrow Protocol
   interfaces;
-* :mod:`repro.core.global_model` / :mod:`repro.core.local_model` — the two
-  DHT approaches composing the engine subsystems.
+* :mod:`repro.core.local_model` — the DHT model composing the engine
+  subsystems; the global approach is its one-group, never-split case.
 """
 
 from repro.core.rebalance import (
@@ -59,7 +60,6 @@ from repro.core.errors import (
     UnknownSnodeError,
     UnknownVnodeError,
 )
-from repro.core.global_model import GlobalDHT
 from repro.core.hashspace import (
     HashSpace,
     Partition,
@@ -70,9 +70,9 @@ from repro.core.hashspace import (
     total_fraction,
 )
 from repro.core.ids import GroupId, SnodeId, VnodeRef
-from repro.core.local_model import LocalDHT, ideal_group_count
+from repro.core.local_model import GlobalDHT, LocalDHT, ideal_group_count
 from repro.core.lookup import BatchLookupResult, LookupResult, PartitionRouter
-from repro.core.records import GPDR, LPDR, PartitionDistributionRecord
+from repro.core.records import LPDR, PartitionDistributionRecord
 from repro.core.replication import (
     CrashReport,
     RecoveryReport,
@@ -104,7 +104,6 @@ __all__ = [
     "SnodeId",
     "VnodeRef",
     "GroupId",
-    "GPDR",
     "LPDR",
     "PartitionDistributionRecord",
     "Action",

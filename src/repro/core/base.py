@@ -20,9 +20,10 @@ the balance-quality metrics of section 2.3/3.5, application of a
 load-aware rebalancing driver, and enrollment management (growing /
 shrinking the number of vnodes a snode contributes, section 2.1.2).
 
-The concrete subclasses (:class:`~repro.core.global_model.GlobalDHT` and
-:class:`~repro.core.local_model.LocalDHT`) implement vnode creation/removal
-and the invariant checks specific to each approach.
+The concrete model (:class:`~repro.core.local_model.LocalDHT`, whose
+:class:`~repro.core.local_model.GlobalDHT` constructor runs the global
+approach as one group that never splits) implements vnode creation/removal
+and the invariant checks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.core.rebalance import (
     LoadRebalancePlan,
     LoadRebalanceReport,
     RebalancePlan,
-    ScopeKey,
     SplitAllAction,
     StorageLoadProvider,
     TransferAction,
@@ -52,7 +52,7 @@ from repro.core.config import DHTConfig
 from repro.core.entities import Snode, Vnode
 from repro.core.errors import EmptyDHTError, InvariantViolation
 from repro.core.hashspace import HashSpace, Partition
-from repro.core.ids import SnodeId, VnodeRef
+from repro.core.ids import GroupId, SnodeId, VnodeRef
 from repro.core.lookup import BatchLookupResult, LookupResult
 from repro.core.replication import (
     CrashReport,
@@ -67,9 +67,6 @@ from repro.utils.rng import RngLike, ensure_rng
 
 class BaseDHT(ABC):
     """Common composition shell of both DHT approaches."""
-
-    #: Human-readable name of the approach (overridden by subclasses).
-    approach = "abstract"
 
     def __init__(self, config: DHTConfig, rng: RngLike = None):
         self.config = config
@@ -287,12 +284,11 @@ class BaseDHT(ABC):
     # -------------------------------------------------------- load-aware rebalancing
 
     @abstractmethod
-    def load_scopes(self) -> Dict[ScopeKey, Tuple[List[VnodeRef], int]]:
+    def load_scopes(self) -> Dict[GroupId, Tuple[List[VnodeRef], int]]:
         """Balancing scopes for the load-aware engine.
 
-        Maps each scope key (``None`` for the global approach's single
-        scope, the :class:`~repro.core.ids.GroupId` for each group of the
-        local approach) to ``(member vnode refs, scope splitlevel)``.
+        Maps each group (the global approach has exactly one) to
+        ``(member vnode refs, group splitlevel)``.
         """
 
     @abstractmethod
@@ -300,7 +296,7 @@ class BaseDHT(ABC):
         """Overwrite the record-layer count of each vnode from the entity layer."""
 
     @abstractmethod
-    def _apply_scope_split(self, scope: ScopeKey) -> None:
+    def _apply_scope_split(self, scope: GroupId) -> None:
         """Binary-split every partition of one balancing scope (record + entities)."""
 
     def rebalance_load(

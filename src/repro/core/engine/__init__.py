@@ -5,8 +5,8 @@ This package is the boundary named by ROADMAP item 1: everything a DHT
 placement, the data plane, and crash/restart recovery — carved out of the
 former ``BaseDHT`` god-class into four subsystems whose only coupling is
 typed calls.  The in-process models
-(:class:`~repro.core.global_model.GlobalDHT`,
-:class:`~repro.core.local_model.LocalDHT`) are thin composition shells over
+(:class:`~repro.core.local_model.LocalDHT` and its global-approach
+constructor :class:`~repro.core.local_model.GlobalDHT`) are thin composition shells over
 these four; a future networked runtime puts :mod:`repro.cluster.messages`
 on a wire between them without rewriting any of the planes.
 

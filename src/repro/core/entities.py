@@ -3,10 +3,9 @@
 These classes are the *entity layer* of the model (figures 1 and 2 of the
 paper): they own actual :class:`~repro.core.hashspace.Partition` objects and
 the key/value items stored under them.  The *record layer*
-(:mod:`repro.core.records`) holds only partition counts; the DHT classes in
-:mod:`repro.core.global_model` / :mod:`repro.core.local_model` keep the two
-layers consistent by applying every :class:`~repro.core.rebalance.RebalancePlan`
-to both.
+(:mod:`repro.core.records`) holds only partition counts; the DHT model in
+:mod:`repro.core.local_model` keeps the two layers consistent by applying
+every :class:`~repro.core.rebalance.RebalancePlan` to both.
 """
 
 from __future__ import annotations

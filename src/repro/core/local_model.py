@@ -17,6 +17,12 @@ Vnode creation (section 3.6):
    prefix scheme of figure 3, and one of the two is picked at random to
    receive the new vnode;
 3. the chosen group runs the balancing algorithm of section 2.5 on its LPDR.
+
+The global approach (section 2) is the degenerate case: with ``vmin=None``
+the DHT has one root group that never splits, whose LPDR is the GPDR, so
+G1-G5 are G1'-G5' over that single group.  Creation then draws no victim
+and consumes no randomness.  :class:`GlobalDHT` is the public constructor
+for that case.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.base import BaseDHT, SnodeLike
-from repro.core.rebalance import ScopeKey, plan_vnode_creation
+from repro.core.rebalance import plan_vnode_creation
 from repro.core.config import DHTConfig
 from repro.core.entities import Group, Vnode
 from repro.core.errors import (
-    ConfigError,
     InvariantViolation,
     ReproError,
     StorageError,
@@ -61,6 +66,9 @@ def ideal_group_count(n_vnodes: int, vmin: int) -> int:
 class LocalDHT(BaseDHT):
     """Cluster-oriented DHT balanced with the *local* (grouped) approach.
 
+    With an ungrouped configuration (``config.vmin is None``) the same class
+    runs the *global* approach: one group, no ``Vmax``, never split.
+
     Examples
     --------
     >>> from repro import DHTConfig, LocalDHT
@@ -71,19 +79,17 @@ class LocalDHT(BaseDHT):
     True
     """
 
-    approach = "local"
-
     def __init__(self, config: Optional[DHTConfig] = None, rng: RngLike = None):
         config = config if config is not None else DHTConfig.paper_default()
-        if config.vmin is None:
-            raise ConfigError(
-                "LocalDHT requires a grouped configuration (vmin must not be None); "
-                "use DHTConfig.for_local() or GlobalDHT for the ungrouped approach"
-            )
         super().__init__(config, rng)
         self.groups: Dict[GroupId, Group] = {}
         #: Number of group splits performed so far (used by reports/ablations).
         self.group_splits = 0
+
+    @property
+    def approach(self) -> str:
+        """``"local"`` for a grouped configuration, ``"global"`` otherwise."""
+        return "local" if self.config.is_grouped else "global"
 
     # ------------------------------------------------------------------ groups
 
@@ -147,18 +153,20 @@ class LocalDHT(BaseDHT):
             self.data.sync_after_topology_change()
             return ref
 
-        # Select the victim group by random lookup (probability = group quota).
-        r = self.hash_space.random_index(self.rng)
-        victim = self.find_owner(r)
-        victim_group = self.group_of(victim.vnode)
-
-        # Full victim group: split it and pick one of the halves at random
-        # (section 3.7 case b).
-        if victim_group.is_full(self.config.vmax):
-            child_a, child_b = self._split_group(victim_group)
-            target_group = child_a if int(self.rng.integers(0, 2)) == 0 else child_b
+        if not self.config.is_grouped:
+            # Global approach: the one group takes every vnode, no rng drawn.
+            target_group = self.groups[GroupId.root()]
         else:
-            target_group = victim_group
+            # Select the victim group by random lookup (probability = quota).
+            r = self.hash_space.random_index(self.rng)
+            victim_group = self.group_of(self.find_owner(r).vnode)
+            # Full victim group: split it and pick one of the halves at
+            # random (section 3.7 case b).
+            if victim_group.is_full(self.config.vmax):
+                child_a, child_b = self._split_group(victim_group)
+                target_group = child_a if int(self.rng.integers(0, 2)) == 0 else child_b
+            else:
+                target_group = victim_group
 
         target_group.attach_entity(vnode)
         plan = plan_vnode_creation(target_group.lpdr, ref, self.config.pmin)
@@ -240,7 +248,7 @@ class LocalDHT(BaseDHT):
 
     # ------------------------------------------------------- rebalancing engine hooks
 
-    def load_scopes(self) -> Dict[ScopeKey, Tuple[List[VnodeRef], int]]:
+    def load_scopes(self) -> Dict[GroupId, Tuple[List[VnodeRef], int]]:
         """One balancing scope per group (L1: groups partition the vnode set)."""
         return {
             gid: (list(group.vnodes), group.splitlevel)
@@ -252,7 +260,7 @@ class LocalDHT(BaseDHT):
         for ref in refs:
             self.group_of(ref).lpdr.set_count(ref, self.get_vnode(ref).partition_count)
 
-    def _apply_scope_split(self, scope: ScopeKey) -> None:
+    def _apply_scope_split(self, scope: GroupId) -> None:
         """Binary-split every partition of one group (G3' keeps its splitlevel)."""
         group = self.get_group(scope)
         for vnode in group.vnodes.values():
@@ -283,10 +291,11 @@ class LocalDHT(BaseDHT):
                 "L1", "the union of all groups differs from the DHT's vnode set"
             )
 
-        # L2: Vmin <= Vg <= Vmax, except group 0 while it is the only group.
+        # L2: Vmin <= Vg <= Vmax, except group 0 while it is the only group
+        # (ungrouped, Vmax is infinite and the sole root group is exempt).
         vmin, vmax = self.config.vmin, self.config.vmax
         for gid, group in self.groups.items():
-            if group.n_vnodes > vmax:
+            if vmax is not None and group.n_vnodes > vmax:
                 raise InvariantViolation(
                     "L2", f"group {gid} has {group.n_vnodes} > Vmax={vmax} vnodes"
                 )
@@ -345,14 +354,58 @@ class LocalDHT(BaseDHT):
     # ------------------------------------------------------------------- misc
 
     def describe(self) -> Dict[str, object]:
-        """Summary dict including group-level statistics."""
+        """Summary dict, with group-level statistics when grouped."""
         info = super().describe()
-        info.update(
-            {
-                "groups": self.n_groups,
-                "ideal_groups": self.ideal_group_count(),
-                "sigma_qg": self.sigma_qg(),
-                "group_splits": self.group_splits,
-            }
-        )
+        if self.config.is_grouped:
+            info.update(
+                {
+                    "groups": self.n_groups,
+                    "ideal_groups": self.ideal_group_count(),
+                    "sigma_qg": self.sigma_qg(),
+                    "group_splits": self.group_splits,
+                }
+            )
         return info
+
+
+class GlobalDHT(LocalDHT):
+    """Cluster-oriented DHT balanced with the *global* approach (section 2).
+
+    A :class:`LocalDHT` forced to ``vmin=None``: every vnode sits in the one
+    root group, whose LPDR is the GPDR of the paper, and creation serializes
+    across the whole DHT.  The balancing algorithm sees the complete
+    distribution, so ``sigma-bar(Qv)`` equals ``sigma-bar(Pv)`` (every
+    partition has the same size, G3) and returns to exactly zero whenever
+    the number of vnodes is a power of two (G5).
+
+    Examples
+    --------
+    >>> from repro import DHTConfig, GlobalDHT
+    >>> dht = GlobalDHT(DHTConfig.for_global(pmin=4), rng=0)
+    >>> snode = dht.add_snode()
+    >>> refs = [dht.create_vnode(snode) for _ in range(4)]
+    >>> dht.sigma_qv()   # V = 4 is a power of two: perfectly balanced (G5)
+    0.0
+    """
+
+    def __init__(self, config: Optional[DHTConfig] = None, rng: RngLike = None):
+        config = config if config is not None else DHTConfig.for_global()
+        super().__init__(config.with_(vmin=None), rng)
+
+    @property
+    def splitlevel(self) -> int:
+        """Common splitlevel of every partition (G3); the initial one while empty."""
+        return next(
+            (g.splitlevel for g in self.groups.values()), self.config.initial_splitlevel
+        )
+
+    def partition_counts(self) -> Dict[VnodeRef, int]:
+        """Current ``vnode -> partition count`` mapping (the GPDR)."""
+        return next((g.lpdr.counts() for g in self.groups.values()), {})
+
+    def sigma_pv(self) -> float:
+        """Relative standard deviation of partition counts (``sigma-bar(Pv)``).
+
+        In the global approach this equals ``sigma-bar(Qv)`` (section 2.4).
+        """
+        return next((g.lpdr.relative_std() for g in self.groups.values()), 0.0)

@@ -81,11 +81,6 @@ from repro.core.records import PartitionDistributionRecord
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.core.base import BaseDHT
 
-#: Key identifying one balancing scope: the ``GroupId`` of a group in the
-#: local approach, or ``None`` for the single scope of the global approach.
-ScopeKey = Optional[GroupId]
-
-
 # --------------------------------------------------------------------------- actions
 
 
@@ -119,14 +114,14 @@ class TransferAction:
 class LoadSplitAction:
     """Binary-split every partition of one balancing scope, for load.
 
-    ``scope`` names the group to split (``None`` = the whole DHT, global
-    approach); ``partition`` records the overloaded partition that
+    ``scope`` names the group to split (the global approach's one group is
+    the whole DHT); ``partition`` records the overloaded partition that
     motivated the split (purely informational).  Splitting the whole scope
     — never a single partition — is what keeps G3/G3' (uniform splitlevel
     per scope) and G2/G2' (power-of-two partition counts) intact.
     """
 
-    scope: ScopeKey = None
+    scope: GroupId
     partition: Optional[Partition] = None
     kind: Literal["load_split"] = "load_split"
 
@@ -210,8 +205,8 @@ def plan_vnode_creation(
     Parameters
     ----------
     record:
-        The GPDR (global approach) or the LPDR of the victim group (local
-        approach).  The record is updated to the post-creation state; the
+        The LPDR of the target group (in the global approach, the LPDR of
+        its one group: the GPDR).  The record is updated to the post-creation state; the
         returned plan lists the actions an entity layer must mirror.
     new_vnode:
         Canonical reference of the vnode being created.  It must *not* be in
@@ -418,7 +413,7 @@ class PartitionLoad:
 
     partition: Partition
     vnode: VnodeRef
-    scope: ScopeKey
+    scope: GroupId
     rows: int
 
     @property
@@ -442,9 +437,9 @@ class LoadSnapshot:
     #: Partition count of every vnode (entity-layer truth).
     counts: Dict[VnodeRef, int]
     #: Splitlevel of every balancing scope.
-    scope_levels: Dict[ScopeKey, int]
+    scope_levels: Dict[GroupId, int]
     #: Member vnodes of every balancing scope.
-    scope_members: Dict[ScopeKey, Tuple[VnodeRef, ...]]
+    scope_members: Dict[GroupId, Tuple[VnodeRef, ...]]
 
     def vnode_rows(self) -> Dict[VnodeRef, int]:
         """Stored primary rows per vnode."""
@@ -573,8 +568,8 @@ def measure_loads(dht: "BaseDHT") -> LoadSnapshot:
     bh = dht.hash_space.bh
     partitions: List[PartitionLoad] = []
     counts: Dict[VnodeRef, int] = {}
-    scope_levels: Dict[ScopeKey, int] = {}
-    scope_members: Dict[ScopeKey, Tuple[VnodeRef, ...]] = {}
+    scope_levels: Dict[GroupId, int] = {}
+    scope_members: Dict[GroupId, Tuple[VnodeRef, ...]] = {}
     for scope, (members, level) in dht.load_scopes().items():
         scope_levels[scope] = level
         scope_members[scope] = tuple(members)
@@ -615,8 +610,8 @@ def snapshot_from_counts(
     """
     partitions: List[PartitionLoad] = []
     counts: Dict[VnodeRef, int] = {}
-    scope_levels: Dict[ScopeKey, int] = {}
-    scope_members: Dict[ScopeKey, Tuple[VnodeRef, ...]] = {}
+    scope_levels: Dict[GroupId, int] = {}
+    scope_members: Dict[GroupId, Tuple[VnodeRef, ...]] = {}
     for scope, (members, level) in dht.load_scopes().items():
         scope_levels[scope] = level
         scope_members[scope] = tuple(members)
@@ -651,7 +646,7 @@ def plan_load_round(
     bh: int,
     tolerance: float = 1.15,
     allow_splits: bool = True,
-    level_boosts: Optional[Mapping[ScopeKey, int]] = None,
+    level_boosts: Optional[Mapping[GroupId, int]] = None,
     max_partitions_per_vnode: int = 1024,
 ) -> LoadRebalancePlan:
     """Plan one round of load-aware actions from a measured snapshot.
@@ -698,7 +693,7 @@ def plan_load_round(
     # Per-scope recipient cap: Pmax scaled by the scope's split history, but
     # never below the largest count already present (pre-existing overshoot
     # from earlier rebalances must not freeze the scope).
-    caps: Dict[ScopeKey, int] = {}
+    caps: Dict[GroupId, int] = {}
     for scope, members in snapshot.scope_members.items():
         boosted = pmax << boosts.get(scope, 0)
         present = max((counts[ref] for ref in members), default=pmax)
@@ -892,7 +887,7 @@ async def drive_load_rebalance(
     if not snapshot.counts or snapshot.total_rows == 0:
         return report
 
-    boosts: Dict[ScopeKey, int] = {}
+    boosts: Dict[GroupId, int] = {}
     while report.rounds < max_rounds:
         plan = plan_load_round(
             snapshot,

@@ -1,10 +1,11 @@
-"""Partition Distribution Records (GPDR and LPDR).
+"""Partition Distribution Records (the paper's GPDR and LPDR).
 
 A *Partition Distribution Record* registers the number of partitions held by
-each vnode.  The **GPDR** (global approach, section 2.1.4) covers every vnode
-of the DHT and is replicated at every snode; the **LPDR** (local approach,
-section 3.2) covers only the vnodes of one group and is replicated at every
-snode that hosts a vnode of that group.
+each vnode.  The **LPDR** (local approach, section 3.2) covers only the
+vnodes of one group and is replicated at every snode that hosts a vnode of
+that group.  The **GPDR** (global approach, section 2.1.4) covers every vnode
+of the DHT and is replicated at every snode; the model represents it as the
+LPDR of the global approach's one group.
 
 The record is where the balancing algorithm of section 2.5 operates: it
 sorts vnodes by partition count, picks the *victim* (the most loaded vnode)
@@ -179,20 +180,11 @@ class PartitionDistributionRecord:
         return f"{type(self).__name__}({inner})"
 
 
-class GPDR(PartitionDistributionRecord):
-    """Global Partition Distribution Record (section 2.1.4).
-
-    Registers the partition count of *every* vnode of the DHT.  In a real
-    deployment every snode hosts a replica; the cluster-protocol simulator
-    (``repro.cluster``) models the synchronization cost of keeping those
-    replicas consistent.
-    """
-
-
 class LPDR(PartitionDistributionRecord):
     """Local Partition Distribution Record of one group (section 3.2).
 
-    A down-sized GPDR restricted to the vnodes of a single group, plus the
+    A down-sized GPDR restricted to the vnodes of a single group (the whole
+    DHT in the global approach, where it *is* the GPDR), plus the
     group's common splitlevel (invariant G3': every partition of the group
     has size ``2**Bh / 2**splitlevel``).
     """

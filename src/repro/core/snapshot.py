@@ -4,15 +4,15 @@ A real deployment of the model needs to persist and exchange its metadata:
 the GPDR/LPDR replicas, the partition ownership and (optionally) the stored
 items.  This module provides that capability for both approaches:
 
-* :func:`snapshot_dht` — capture a :class:`~repro.core.global_model.GlobalDHT`
-  or :class:`~repro.core.local_model.LocalDHT` as a nested dict of plain
-  Python types (JSON-serializable as long as stored values are);
+* :func:`snapshot_dht` — capture a :class:`~repro.core.local_model.LocalDHT`
+  (either approach) as a nested dict of plain Python types
+  (JSON-serializable as long as stored values are);
 * :func:`restore_dht` — rebuild an equivalent DHT object from a snapshot.
 
 Round-tripping preserves: the configuration (including the replication
 factor), snodes (including their canonical-name counters, so future vnode
 names do not collide), vnodes and their partitions, groups/LPDRs (local
-approach), the global splitlevel (global approach), the cumulative
+approach), the splitlevel of the one group (global approach), the cumulative
 :class:`~repro.core.storage.MigrationStats` and
 :class:`~repro.core.storage.ReplicationStats` (so churn/crash experiments
 survive persistence) and, when ``include_data=True``, every stored item —
@@ -21,11 +21,13 @@ placement on restore.
 
 :func:`restore_dht` *validates* the snapshot structurally instead of
 trusting it: the partitions must tile the hash space exactly (no overlaps,
-no gaps), every vnode must be hosted by a snode the snapshot declares,
-every group member must exist, and every item must be stored at the vnode
-that actually owns its hash index.  A corrupt snapshot raises
-:class:`~repro.core.errors.ReproError` with a message naming the offending
-entity rather than producing a silently inconsistent DHT.
+no gaps), every vnode must be hosted by a snode the snapshot declares and
+sit in exactly one group whose splitlevel matches its partitions, the
+approach must agree with the configuration's ``vmin``, and every item must
+be stored at the vnode that actually owns its hash index.  A corrupt
+snapshot raises :class:`~repro.core.errors.ReproError` with a message
+naming the offending entity rather than producing a silently inconsistent
+DHT.
 
 The restored DHT is structurally identical (same quotas, same invariants,
 same routing), but it gets a fresh RNG unless a seed is supplied — snapshots
@@ -34,34 +36,31 @@ capture *state*, not the random stream.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import DHTConfig, ParallelConfig
 from repro.core.durability import DurabilityConfig
 from repro.core.entities import Group, Snode, Vnode
-from repro.core.errors import KeyLookupError, ReproError
-from repro.core.global_model import GlobalDHT
+from repro.core.errors import InvariantViolation, KeyLookupError, ReproError
 from repro.core.hashspace import Partition, total_fraction
 from repro.core.ids import GroupId, SnodeId, VnodeRef
-from repro.core.local_model import LocalDHT
+from repro.core.local_model import GlobalDHT, LocalDHT
 from repro.utils.rng import RngLike
 
 #: Snapshot format version (bumped on incompatible layout changes).
 SNAPSHOT_VERSION = 1
-
-AnyDHT = Union[GlobalDHT, LocalDHT]
 
 
 def _partition_to_dict(partition: Partition) -> List[int]:
     return [partition.level, partition.index]
 
 
-def _vnode_to_dict(vnode: Vnode) -> Dict[str, Any]:
+def _vnode_to_dict(vnode: Vnode, grouped: bool) -> Dict[str, Any]:
     return {
         "ref": vnode.ref.canonical_name,
-        "group": vnode.group_id.binary_string if vnode.group_id is not None else None,
+        "group": vnode.group_id.binary_string if grouped else None,
         "partitions": sorted(
             (_partition_to_dict(p) for p in vnode.partitions), key=tuple
         ),
@@ -83,7 +82,7 @@ def _canonical_rows(ref: VnodeRef, stored) -> List[Dict[str, Any]]:
     ]
 
 
-def snapshot_dht(dht: AnyDHT, include_data: bool = True) -> Dict[str, Any]:
+def snapshot_dht(dht: LocalDHT, include_data: bool = True) -> Dict[str, Any]:
     """Capture the full state of a DHT as a JSON-compatible dictionary."""
     config = {
         "bh": dht.config.bh,
@@ -113,7 +112,8 @@ def snapshot_dht(dht: AnyDHT, include_data: bool = True) -> Dict[str, Any]:
         }
         for snode in dht.snodes.values()
     ]
-    vnodes = [_vnode_to_dict(vnode) for vnode in dht.vnodes.values()]
+    grouped = dht.config.is_grouped
+    vnodes = [_vnode_to_dict(vnode, grouped) for vnode in dht.vnodes.values()]
 
     snapshot: Dict[str, Any] = {
         "version": SNAPSHOT_VERSION,
@@ -132,7 +132,7 @@ def snapshot_dht(dht: AnyDHT, include_data: bool = True) -> Dict[str, Any]:
         "replication_stats": dht.storage.replication.as_dict(),
     }
 
-    if isinstance(dht, LocalDHT):
+    if grouped:
         snapshot["groups"] = [
             {
                 "id": group.id.binary_string,
@@ -143,7 +143,12 @@ def snapshot_dht(dht: AnyDHT, include_data: bool = True) -> Dict[str, Any]:
         ]
         snapshot["group_splits"] = dht.group_splits
     else:
-        snapshot["splitlevel"] = dht.splitlevel
+        # Ungrouped snapshots keep the global approach's layout: one
+        # top-level splitlevel, no group list.
+        snapshot["splitlevel"] = next(
+            (group.splitlevel for group in dht.groups.values()),
+            dht.config.initial_splitlevel,
+        )
 
     if include_data:
         items: List[Dict[str, Any]] = []
@@ -160,7 +165,7 @@ def _group_id_from_string(binary: str) -> GroupId:
     return GroupId(depth=len(binary), value=int(binary, 2))
 
 
-def _verify_partition_tiling(dht: AnyDHT) -> None:
+def _verify_partition_tiling(dht: LocalDHT) -> None:
     """Raise :class:`ReproError` unless the vnodes' partitions tile ``R_h``.
 
     Gives precise messages: an overlap names the two offending partitions,
@@ -186,7 +191,7 @@ def _verify_partition_tiling(dht: AnyDHT) -> None:
         )
 
 
-def _routed_positions(dht: AnyDHT, ref: VnodeRef, triples: List[Tuple[Any, int, Any]]) -> np.ndarray:
+def _routed_positions(dht: LocalDHT, ref: VnodeRef, triples: List[Tuple[Any, int, Any]]) -> np.ndarray:
     """Route every item's hash index; raise :class:`ReproError` on bad indexes."""
     for key, index, _ in triples:
         if not isinstance(index, int) or isinstance(index, bool):
@@ -209,7 +214,7 @@ def _routed_positions(dht: AnyDHT, ref: VnodeRef, triples: List[Tuple[Any, int, 
         ) from exc
 
 
-def _verify_item_ownership(dht: AnyDHT, ref: VnodeRef, triples: List[Tuple[Any, int, Any]]) -> None:
+def _verify_item_ownership(dht: LocalDHT, ref: VnodeRef, triples: List[Tuple[Any, int, Any]]) -> None:
     """Raise :class:`ReproError` unless every item's index belongs to ``ref``.
 
     Vectorized: one :meth:`~repro.core.lookup.PartitionRouter.locate_batch`
@@ -230,7 +235,7 @@ def _verify_item_ownership(dht: AnyDHT, ref: VnodeRef, triples: List[Tuple[Any, 
 
 
 def _verify_replica_ownership(
-    dht: AnyDHT, ref: VnodeRef, triples: List[Tuple[Any, int, Any]]
+    dht: LocalDHT, ref: VnodeRef, triples: List[Tuple[Any, int, Any]]
 ) -> None:
     """Raise :class:`ReproError` unless ``ref`` legitimately replicates every
     item — i.e. the current placement assigns it the item's partition."""
@@ -247,7 +252,37 @@ def _verify_replica_ownership(
             )
 
 
-def restore_dht(snapshot: Dict[str, Any], rng: RngLike = None) -> AnyDHT:
+def _restore_groups(dht: LocalDHT, entries: List[Dict[str, Any]]) -> None:
+    """Rebuild the groups and require every vnode in exactly one consistent group."""
+    for entry in entries:
+        group = Group(_group_id_from_string(entry["id"]), entry["splitlevel"])
+        if group.id in dht.groups:
+            raise ReproError(f"snapshot corrupt: duplicate group {entry['id']}")
+        for name in entry["members"]:
+            ref = VnodeRef.parse(name)
+            if ref not in dht.vnodes:
+                raise ReproError(
+                    f"snapshot corrupt: group {entry['id']} lists member "
+                    f"{name!r}, which is not a vnode of the snapshot"
+                )
+            vnode = dht.get_vnode(ref)
+            if vnode.group_id is not None:
+                raise ReproError(
+                    f"snapshot corrupt: vnode {name!r} is listed in groups "
+                    f"{vnode.group_id} and {entry['id']}"
+                )
+            group.adopt_vnode(vnode)
+        try:
+            group.verify_consistent()
+        except InvariantViolation as exc:
+            raise ReproError(f"snapshot corrupt: {exc}") from exc
+        dht.groups[group.id] = group
+    for ref, vnode in dht.vnodes.items():
+        if vnode.group_id is None:
+            raise ReproError(f"snapshot corrupt: vnode {ref} belongs to no group")
+
+
+def restore_dht(snapshot: Dict[str, Any], rng: RngLike = None) -> LocalDHT:
     """Rebuild a DHT from a snapshot produced by :func:`snapshot_dht`."""
     version = snapshot.get("version")
     if version != SNAPSHOT_VERSION:
@@ -267,12 +302,14 @@ def restore_dht(snapshot: Dict[str, Any], rng: RngLike = None) -> AnyDHT:
         parallel=(ParallelConfig(**parallel_dict) if parallel_dict else None),
     )
     approach = snapshot.get("approach")
-    if approach == "local":
-        dht: AnyDHT = LocalDHT(config, rng=rng)
-    elif approach == "global":
-        dht = GlobalDHT(config, rng=rng)
-    else:
+    if approach not in ("local", "global"):
         raise ReproError(f"unknown approach {approach!r} in snapshot")
+    if (approach == "local") != config.is_grouped:
+        raise ReproError(
+            f"snapshot corrupt: approach {approach!r} disagrees with "
+            f"vmin={config.vmin!r}"
+        )
+    dht = (LocalDHT if config.is_grouped else GlobalDHT)(config, rng=rng)
 
     # Snodes, constructed with their recorded ids (the id sequence may have
     # gaps if snodes were removed before the snapshot).
@@ -318,23 +355,17 @@ def restore_dht(snapshot: Dict[str, Any], rng: RngLike = None) -> AnyDHT:
     if dht.vnodes:
         _verify_partition_tiling(dht)
 
-    if isinstance(dht, LocalDHT):
-        for entry in snapshot["groups"]:
-            group = Group(_group_id_from_string(entry["id"]), entry["splitlevel"])
-            for name in entry["members"]:
-                ref = VnodeRef.parse(name)
-                if ref not in dht.vnodes:
-                    raise ReproError(
-                        f"snapshot corrupt: group {entry['id']} lists member "
-                        f"{name!r}, which is not a vnode of the snapshot"
-                    )
-                group.adopt_vnode(dht.get_vnode(ref))
-            dht.groups[group.id] = group
+    if config.is_grouped:
+        _restore_groups(dht, snapshot["groups"])
         dht.group_splits = snapshot.get("group_splits", 0)
-    else:
-        dht.splitlevel = snapshot["splitlevel"]
-        for ref, vnode in dht.vnodes.items():
-            dht.gpdr.add_vnode(ref, vnode.partition_count)
+    elif dht.vnodes:
+        # The global approach's one root group holds every vnode.
+        root = {
+            "id": GroupId.root().binary_string,
+            "splitlevel": snapshot["splitlevel"],
+            "members": [entry["ref"] for entry in snapshot["vnodes"]],
+        }
+        _restore_groups(dht, [root])
 
     dht.topology.removals_occurred = snapshot.get("removals_occurred", False)
     dht.topology.load_splits_occurred = snapshot.get("load_splits_occurred", False)

@@ -5,10 +5,9 @@ come and go.  A churn trace interleaves **topology events** — ``snode_join``,
 ``snode_leave``, ``enrollment_change``, ``snode_crash``, ``snode_restart``,
 ``rebalance`` — with bulk
 ``load``/``lookup`` chunks, and :class:`ChurnEngine` replays the trace
-against a live :class:`~repro.core.global_model.GlobalDHT` or
-:class:`~repro.core.local_model.LocalDHT` with an **item-conservation
-check** after every topology event (rebalancing must never create or
-destroy data).  The replay loop and the conservation rule themselves live
+against a live :class:`~repro.core.local_model.LocalDHT` (either approach)
+with an **item-conservation check** after every topology event
+(rebalancing must never create or destroy data).  The replay loop and the conservation rule themselves live
 in :mod:`repro.workloads.replay`, shared with the served cluster; this
 module owns the trace, the in-process backend and the report.
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core import DHTConfig, DurabilityConfig, GlobalDHT, LocalDHT, ParallelConfig
-from repro.core.base import BaseDHT
+from repro.core import DHTConfig, DurabilityConfig, LocalDHT, ParallelConfig
 
 APPROACHES = ("local", "global")
 
@@ -28,7 +27,7 @@ def build_cluster(
     data_dir: Optional[str] = None,
     workers: int = 0,
     parallel: Optional[ParallelConfig] = None,
-) -> BaseDHT:
+) -> LocalDHT:
     """Enroll a homogeneous cluster.
 
     Builds the DHT for the requested approach (with ``replication_factor``
@@ -40,14 +39,13 @@ def build_cluster(
     (:mod:`repro.parallel`) with that many worker processes; the caller is
     then responsible for :meth:`~repro.core.base.BaseDHT.close`.
     """
-    if approach == "local":
-        config = DHTConfig.for_local(
-            pmin=pmin, vmin=vmin, replication_factor=replication_factor
-        )
-    elif approach == "global":
-        config = DHTConfig.for_global(pmin=pmin, replication_factor=replication_factor)
-    else:
+    if approach not in APPROACHES:
         raise ValueError(f"approach must be one of {APPROACHES}, got {approach!r}")
+    config = DHTConfig(
+        pmin=pmin,
+        vmin=vmin if approach == "local" else None,
+        replication_factor=replication_factor,
+    )
     if data_dir is not None:
         config = config.with_(durability=DurabilityConfig(data_dir=data_dir))
     if parallel is not None:
@@ -56,10 +54,7 @@ def build_cluster(
         config = config.with_(parallel=parallel)
     elif workers > 0:
         config = config.with_(parallel=ParallelConfig(workers=workers))
-    if approach == "local":
-        dht: BaseDHT = LocalDHT(config, rng=seed)
-    else:
-        dht = GlobalDHT(config, rng=seed)
+    dht = LocalDHT(config, rng=seed)
     for snode in dht.add_snodes(n_snodes):
         dht.set_enrollment(snode, vnodes_per_snode)
     return dht

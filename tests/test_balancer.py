@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    GPDR,
+    PartitionDistributionRecord,
     SnodeId,
     VnodeRef,
     plan_vnode_creation,
@@ -21,7 +21,7 @@ def ref(v: int) -> VnodeRef:
 
 
 def make_record(counts):
-    return GPDR({ref(i): c for i, c in enumerate(counts)})
+    return PartitionDistributionRecord({ref(i): c for i, c in enumerate(counts)})
 
 
 class TestImprovementTest:
@@ -47,7 +47,7 @@ class TestImprovementTest:
 
 class TestPlanVnodeCreation:
     def test_first_vnode_gets_pmin(self):
-        record = GPDR()
+        record = PartitionDistributionRecord()
         plan = plan_vnode_creation(record, ref(0), pmin=4)
         assert record.count(ref(0)) == 4
         assert plan.n_transfers == 0 and not plan.split_alls
@@ -59,7 +59,7 @@ class TestPlanVnodeCreation:
 
     def test_bad_pmin_rejected(self):
         with pytest.raises(ValueError):
-            plan_vnode_creation(GPDR(), ref(0), pmin=0)
+            plan_vnode_creation(PartitionDistributionRecord(), ref(0), pmin=0)
 
     def test_second_vnode_triggers_split_all(self):
         record = make_record([4])
@@ -84,7 +84,7 @@ class TestPlanVnodeCreation:
         assert sorted(counts) == sorted([high] * n_high + [low] * (5 - n_high))
 
     def test_growth_from_one_to_many_respects_bounds(self):
-        record = GPDR()
+        record = PartitionDistributionRecord()
         pmin = 4
         for i in range(50):
             plan_vnode_creation(record, ref(i), pmin=pmin)
@@ -94,7 +94,7 @@ class TestPlanVnodeCreation:
             assert total & (total - 1) == 0, "total partitions must stay a power of two"
 
     def test_perfect_balance_at_powers_of_two(self):
-        record = GPDR()
+        record = PartitionDistributionRecord()
         pmin = 8
         for i in range(32):
             plan_vnode_creation(record, ref(i), pmin=pmin)

@@ -3,7 +3,7 @@
 One deterministic trace — bulk loads interleaved with topology churn — is
 replayed against the three storage models the repo implements:
 
-* :class:`~repro.core.global_model.GlobalDHT` (paper, global approach),
+* :class:`~repro.core.local_model.GlobalDHT` (paper, global approach),
 * :class:`~repro.core.local_model.LocalDHT` (paper, grouped approach),
 * the :class:`~repro.baselines.consistent_hashing.ConsistentHashRing`
   baseline wrapped with a reference storage layer.

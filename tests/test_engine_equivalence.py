@@ -8,7 +8,7 @@ module pins that guarantee:
 * one replicated + durable churn trace covering every topology event kind
   (``snode_join``, ``snode_leave``, ``snode_crash``, ``snode_restart``,
   ``enrollment_change``, ``rebalance``) is replayed through a
-  :class:`~repro.core.global_model.GlobalDHT` and a
+  :class:`~repro.core.local_model.GlobalDHT` and a
   :class:`~repro.core.local_model.LocalDHT`;
 * the resulting :class:`~repro.workloads.churn.ChurnReport` (timing fields
   stripped), the full :func:`~repro.core.snapshot.snapshot_dht` dictionary

@@ -1,4 +1,4 @@
-"""Tests for the global approach (repro.core.global_model)."""
+"""Tests for the global approach (`GlobalDHT` in repro.core.local_model)."""
 
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
-    GPDR,
+    PartitionDistributionRecord,
     DHTConfig,
     GlobalDHT,
     LocalDHT,
@@ -39,12 +39,31 @@ def vref(i: int) -> VnodeRef:
 
 
 @SETTINGS
-@given(pmin=pmin_strategy, n=n_vnodes_strategy)
-def test_global_model_invariants_hold_for_any_growth(pmin, n):
-    dht = GlobalDHT(DHTConfig.for_global(pmin=pmin), rng=0)
+@given(
+    pmin=pmin_strategy,
+    n=n_vnodes_strategy,
+    removals=st.lists(st.integers(min_value=0, max_value=39), max_size=4),
+    cls=st.sampled_from([GlobalDHT, LocalDHT]),
+)
+def test_global_model_invariants_hold_for_any_growth(pmin, n, removals, cls):
+    """An ungrouped DHT is one group that never splits, and neither creation
+    nor removal draws from its rng."""
+    dht = cls(DHTConfig.for_global(pmin=pmin), rng=0)
+    rng_state = dht.rng.bit_generator.state
     snode = dht.add_snode()
+    refs = []
     for _ in range(n):
-        dht.create_vnode(snode)
+        refs.append(dht.create_vnode(snode))
+        assert dht.rng.bit_generator.state == rng_state
+        assert dht.n_groups == 1
+    dht.check_invariants()
+    assert abs(sum(dht.quotas().values()) - 1.0) < 1e-9
+    for choice in removals:
+        if len(refs) <= 1:
+            break
+        dht.remove_vnode(refs.pop(choice % len(refs)))
+        assert dht.rng.bit_generator.state == rng_state
+        assert dht.n_groups == 1
     dht.check_invariants()
     assert abs(sum(dht.quotas().values()) - 1.0) < 1e-9
 
@@ -98,7 +117,7 @@ def test_greedy_fill_matches_record_planner(counts, pmin):
     model, for any starting distribution."""
     counts = [max(c, pmin) for c in counts]  # respect G4' lower bound
 
-    record = GPDR({vref(i): c for i, c in enumerate(counts)})
+    record = PartitionDistributionRecord({vref(i): c for i, c in enumerate(counts)})
     plan_vnode_creation(record, vref(len(counts)), pmin=pmin)
     expected = sorted(record.counts().values())
 

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ConfigError, DHTConfig, GroupId, LocalDHT, ReproError
+from repro.core import DHTConfig, GroupId, LocalDHT, ReproError
 from repro.core.local_model import ideal_group_count
 from tests.conftest import grow
 
 
 class TestConfiguration:
-    def test_requires_grouped_config(self):
-        with pytest.raises(ConfigError):
-            LocalDHT(DHTConfig.for_global(pmin=8))
+    def test_ungrouped_config_runs_the_global_approach(self):
+        dht = LocalDHT(DHTConfig.for_global(pmin=8), rng=0)
+        assert dht.approach == "global"
+        dht.add_snode()
+        grow(dht, 2 * 8 + 3)  # a grouped DHT with vmin=pmin would have split
+        assert dht.n_groups == 1
+        dht.check_invariants()
 
     def test_default_config_is_paper_default(self):
         dht = LocalDHT()

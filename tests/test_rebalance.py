@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
-    GPDR,
+    PartitionDistributionRecord,
     DHTConfig,
     GlobalDHT,
     LocalDHT,
@@ -111,7 +111,7 @@ class TestCreationPolicyEquivalence:
         exact action sequence (not just the final multiset)."""
         counts = [max(c, pmin) for c in counts]
         new = vref(len(counts))
-        record = GPDR({vref(i): c for i, c in enumerate(counts)})
+        record = PartitionDistributionRecord({vref(i): c for i, c in enumerate(counts)})
         plan = plan_vnode_creation(record, new, pmin=pmin)
 
         expected = _reference_creation_plan(
@@ -133,7 +133,7 @@ class TestCreationPolicyEquivalence:
         """The engine's count-bucket fast path (consumed by the simulators)
         still produces the identical count multiset."""
         counts = [max(c, pmin) for c in counts]
-        record = GPDR({vref(i): c for i, c in enumerate(counts)})
+        record = PartitionDistributionRecord({vref(i): c for i, c in enumerate(counts)})
         plan_vnode_creation(record, vref(len(counts)), pmin=pmin)
         new_counts, new_count, _ = greedy_fill(counts, pmin)
         assert sorted(new_counts + [new_count]) == sorted(record.counts().values())

@@ -1,10 +1,10 @@
-"""Tests for repro.core.records (GPDR / LPDR tables)."""
+"""Tests for repro.core.records (partition distribution records, LPDR)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import GPDR, LPDR, GroupId, PartitionDistributionRecord, SnodeId, VnodeRef
+from repro.core import LPDR, GroupId, PartitionDistributionRecord, SnodeId, VnodeRef
 from repro.core.errors import UnknownVnodeError
 
 
@@ -71,7 +71,7 @@ class TestPartitionDistributionRecord:
         assert PartitionDistributionRecord().relative_std() == 0.0
 
     def test_copy_and_synchronize(self):
-        record = GPDR({ref(0, 0): 4})
+        record = PartitionDistributionRecord({ref(0, 0): 4})
         replica = record.copy()
         assert replica == record and replica is not record
         record.increment(ref(0, 0))
@@ -113,5 +113,5 @@ class TestLPDR:
 
     def test_lpdr_not_equal_to_plain_record(self):
         lpdr = LPDR(GroupId.root(), splitlevel=2, counts={ref(0, 0): 4})
-        gpdr = GPDR({ref(0, 0): 4})
-        assert (lpdr == gpdr) is False or isinstance(lpdr == gpdr, bool)
+        plain = PartitionDistributionRecord({ref(0, 0): 4})
+        assert (lpdr == plain) is False or isinstance(lpdr == plain, bool)

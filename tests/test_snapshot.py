@@ -20,6 +20,43 @@ def build_local(n_vnodes=20, items=100, seed=3) -> LocalDHT:
     return dht
 
 
+def build_global(n_vnodes=13) -> GlobalDHT:
+    dht = GlobalDHT(DHTConfig.for_global(pmin=4), rng=0)
+    snode = dht.add_snode()
+    for _ in range(n_vnodes):
+        dht.create_vnode(snode)
+    return dht
+
+
+def _raise_splitlevel(entry):
+    entry["splitlevel"] += 1
+
+
+def _orphan_a_vnode(snapshot):
+    name = snapshot["vnodes"][0]["ref"]
+    for group in snapshot["groups"]:
+        if name in group["members"]:
+            group["members"].remove(name)
+
+
+def _list_a_vnode_twice(snapshot):
+    snapshot["groups"][1]["members"].append(snapshot["groups"][0]["members"][0])
+
+
+#: ``id -> (builder, corruption)`` of snapshots whose group structure lies.
+CORRUPT_GROUP_STRUCTURE = {
+    "global-splitlevel": (build_global, _raise_splitlevel),
+    "group-splitlevel": (build_local, lambda snap: _raise_splitlevel(snap["groups"][0])),
+    "vnode-in-no-group": (build_local, _orphan_a_vnode),
+    "vnode-in-two-groups": (build_local, _list_a_vnode_twice),
+    "duplicate-group-id": (
+        build_local, lambda snap: snap["groups"][1].update(id=snap["groups"][0]["id"])
+    ),
+    "global-with-vmin": (build_global, lambda snap: snap["config"].update(vmin=4)),
+    "local-without-vmin": (build_local, lambda snap: snap["config"].update(vmin=None)),
+}
+
+
 class TestRoundTrip:
     def test_local_round_trip_preserves_structure_and_data(self):
         original = build_local()
@@ -122,6 +159,15 @@ class TestStructuralValidation:
         snapshot = snapshot_dht(build_local(n_vnodes=6, items=0))
         snapshot["vnodes"][1]["ref"] = snapshot["vnodes"][0]["ref"]
         with pytest.raises(ReproError, match="duplicate|overlap"):
+            restore_dht(snapshot)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_GROUP_STRUCTURE))
+    def test_corrupt_group_structure_rejected(self, case):
+        """Caught at restore, not by a later invariant check or creation."""
+        build, corrupt = CORRUPT_GROUP_STRUCTURE[case]
+        snapshot = snapshot_dht(build())
+        corrupt(snapshot)
+        with pytest.raises(ReproError, match="snapshot corrupt"):
             restore_dht(snapshot)
 
     def test_group_with_unknown_member_rejected(self):
