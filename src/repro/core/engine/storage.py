@@ -165,9 +165,9 @@ class StorageEngine:
         self, owner: VnodeRef, partition: Partition, key: Hashable, index: int, value: Any
     ) -> None:
         """Store one item at its owner and fan it out to the replicas."""
-        self.store.put(owner, key, index, value)
+        self.store.put(owner, key, index, value, routed=True)
         for ref in self._placement.replicas_of(partition):
-            self.store.put_replica(ref, key, index, value)
+            self.store.put_replica(ref, key, index, value, routed=True)
 
     def read(
         self, owner: VnodeRef, partition: Partition, key: Hashable, index: Optional[int] = None
@@ -323,7 +323,7 @@ class StorageEngine:
             vals = None if values_sorted is None else values_sorted[lo:hi]
             stage_start = time.perf_counter()
             report.stored += self.store.put_batch(
-                owner, keys_sorted[lo:hi], indices_sorted[lo:hi], vals
+                owner, keys_sorted[lo:hi], indices_sorted[lo:hi], vals, routed=True
             )
             secs[0] += time.perf_counter() - stage_start
             rows[0] += hi - lo
@@ -333,7 +333,7 @@ class StorageEngine:
                 for rank, ref in enumerate(placement.replicas_at(pos), start=1):
                     stage_start = time.perf_counter()
                     self.store.put_replica_batch(
-                        ref, keys_sorted[lo:hi], indices_sorted[lo:hi], vals
+                        ref, keys_sorted[lo:hi], indices_sorted[lo:hi], vals, routed=True
                     )
                     secs[rank] += time.perf_counter() - stage_start
                     rows[rank] += hi - lo

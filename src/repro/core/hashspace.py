@@ -35,6 +35,9 @@ _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
+#: Widest hash space, in bits (``Bh``), a :class:`HashSpace` accepts.
+_MAX_BH = 128
+
 
 def _splitmix64(v: int) -> int:
     """The SplitMix64 finalizer over one 64-bit value (scalar reference)."""
@@ -119,20 +122,19 @@ class Partition:
         """Fraction of the hash space covered by this partition (``2**-level``)."""
         return Fraction(1, 1 << self.level)
 
-    @property
-    def start_fraction(self) -> Fraction:
-        """Start of the partition as a fraction of the hash space."""
-        return Fraction(self.index, 1 << self.level)
-
-    def ring_sort_key(self) -> Tuple[Fraction, int]:
+    def ring_sort_key(self) -> Tuple[int, int]:
         """Sort key placing partitions in ring order (by start, then size).
 
         The dataclass' own ordering compares ``(level, index)`` — useful as a
         stable total order, wrong for walking the ring.  Sorting a disjoint
         set of partitions with this key yields them in increasing hash-index
-        order regardless of their splitlevels.
+        order regardless of their splitlevels.  The start is the partition's
+        first index in a 128-bit space — the widest any :class:`HashSpace`
+        allows — so the key is integer arithmetic, not a ``Fraction``.
         """
-        return (self.start_fraction, self.level)
+        if self.level > _MAX_BH:
+            raise PartitionError(f"splitlevel {self.level} exceeds {_MAX_BH} bits")
+        return (self.index << (_MAX_BH - self.level), self.level)
 
     def size(self, bh: int) -> int:
         """Absolute size in hash indices for a ``bh``-bit hash space."""
@@ -221,8 +223,8 @@ class HashSpace:
     __slots__ = ("bh", "size")
 
     def __init__(self, bh: int):
-        if not (1 <= bh <= 128):
-            raise PartitionError(f"bh must be in [1, 128], got {bh}")
+        if not (1 <= bh <= _MAX_BH):
+            raise PartitionError(f"bh must be in [1, {_MAX_BH}], got {bh}")
         self.bh = int(bh)
         self.size = 1 << self.bh
 

@@ -338,10 +338,9 @@ def sync_replicas(storage: DHTStorage, placement: ReplicaPlacement) -> SyncRepor
         refill = [pos for pos in stale if primary_counts[pos]]
         by_primary = _positions_by_store(refill, [placement.primaries[p] for p in refill])
         for primary, wanted in by_primary.items():
-            copied = storage.primary_store(primary).copy_buckets(
-                *storage.range_arrays([pairs[p] for p in wanted])
-            )
-            store.adopt_parts(*join_parts(copied))
+            source = storage.primary_store(primary)
+            copied = source.copy_buckets(*storage.range_arrays([pairs[p] for p in wanted]))
+            store.adopt_parts(*join_parts(copied), foreign=source.foreign)
         report.rows_refilled += sum(int(primary_counts[pos]) for pos in refill)
         report.ranges_refilled += len(refill)
 
@@ -419,10 +418,9 @@ def recover_primaries(
             continue
         moves.setdefault((best_source[k], placement.primaries[pos]), []).append(pos)
     for (source, primary), positions in moves.items():
-        popped = storage.replica_store(source).pop_buckets(
-            *storage.range_arrays([pairs[p] for p in positions])
-        )
-        storage.primary_store(primary).adopt_parts(*join_parts(popped))
+        replica = storage.replica_store(source)
+        popped = replica.pop_buckets(*storage.range_arrays([pairs[p] for p in positions]))
+        storage.primary_store(primary).adopt_parts(*join_parts(popped), foreign=replica.foreign)
         report.rows_restored += sum(parts_size(parts) for parts in popped)
         report.ranges_restored += len(positions)
 

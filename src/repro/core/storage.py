@@ -35,30 +35,45 @@ are contiguous slice copies, and what a pop or a retain leaves behind is one
 
 *Who establishes the run:* the passes that rewrite or copy a store anyway
 — :meth:`VnodeStore.pop_buckets`, :meth:`VnodeStore.copy_buckets`,
-:meth:`VnodeStore.drop_outside`, :meth:`VnodeStore.adopt_parts` (which folds
-what it adopts into the run) and :meth:`DHTStorage.replay_vnode` (which
-rebuilds the store from disk) — and the reads.  They concatenate run + tail
-and sort once; timsort merges the presorted pieces at memcpy-like speed.
+:meth:`VnodeStore.drop_outside`, :meth:`VnodeStore.adopt_parts` and
+:meth:`DHTStorage.replay_vnode` (which rebuilds the store from disk) — and
+the reads.  They concatenate run + tail and sort once; timsort merges the
+presorted pieces at memcpy-like speed.  *Adopts splice:* a partition
+handover's segments are sorted, pairwise disjoint and hold no run row
+between their first and last index, so ``adopt_parts`` builds the new run by
+concatenating run slices and segments in index order instead of re-sorting
+the whole store; any other adoption is concatenated and stably sorted.
 *Who may not:* ``put_many`` / ``bulk_load`` stay O(1) appends, and the
 counting pass (:meth:`VnodeStore.count_buckets`, hence
 ``verify_replication`` and load measurement) binary-searches the run and
 scans the tail but never replaces a segment — rewriting every store of a
 freshly bulk-loaded cluster to verify it costs memory the allocator does
-not hand back.
+not hand back.  The run's arrays are always fresh copies the store owns,
+never a caller's ``put_many`` arrays or a view of a receive buffer.
 
 *Reads never fold.*  :meth:`VnodeStore.get`, :meth:`VnodeStore.get_many`
 and :meth:`VnodeStore.contains` search the run in place: the caller's hash
 index is binary-searched in the run's index column and the key compared
 within that index's span, newest row first (the stable sort leaves the
 newest row of an equal-index span last).  Only what the run does not hold
-comes from the hash tier.  *Writes fold:* :meth:`VnodeStore.put` and
-:meth:`VnodeStore.delete` first merge every pending row into the hash tier
-— run first, tail after, write order per key — so pending rows are always
-newer than hash-tier rows, and later writes win exactly as they would with
-per-key puts.  The whole-store views (``items``, ``len``, ``raw_dict``)
-fold too.  This is what lets :meth:`DHTStorage.put_batch` ingest millions
-of keys at array speed, and :meth:`DHTStorage.get_batch` serve them, without
-ever boxing a row into a per-key python object.
+comes from the hash tier.  A key in neither is absent: every row sits at
+its key's hash index unless the store is :attr:`VnodeStore.foreign`, which
+:class:`DHTStorage` sets when a caller hands it a row under another index;
+only such a store scans its run on a miss.  *Overwrites of run keys land in
+place:* a :meth:`VnodeStore.put` of a key whose newest row is in the run,
+with no hash-tier row, writes the value into that run row when the value
+column holds it as is (any value in an ``object`` column, ``width`` bytes in
+a ``V{width}`` one).  *Other writes fold:* every other ``put``, and every
+:meth:`VnodeStore.delete`, first merges every pending row into the hash
+tier — run first, tail after, write order per key — so pending rows are
+always newer than hash-tier rows, and later writes win exactly as they
+would with per-key puts.  The whole-store views (``items``, ``len``,
+``raw_dict``) fold too.  This is what lets :meth:`DHTStorage.put_batch`
+ingest millions of keys at array speed, and :meth:`DHTStorage.get_batch`
+serve and point puts overwrite them, without ever boxing a row into a
+per-key python object.  Fixed-width values stay native (``V{width}``) from
+the wire to the run and back; a value leaves a store as ``bytes``
+(``item``, ``tolist``), never as ``numpy.void``.
 
 Migration is *segment-preserving*: moving a partition's range out of a
 store slices it out of the run instead of merging into the hash tier first
@@ -99,7 +114,7 @@ from repro.core.durability import (
 from repro.core.errors import StorageError, UnknownVnodeError
 from repro.core.hashspace import HashSpace, Partition
 from repro.core.ids import VnodeRef
-from repro.utils.arrays import as_object_column, concat_columns, locate_ranges
+from repro.utils.arrays import as_object_column, concat_columns, is_plain_void, locate_ranges
 from repro.utils.gcscope import deferred_gc
 
 #: One pending columnar batch: (keys, indexes, values-or-None).
@@ -177,20 +192,28 @@ def _take_spans(run: _Segment, spans: _Spans) -> _Segment:
     )
 
 
-def _span_row(run: _Segment, key: Hashable, index: int) -> Optional[Tuple[int, Any]]:
-    """The newest ``(index, value)`` row of ``key`` stored under hash index
-    ``index`` in a sorted run, or ``None``: the equal-index span is scanned
-    backwards, so a later write of the key wins over an earlier one."""
-    keys, indexes, values = run
-    # A python int needle makes numpy search a uint64 column ~40x slower.
-    needle = index if indexes.dtype == object else indexes.dtype.type(index)
-    row = int(indexes.searchsorted(needle, "right")) - 1
+def _span_find(run: _Segment, key: Hashable, index: int) -> int:
+    """The run row holding the newest write of ``key`` under hash index
+    ``index``, or -1: the equal-index span is scanned backwards, so a later
+    write of the key wins over an earlier one."""
+    keys, indexes, _ = run
+    # A python int needle makes numpy convert the whole uint64 column first.
+    row = int(indexes.searchsorted(np.array(index, indexes.dtype), "right")) - 1
     # ``item`` yields python objects, so ``==`` never broadcasts.
     while row >= 0 and indexes.item(row) == index:
         if keys.item(row) == key:
-            return indexes.item(row), None if values is None else values.item(row)
+            return row
         row -= 1
-    return None
+    return -1
+
+
+def _span_row(run: _Segment, key: Hashable, index: int) -> Optional[Tuple[int, Any]]:
+    """The newest ``(index, value)`` row of ``key`` under hash index ``index``
+    in a sorted run (see :func:`_span_find`), or ``None``."""
+    row = _span_find(run, key, index)
+    if row < 0:
+        return None
+    return run[1].item(row), None if run[2] is None else run[2].item(row)
 
 
 def _scan_row(run: _Segment, key: Hashable) -> Optional[Tuple[int, Any]]:
@@ -203,6 +226,69 @@ def _scan_row(run: _Segment, key: Hashable) -> Optional[Tuple[int, Any]]:
         return None
     row = int(rows[-1])
     return run[1].item(row), None if run[2] is None else run[2].item(row)
+
+
+def _holds(values: Optional[np.ndarray], value: Any) -> bool:
+    """Whether ``value`` can be written into the value column ``values`` as
+    is: any value into an ``object`` column, exactly ``width`` ``bytes`` into
+    a field-less ``V{width}`` one."""
+    if values is None:
+        return False
+    dtype = values.dtype
+    if dtype == object:
+        return True
+    return is_plain_void(dtype) and type(value) is bytes and len(value) == dtype.itemsize
+
+
+def _comparable_keys(keys: np.ndarray) -> np.ndarray:
+    """``keys`` as a column reads can compare python keys against: a
+    ``V{width}`` column (fixed-width ``bytes`` keys off the wire) is boxed
+    to ``bytes``, because numpy compares no void column with an object one."""
+    return keys.astype(object) if keys.dtype.kind == "V" else keys
+
+
+def _is_sorted(column: np.ndarray) -> bool:
+    return len(column) < 2 or bool(np.all(column[:-1] <= column[1:]))
+
+
+def _splice(run: Optional[_Segment], segments: Sequence[_Segment]) -> Optional[_Segment]:
+    """The index-sorted run holding ``run``'s rows and ``segments``', built by
+    concatenating run slices and segments in index order — or ``None`` when
+    that would not equal the stable sort: a segment is unsorted, two
+    segments overlap, a run row falls inside a segment's ``[first, last]``,
+    or an index column's dtype differs from the run's.  Every partition
+    handover meets the conditions.  The result never shares an array with
+    ``run`` or ``segments``."""
+    dtype = segments[0][1].dtype if run is None else run[1].dtype
+    if any(s[1].dtype != dtype or not _is_sorted(s[1]) for s in segments):
+        return None
+    ordered = sorted(segments, key=lambda s: s[1].item(0))
+    for before, after in zip(ordered, ordered[1:]):
+        if not before[1].item(-1) < after[1].item(0):
+            return None
+    if run is None:
+        pieces = ordered
+    else:
+        firsts = np.concatenate([s[1][:1] for s in ordered])
+        lasts = np.concatenate([s[1][-1:] for s in ordered])
+        pieces, done = [], 0
+        for (lo, hi), segment in zip(_run_spans(run[1], firsts, lasts), ordered):
+            if hi > lo:
+                return None
+            if lo > done:
+                pieces.append(_run_slice(run, done, lo))
+            pieces.append(segment)
+            done = lo
+        if done < len(run[0]):
+            pieces.append(_run_slice(run, done, len(run[0])))
+    if len(pieces) == 1:
+        return tuple(None if column is None else column.copy() for column in pieces[0])
+    return _concat_segments(pieces)
+
+
+def _run_slice(run: _Segment, lo: int, hi: int) -> _Segment:
+    keys, indexes, values = run
+    return keys[lo:hi], indexes[lo:hi], None if values is None else values[lo:hi]
 
 
 def parts_size(parts: _Parts) -> int:
@@ -233,12 +319,13 @@ class VnodeStore:
     Point writes work against the hash tier (``_items``); bulk batches land
     in the segment tier (``_segments``): one index-sorted run followed by
     the batches written since.  Reads search the run in place and may
-    establish it, but never fold it into the hash tier; point writes and
+    establish it, but never fold it into the hash tier; a point write
+    overwrites its key's run row in place or folds it first, deletes and
     whole-store views fold it first.  Only :meth:`count_buckets` is
     strictly read-only.  See the module docstring for the layout.
     """
 
-    __slots__ = ("vnode", "_items", "_segments", "_sorted", "durable")
+    __slots__ = ("vnode", "_items", "_segments", "_sorted", "foreign", "durable")
 
     def __init__(self, vnode: VnodeRef, durable: Optional[DurableVnodeStore] = None):
         self.vnode = vnode
@@ -248,6 +335,12 @@ class VnodeStore:
         #: after it (all of them when False) are the unsorted tail, in write
         #: order.  Never True while ``_segments`` is empty.
         self._sorted = False
+        #: True once a row may sit under an index other than its key's hash
+        #: index (see :class:`DHTStorage`, which checks the indexes callers
+        #: hand it).  Until then a read that misses the key's index span and
+        #: the hash tier is a miss; after, it scans the run.  Moves carry the
+        #: flag to the adopting store; only :meth:`wipe` clears it.
+        self.foreign = False
         #: Optional durability tier (WAL + checkpoint files) of this store.
         #: ``None`` — the default, and always the case for replica stores —
         #: leaves every mutation path bit-identical to the RAM-only model.
@@ -314,13 +407,36 @@ class VnodeStore:
 
     # -- hash tier -------------------------------------------------------------
 
-    def put(self, key: Hashable, index: int, value: Any) -> None:
-        """Store (or overwrite) an item."""
-        if self._segments:
-            self._merge_segments()
-        self._items[key] = (index, value)
+    def put(self, key: Hashable, index: int, value: Any) -> bool:
+        """Store (or overwrite) an item: in place when the key's newest row
+        is in the run (see :meth:`_overwrite_in_run`), else into the hash
+        tier after folding every pending row into it.  Returns True when
+        the value landed in the run."""
+        in_place = bool(self._segments) and self._overwrite_in_run(key, index, value)
+        if not in_place:
+            if self._segments:
+                self._merge_segments()
+            self._items[key] = (index, value)
         if self.durable is not None:
             self._log(("put", key, index, value))
+        return in_place
+
+    def _overwrite_in_run(self, key: Hashable, index: int, value: Any) -> bool:
+        """Write ``value`` over the run row a read of ``key`` at ``index``
+        returns; False (nothing written) unless that row exists, the key has
+        no hash-tier row, the store holds no foreign-index rows and the
+        run's value column holds ``value`` as is (:func:`_holds`).  The run's
+        arrays are the store's own, so no other store or caller sees it."""
+        if self.foreign or key in self._items:
+            return False
+        run = self._sorted_run()
+        if not _holds(run[2], value):
+            return False
+        row = _span_find(run, key, index)
+        if row < 0:
+            return False
+        run[2][row] = value
+        return True
 
     def _find(self, key: Hashable, index: Optional[int] = None) -> Optional[Tuple[int, Any]]:
         """The newest ``(index, value)`` row of ``key`` across both tiers, or
@@ -329,8 +445,10 @@ class VnodeStore:
         ``index`` is the key's hash index: the run is searched at it first.
         Then the hash tier (older than every pending row); a hash-tier row
         stored under another index sends the search back to the run at that
-        index.  A key in neither is looked for in the whole run, so a row
-        stored under an index other than the reader's is still found.
+        index.  A key in neither is absent — unless the store is
+        :attr:`foreign` or ``index`` is ``None``: then the whole run is
+        scanned, so a row stored under an index other than the reader's is
+        still found.
         """
         if not self._segments:
             return self._items.get(key)
@@ -341,7 +459,7 @@ class VnodeStore:
                 return row
         item = self._items.get(key)
         if item is None:
-            return _scan_row(run, key)
+            return _scan_row(run, key) if index is None or self.foreign else None
         if item[0] != index:
             row = _span_row(run, key, item[0])
             if row is not None:
@@ -480,7 +598,8 @@ class VnodeStore:
 
     def _set_run(self, run: Optional[_Segment]) -> None:
         """Make ``run`` (index-sorted; ``None`` or empty for no rows) the whole
-        segment tier."""
+        segment tier.  ``run``'s arrays must be fresh — owned by no one else
+        and writable — because :meth:`put` overwrites values in place."""
         self._segments = [run] if run is not None and len(run[0]) else []
         self._sorted = bool(self._segments)
 
@@ -619,6 +738,7 @@ class VnodeStore:
         """
         n = self.fast_len()
         self._clear()
+        self.foreign = False
         if self.durable is not None:
             self.durable.reset()
         return n
@@ -641,6 +761,7 @@ class VnodeStore:
         self,
         pairs: Iterable[Tuple[Hashable, Tuple[int, Any]]],
         segments: Iterable[_Segment],
+        foreign: bool = False,
     ) -> None:
         """Adopt parts popped from another store by :meth:`pop_buckets`.
 
@@ -650,6 +771,11 @@ class VnodeStore:
         merging: pairs go straight into the hash tier, segments are folded
         into the sorted run (after it in write order), so a store shredded by
         a long churn never makes later read-only range passes O(adoptions).
+        A handover's segments are sorted, disjoint and hold no run row
+        between their first and last index, so they are spliced between run
+        slices (:func:`_splice`) instead of re-sorting the whole store; any
+        other adoption is concatenated and stably sorted.  ``foreign`` is
+        the source store's :attr:`foreign` flag.
 
         A checkpoint snapshots the in-memory tiers and deletes the WAL, so it
         may only run once every logged part is also in memory: all records
@@ -657,7 +783,8 @@ class VnodeStore:
         most once.
         """
         durable = self.durable
-        segments = list(segments)
+        segments = [(_comparable_keys(keys), idx, values) for keys, idx, values in segments]
+        self.foreign = self.foreign or foreign
         if durable is not None:
             pairs = list(pairs)
             if pairs:
@@ -665,9 +792,14 @@ class VnodeStore:
             for seg_keys, seg_indexes, seg_values in segments:
                 durable.append(("batch", seg_keys, seg_indexes, seg_values))
         self._items.update(pairs)
+        segments = [segment for segment in segments if len(segment[0])]
         if segments:
-            self._segments.extend(segments)
-            self._sorted_run()
+            run = _splice(self._sorted_run(), segments)
+            if run is None:
+                self._segments.extend(segments)
+                self._sorted_run()
+            else:
+                self._set_run(run)
         if durable is not None and durable.should_checkpoint():
             durable.checkpoint(self._items, self._segments)
 
@@ -761,6 +893,14 @@ class DHTStorage:
     whole per-vnode group of items in one call; grouping keys by owning
     vnode is the router's job (see :meth:`repro.core.base.BaseDHT.bulk_load`),
     so the per-vnode stores are each touched exactly once per batch.
+
+    The write entry points take the hash index of every row from the
+    caller.  The router computed it (``routed=True``); any other caller —
+    a node serving the wire, a snapshot restore, a test — has its indexes
+    checked against the keys' hashes, and a store handed a row under any
+    other index is flagged :attr:`VnodeStore.foreign`, so its reads still
+    find the row.  A store re-attached to a log it did not write
+    (``register_vnode(fresh=False)``) is flagged too.
     """
 
     def __init__(
@@ -802,6 +942,7 @@ class DHTStorage:
             raise StorageError(f"storage for vnode {ref} already exists")
         log = self.durable.attach(ref, fresh=fresh) if self.durable is not None else None
         self._stores[ref] = VnodeStore(ref, durable=log)
+        self._stores[ref].foreign = log is not None and not fresh
         self._replica_stores[ref] = VnodeStore(ref)
 
     def unregister_vnode(self, ref: VnodeRef) -> VnodeStore:
@@ -870,6 +1011,20 @@ class DHTStorage:
         if not self.hash_space.contains(index):
             raise StorageError(f"hash index {index} outside the hash space")
 
+    def _foreign_index(self, key: Hashable, index: int) -> bool:
+        """Whether ``index`` is not ``key``'s hash index (or ``key`` has none)."""
+        try:
+            return self.hash_space.hash_key(key) != index
+        except (TypeError, ValueError):
+            return True
+
+    def _foreign_indexes(self, keys: np.ndarray, indexes: np.ndarray) -> bool:
+        """Whether some ``indexes[i]`` is not ``keys[i]``'s hash index."""
+        try:
+            return bool(np.any(self.hash_space.hash_keys(keys) != indexes))
+        except (TypeError, ValueError):
+            return True
+
     def _search_index(self, store: VnodeStore, key: Hashable, index: Optional[int]) -> Optional[int]:
         """The hash index a read of ``key`` searches ``store``'s run at: the
         caller's, else the key's own hash — computed only when the store has
@@ -890,17 +1045,29 @@ class DHTStorage:
         column = np.asarray(indexes)
         return column if column.dtype == object else column.astype(object)
 
-    def put(self, owner: VnodeRef, key: Hashable, index: int, value: Any) -> None:
-        """Store an item under the vnode that owns hash index ``index``."""
+    def put(
+        self, owner: VnodeRef, key: Hashable, index: int, value: Any, routed: bool = False
+    ) -> None:
+        """Store an item under the vnode that owns hash index ``index``
+        (``routed``: see the class docstring)."""
         self._check_index(index)
-        self._store(owner).put(key, index, value)
+        self._point_write(self._store(owner), key, index, value, routed)
+
+    def _point_write(
+        self, store: VnodeStore, key: Hashable, index: int, value: Any, routed: bool
+    ) -> None:
+        # A put that landed in place found the key at ``index`` in the run of
+        # a store without foreign rows, so ``index`` is the key's hash index.
+        if not (store.put(key, index, value) or routed or store.foreign):
+            store.foreign = self._foreign_index(key, index)
 
     def _ingest_batch(
         self,
         store: VnodeStore,
         keys: Union[Sequence[Hashable], np.ndarray],
         indexes: Union[Sequence[int], np.ndarray],
-        values: Optional[Union[Sequence[Any], np.ndarray]] = None,
+        values: Optional[Union[Sequence[Any], np.ndarray]],
+        routed: bool,
     ) -> int:
         """Validate and columnar-ingest one batch into ``store`` (shared by
         the primary and replica bulk write paths)."""
@@ -923,8 +1090,10 @@ class DHTStorage:
             # Normalize the segment's index column so migration-time range
             # searches compare a single dtype (values are validated in-range).
             index_arr = index_arr.astype(np.uint64)
-        key_arr = np.array(as_object_column(keys))
+        key_arr = _comparable_keys(np.array(as_object_column(keys)))
         value_arr = None if values is None else np.array(as_object_column(values))
+        if not (routed or store.foreign):
+            store.foreign = self._foreign_indexes(key_arr, index_arr)
         store.put_many(key_arr, index_arr, value_arr)
         return n
 
@@ -934,6 +1103,7 @@ class DHTStorage:
         keys: Union[Sequence[Hashable], np.ndarray],
         indexes: Union[Sequence[int], np.ndarray],
         values: Optional[Union[Sequence[Any], np.ndarray]] = None,
+        routed: bool = False,
     ) -> int:
         """Bulk-store a group of items that all route to the same vnode.
 
@@ -942,9 +1112,10 @@ class DHTStorage:
         columnar segment.  The columns are copied on the way in (a shallow,
         references-only copy for object arrays), so callers remain free to
         mutate their arrays after the call.  ``values=None`` stores ``None``
-        for every key.  Returns the number of items ingested.
+        for every key; ``routed`` is as in the class docstring.  Returns the
+        number of items ingested.
         """
-        return self._ingest_batch(self._store(owner), keys, indexes, values)
+        return self._ingest_batch(self._store(owner), keys, indexes, values, routed)
 
     def put_batch_columns(
         self,
@@ -956,8 +1127,8 @@ class DHTStorage:
         """Adopt pre-validated columns as one segment — the trusted fast
         path of the parallel bulk pipeline.
 
-        Unlike :meth:`put_batch` the columns are adopted *as is*: no length
-        or range validation (the caller's hash kernel produced the index
+        Unlike :meth:`put_batch` the columns are adopted *as is*: no length,
+        range or hash check (the caller's hash kernel produced the index
         column already masked to the hash space) and no defensive copy (the
         columns are shared-memory views or freshly gathered arrays the
         caller promises never to mutate).  Establishing the run and slicing
@@ -1052,14 +1223,16 @@ class DHTStorage:
 
     # -- replica operations ------------------------------------------------------
 
-    def put_replica(self, owner: VnodeRef, key: Hashable, index: int, value: Any) -> None:
+    def put_replica(
+        self, owner: VnodeRef, key: Hashable, index: int, value: Any, routed: bool = False
+    ) -> None:
         """Store a replica row at vnode ``owner`` (the write fan-out path).
 
         Validated exactly like :meth:`put`: the runtime feeds this straight
         from a replica ``PutRequest`` off the socket.
         """
         self._check_index(index)
-        self._replica(owner).put(key, index, value)
+        self._point_write(self._replica(owner), key, index, value, routed)
         self.replication.replica_rows_written += 1
 
     def put_replica_batch(
@@ -1068,10 +1241,11 @@ class DHTStorage:
         keys: Union[Sequence[Hashable], np.ndarray],
         indexes: Union[Sequence[int], np.ndarray],
         values: Optional[Union[Sequence[Any], np.ndarray]] = None,
+        routed: bool = False,
     ) -> int:
         """Bulk-store replica rows at one vnode — :meth:`put_batch` against
         the vnode's replica store (same columnar ingest, same semantics)."""
-        n = self._ingest_batch(self._replica(owner), keys, indexes, values)
+        n = self._ingest_batch(self._replica(owner), keys, indexes, values, routed)
         self.replication.replica_rows_written += n
         return n
 
@@ -1257,7 +1431,7 @@ class DHTStorage:
         starts, lasts = self.range_arrays([(start, end - 1)])
         pairs, segments = src.pop_buckets(starts, lasts)[0]
         moved = parts_size((pairs, segments))
-        dst.adopt_parts(pairs, segments)
+        dst.adopt_parts(pairs, segments, foreign=src.foreign)
         self.stats.record(moved)
         return moved
 
@@ -1299,7 +1473,7 @@ class DHTStorage:
         for target, store in zip((t for _, t in real), targets):
             if target in per_target:
                 pairs, segments = per_target.pop(target)
-                store.adopt_parts(pairs, segments)
+                store.adopt_parts(pairs, segments, foreign=src.foreign)
         return total
 
     def migrate_all(self, source: VnodeRef, target: VnodeRef) -> int:
@@ -1319,7 +1493,7 @@ class DHTStorage:
             return 0
         moved = src.fast_len()
         if moved:
-            dst.adopt_parts(src._items.items(), src._segments)
+            dst.adopt_parts(src._items.items(), src._segments, foreign=src.foreign)
             src._clear()
             if src.durable is not None:
                 src.durable.reset()

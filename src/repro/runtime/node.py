@@ -182,7 +182,8 @@ class SnodeNode:
                 ref.snode.value,
             )
         if isinstance(msg, RangeAdopt):
-            self._tier_store(msg.ref, msg.tier).adopt_parts(*join_parts(msg.parts))
+            store = self._tier_store(msg.ref, msg.tier)
+            store.adopt_parts(*join_parts(msg.parts), foreign=msg.foreign)
             return None
         if isinstance(msg, RangeDrop):
             store, starts, lasts = self._store_ranges(msg)
@@ -288,6 +289,7 @@ class SnodeNode:
                 ref=msg.target_ref,
                 tier=msg.target_tier or msg.tier,
                 parts=parts,
+                foreign=store.foreign,
             )
         )
         await self._await_hook("after_adopt")

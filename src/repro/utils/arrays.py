@@ -25,6 +25,14 @@ def as_object_column(seq: Union[Sequence, np.ndarray]) -> np.ndarray:
     return arr
 
 
+def is_plain_void(dtype: np.dtype) -> bool:
+    """Whether ``dtype`` is a non-empty ``V{width}`` without fields or subarray:
+    fixed-width ``bytes`` values held natively."""
+    return (
+        dtype.kind == "V" and dtype.names is None and dtype.subdtype is None and dtype.itemsize > 0
+    )
+
+
 def locate_ranges(
     indexes: np.ndarray, starts: np.ndarray, lasts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

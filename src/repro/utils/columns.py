@@ -17,7 +17,8 @@ kind          payload
               python ``int`` (within int64 or uint64), all ``float`` or
               all ``bool``, decoded back to those python objects
 ``FIXED``     ``!I`` width, then ``rows × width`` bytes: ``bytes`` values
-              of one non-zero length
+              of one non-zero length, or a field-less ``V{width}`` column;
+              decoded to an owned ``V{width}`` column
 ``VARIABLE``  ``rows`` ``!I`` lengths, then the concatenated ``bytes``
 ``TEXT``      ``rows`` ``!I`` lengths in code points, a ``!Q`` byte count,
               then the UTF-8 of the concatenated ``str`` values
@@ -26,7 +27,11 @@ kind          payload
 ============  ==============================================================
 
 ``PICKLED`` is the only kind that runs :func:`pickle.loads`; a column of
-ints, floats, bools, ``bytes`` or ``str`` never does.  Decoded columns are
+ints, floats, bools, ``bytes`` or ``str`` never does.  Fixed-width values
+stay native both ways: a ``V{width}`` column is written straight from its
+buffer, and read back as one, whose ``item`` / ``tolist`` / assignment into
+an ``object`` array yield ``bytes`` (an ``S`` dtype would strip trailing
+NULs).  Decoded columns are
 copies: none of them keeps the source buffer exported, so a caller may
 resize it (a receive ``bytearray``) as soon as decoding returns.  Every
 length is checked against the bytes left before anything is allocated;
@@ -43,7 +48,7 @@ from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.utils.arrays import as_object_column
+from repro.utils.arrays import as_object_column, is_plain_void
 
 NONE, NATIVE, BOXED, FIXED, VARIABLE, TEXT, PICKLED = range(7)
 
@@ -91,6 +96,10 @@ def encode_column(out: List[bytes], column: Any) -> None:
     if column.ndim == 1:
         if _NATIVE_DTYPE.match(column.dtype.str):
             _encode_native(out, NATIVE, column)
+            return
+        if is_plain_void(column.dtype):
+            width = column.dtype.itemsize
+            out += (_HEAD.pack(FIXED, n), _U32.pack(width), column.tobytes())
             return
         if column.dtype == object and _encode_objects(out, column, n):
             return
@@ -189,8 +198,12 @@ class ColumnReader:
             (width,) = self.unpack(_U32)
             if not width:
                 raise ColumnError("fixed-width column of width 0")
+            try:
+                dtype = np.dtype(f"V{width}")
+            except TypeError:
+                raise ColumnError(f"fixed-width column of width {width}") from None
             start = self._advance(n * width)
-            return np.frombuffer(self.data, f"V{width}", n, start).astype(object)
+            return np.frombuffer(self.data, dtype, n, start).copy()
         if kind == VARIABLE:
             ends = self._ends(n)
             blob = self.take(int(ends[-1]) if n else 0)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import (
     HashSpace,
@@ -71,6 +73,29 @@ class TestPartition:
 
     def test_partitions_are_hashable_and_comparable(self):
         assert len({Partition(1, 0), Partition(1, 0), Partition(1, 1)}) == 2
+
+
+_PARTITIONS = st.integers(0, 128).flatmap(
+    lambda level: st.integers(0, (1 << level) - 1).map(lambda index: Partition(level, index))
+)
+
+
+def _fraction_key(p: Partition):
+    """The ring order as exact fractions of the hash space."""
+    return (Fraction(p.index, 1 << p.level), p.level)
+
+
+class TestRingSortKey:
+    @given(parts=st.lists(_PARTITIONS, max_size=16), a=_PARTITIONS, b=_PARTITIONS)
+    def test_orders_exactly_like_the_fraction_key(self, parts, a, b):
+        assert sorted(parts, key=Partition.ring_sort_key) == sorted(parts, key=_fraction_key)
+        assert (a.ring_sort_key() < b.ring_sort_key()) == (_fraction_key(a) < _fraction_key(b))
+        assert (a.ring_sort_key() == b.ring_sort_key()) == (a == b)
+
+    def test_is_integer_and_refuses_levels_no_hash_space_has(self):
+        assert Partition(2, 3).ring_sort_key() == (3 << 126, 2)
+        with pytest.raises(PartitionError):
+            Partition(129, 0).ring_sort_key()
 
 
 class TestCoveragePredicates:

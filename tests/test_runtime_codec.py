@@ -254,11 +254,30 @@ RANGE_ADOPTS = st.builds(
 )
 
 
+def _fixed_width(column):
+    """The width of an object column of equal-length, non-empty ``bytes``
+    (one the codec writes as ``FIXED``), else ``None``."""
+    if column.dtype != object:
+        return None
+    widths = {len(v) if type(v) is bytes else 0 for v in column.tolist()}
+    return widths.pop() if len(widths) == 1 and 0 not in widths else None
+
+
 def assert_same_column(got, want):
+    """``got`` is ``want`` decoded: same dtype and elements, except that
+    fixed-width ``bytes`` come back as a native ``V{width}`` column whose
+    elements are still those ``bytes``."""
     if want is None:
         assert got is None
         return
     assert type(got) is np.ndarray
+    width = _fixed_width(want)
+    if width is not None:
+        assert (got.dtype, got.shape) == (np.dtype(f"V{width}"), want.shape)
+        assert got.flags.writeable and got.flags.owndata
+        assert [type(v) for v in got.tolist()] == [bytes] * len(want)
+        assert got.tolist() == want.tolist()
+        return
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     if want.dtype == object:
         assert [type(v) for v in got.tolist()] == [type(v) for v in want.tolist()]
@@ -364,6 +383,32 @@ class TestColumnarBodies:
         _decodes_or_raises_wire_error(body[:2] + data.draw(st.binary(max_size=64)))
         with pytest.raises(WireError):
             decode(body + b"\x00")
+
+    def test_decoded_row_columns_are_owned_and_writable(self):
+        """A store may adopt a decoded column as its own and overwrite
+        values in it: no column is a view of the receive buffer."""
+        n = 5
+        keys, indexes = np.arange(n, dtype=np.uint64), np.arange(n, dtype=np.uint64)
+        values = _object_column([bytes([i]) * 3 + b"\x00" for i in range(n)])
+        chunk = _decode_from_a_receive_buffer(
+            BulkLoadChunk(src=-1, dst=0, ref="0.0", keys=keys, indexes=indexes, values=values)
+            .encode()
+        )
+        adopt = _decode_from_a_receive_buffer(
+            RangeAdopt(src=1, dst=2, ref="1.0", parts=[([], [(keys, indexes, values)])]).encode()
+        )
+        assert chunk.values.dtype == adopt.parts[0][1][0][2].dtype == np.dtype("V4")
+        for column in (chunk.keys, chunk.indexes, chunk.values, *adopt.parts[0][1][0]):
+            assert column.flags.owndata and column.flags.writeable
+
+    def test_range_adopt_carries_the_foreign_flag_in_no_extra_byte(self):
+        parts = [([(7, (70, b"seven"))], [(np.arange(3, dtype=np.uint64),) * 2 + (None,)])]
+        for message_parts in (parts, None):
+            plain = RangeAdopt(src=1, dst=2, ref="1.0", parts=message_parts)
+            flagged = RangeAdopt(src=1, dst=2, ref="1.0", parts=message_parts, foreign=True)
+            assert len(plain.encode()) == len(flagged.encode())
+            assert decode(plain.encode()).foreign is False
+            assert decode(flagged.encode()).foreign is True
 
     def test_int_bytes_and_str_rows_never_pickle(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -3,10 +3,13 @@
 * a hypothesis state machine drives two :class:`VnodeStore`\\ s through random
   interleavings of every mutating and reading primitive and checks each step
   against a brute-force model (lists and dicts filtered by range) — for
-  ``uint64`` indexes, a wide hash space (object index column), ``str`` keys
-  and a tiny hash space where every index span holds several keys; point and
-  batch reads must answer from the model's last write without ever growing
-  the hash tier;
+  ``uint64`` indexes, a wide hash space (object index column), ``str`` keys,
+  a tiny hash space where every index span holds several keys and durable
+  stores whose WAL must replay to the live content; batches carry ``object``,
+  ``V{w}`` or no values, overwrites of run keys land in the run, adopts
+  splice disjoint segments or sort overlapping ones, and point and batch
+  reads — of absent keys too — must answer from the model's last write
+  without ever growing the hash tier;
 * read-only passes (``count_buckets``, ``verify_replication``) must leave
   every segment array in place — rewriting them is what raised
   ``peak_rss_mb`` on a bulk-loaded cluster;
@@ -22,6 +25,10 @@
 from __future__ import annotations
 
 import gc
+import os
+import shutil
+import tempfile
+import time
 import tracemalloc
 from typing import Any, Dict, List, Tuple
 
@@ -34,6 +41,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core import DHTStorage, HashSpace, Partition, SnodeId, VnodeRef
 from repro.core.durability import (
     DurabilityConfig,
+    DurabilityStats,
+    DurableVnodeStore,
     _apply_op,
     _merge_columns,
     replay_ops,
@@ -50,6 +59,8 @@ Row = Tuple[Any, int, Any]  # (key, index, value)
 #: rows lie in ranges the adopter did not own).
 N_RANGES = 8
 KEYS_PER_RANGE = 6
+#: Width of the ``V{w}`` values some batches and puts carry.
+VOID_WIDTH = 8
 
 
 def vref(v: int) -> VnodeRef:
@@ -91,16 +102,39 @@ def _segment_rows(segments) -> List[Row]:
     return rows
 
 
+def _split(segment, how: str):
+    """``segment`` as two segments that keep each index's write order."""
+    rows = np.arange(len(segment[0]))
+    if how == "halves":
+        masks = (rows < len(rows) // 2, rows >= len(rows) // 2)
+    else:
+        rank = np.unique(segment[1], return_inverse=True)[1]
+        masks = (rank % 2 == 0, rank % 2 == 1)
+    return [tuple(None if c is None else c[mask] for c in segment) for mask in masks]
+
+
+def _void_column(values: List[bytes]) -> np.ndarray:
+    return np.frombuffer(b"".join(values), f"V{VOID_WIDTH}").copy()
+
+
 class StoreMachine(RuleBasedStateMachine):
     """Two stores sharing one hash space, checked against :class:`_Model`."""
 
     bh = 16
     str_keys = False
+    durable = False
 
     def __init__(self) -> None:
         super().__init__()
         self.width = (1 << self.bh) // N_RANGES
         self.stores = [VnodeStore(vref(0)), VnodeStore(vref(1))]
+        if self.durable:
+            self.data_dir = tempfile.mkdtemp()
+            config = DurabilityConfig(data_dir=self.data_dir, flush_threshold=5)
+            for v, store in enumerate(self.stores):
+                directory = os.path.join(self.data_dir, str(v))
+                os.makedirs(directory)
+                store.durable = DurableVnodeStore(directory, config, DurabilityStats())
         self.models = [_Model(), _Model()]
         self.owner = [r % 2 for r in range(N_RANGES)]
         self.clock = 0
@@ -110,6 +144,12 @@ class StoreMachine(RuleBasedStateMachine):
 
     def _key(self, r: int, slot: int):
         number = r * KEYS_PER_RANGE + slot
+        return f"k{number}" if self.str_keys else number
+
+    def _absent_key(self, r: int):
+        """A key never written, hashed (like slots 0 and 1) to range ``r``'s
+        first index."""
+        number = N_RANGES * KEYS_PER_RANGE + r
         return f"k{number}" if self.str_keys else number
 
     def _index(self, r: int, slot: int) -> int:
@@ -131,9 +171,10 @@ class StoreMachine(RuleBasedStateMachine):
         column[:] = indexes
         return column
 
-    def _value(self):
+    def _value(self, void: bool = False):
+        """A fresh value: ``str``, or ``VOID_WIDTH`` bytes ending in NULs."""
         self.clock += 1
-        return f"v{self.clock}"
+        return self.clock.to_bytes(VOID_WIDTH, "little") if void else f"v{self.clock}"
 
     def _key_column(self, keys: List[Any], native: bool) -> np.ndarray:
         if native and not self.str_keys:
@@ -171,10 +212,11 @@ class StoreMachine(RuleBasedStateMachine):
         ),
         native=st.booleans(),
         valueless=st.booleans(),
+        void=st.booleans(),
     )
-    def put_many(self, s, picks, native, valueless):
+    def put_many(self, s, picks, native, valueless, void):
         rows = [
-            (self._key(r, slot), self._index(r, slot), None if valueless else self._value())
+            (self._key(r, slot), self._index(r, slot), None if valueless else self._value(void))
             for r, slot in picks
             if self.owner[r] == s
         ]
@@ -182,7 +224,9 @@ class StoreMachine(RuleBasedStateMachine):
             return
         key_column = self._key_column([row[0] for row in rows], native)
         values = None
-        if not valueless:
+        if void and not valueless:
+            values = _void_column([row[2] for row in rows])
+        elif not valueless:
             values = np.empty(len(rows), dtype=object)
             values[:] = [row[2] for row in rows]
         self.stores[s].put_many(
@@ -191,14 +235,39 @@ class StoreMachine(RuleBasedStateMachine):
         self.models[s].pending.extend(rows)
 
     @rule(s=st.integers(0, 1), r=st.integers(0, N_RANGES - 1),
-          slot=st.integers(0, KEYS_PER_RANGE - 1))
-    def put(self, s, r, slot):
-        if self.owner[r] != s:
-            return
-        key, index, value = self._key(r, slot), self._index(r, slot), self._value()
-        self.stores[s].put(key, index, value)
-        self.models[s].merge()
-        self.models[s].hash[key] = (index, value)
+          slot=st.integers(0, KEYS_PER_RANGE - 1), void=st.booleans())
+    def put(self, s, r, slot, void):
+        if self.owner[r] == s:
+            self._put(s, self._key(r, slot), self._index(r, slot), void)
+
+    @rule(s=st.integers(0, 1), pick=st.integers(0, 2**16), void=st.booleans())
+    def overwrite(self, s, pick, void):
+        """A point write of a key with pending rows."""
+        pending = self.models[s].pending
+        if pending:
+            key, index, _ = pending[pick % len(pending)]
+            self._put(s, key, index, void)
+
+    def _put(self, s, key, index, void):
+        """A point write.  It overwrites the key's newest run row in place
+        when the key has no hash-tier row and the run's value column holds
+        the value as is; otherwise every pending row folds first."""
+        value = self._value(void)
+        store, model = self.stores[s], self.models[s]
+        run = store._sorted_run()  # what any read establishes; same content
+        values = None if run is None else run[2]
+        holds = values is not None and (
+            values.dtype == object or (void and values.dtype == np.dtype(f"V{VOID_WIDTH}"))
+        )
+        rows = [i for i, row in enumerate(model.pending) if row[0] == key]
+        store.put(key, index, value)
+        if holds and rows and key not in model.hash:
+            model.pending[rows[-1]] = (key, index, value)
+            assert key not in store._items
+        else:
+            model.merge()
+            model.hash[key] = (index, value)
+            assert not store._segments
 
     @rule(s=st.integers(0, 1), r=st.integers(0, N_RANGES - 1),
           slot=st.integers(0, KEYS_PER_RANGE - 1))
@@ -219,9 +288,10 @@ class StoreMachine(RuleBasedStateMachine):
         merged = self.models[s].merged()
         hash_tier = dict(store._items)
         for r in range(N_RANGES):
-            for slot in range(KEYS_PER_RANGE):
-                key = self._key(r, slot)
-                index = self._index(r, slot) if routed else None
+            probes = [(self._key(r, slot), self._index(r, slot)) for slot in range(KEYS_PER_RANGE)]
+            probes.append((self._absent_key(r), self._index(r, 0)))
+            for key, index in probes:
+                index = index if routed else None
                 want = merged.get(key)
                 if want is None:
                     with pytest.raises(KeyError):
@@ -284,9 +354,16 @@ class StoreMachine(RuleBasedStateMachine):
         self._check_buckets(self.stores[s].copy_buckets(*self._arrays(ranges)), expected)
 
     @rule(s=st.integers(0, 1),
-          ranges=st.lists(st.integers(0, N_RANGES - 1), min_size=1, max_size=4))
-    def move_ranges(self, s, ranges):
-        """``pop_buckets`` on the owner, ``adopt_parts`` on the other store."""
+          ranges=st.lists(st.integers(0, N_RANGES - 1), min_size=1, max_size=4),
+          split=st.sampled_from(["none", "halves", "parity"]))
+    def move_ranges(self, s, ranges, split):
+        """``pop_buckets`` on the owner, ``adopt_parts`` on the other store.
+        The popped segments go over as they are — disjoint, so spliced into
+        the run — or each ``split`` in two that keep each index's write
+        order: its first and second half (they touch when the cut falls in
+        an equal-index span) or the rows of its even and of its odd distinct
+        indexes (they overlap from three indexes on).  Touching or
+        overlapping segments are sorted in instead."""
         ranges = sorted({r for r in ranges if self.owner[r] == s})
         if not ranges:
             return
@@ -295,7 +372,10 @@ class StoreMachine(RuleBasedStateMachine):
         expected = self._expected_buckets(src, spans)
         buckets = self.stores[s].pop_buckets(*self._arrays(ranges))
         self._check_buckets(buckets, expected)
-        self.stores[1 - s].adopt_parts(*join_parts(buckets))
+        pairs, segments = join_parts(buckets)
+        if split != "none":
+            segments = [piece for segment in segments for piece in _split(segment, split)]
+        self.stores[1 - s].adopt_parts(pairs, segments)
         for pairs, rows in expected:
             dst.hash.update(pairs)
             dst.pending.extend(rows)
@@ -316,6 +396,18 @@ class StoreMachine(RuleBasedStateMachine):
         model.hash = {k: item for k, item in model.hash.items() if kept(item[0])}
         model.pending = [row for row in model.pending if kept(row[1])]
 
+    @rule(s=st.integers(0, 1))
+    def replay(self, s):
+        """The WAL (and checkpoints) replay to the live content."""
+        if self.durable:
+            self._check_replay(s)
+
+    def _check_replay(self, s):
+        state = self.stores[s].durable.recover()
+        replayed = VnodeStore(vref(9))
+        replayed._segments.extend(state.segments)
+        assert replayed.raw_dict() == self.models[s].merged()
+
     # -- checked after every step ------------------------------------------------
 
     @invariant()
@@ -329,8 +421,15 @@ class StoreMachine(RuleBasedStateMachine):
 
     def teardown(self):
         """The final merge: last write wins, per key."""
-        for store, model in zip(self.stores, self.models):
-            assert dict(store.raw_dict()) == model.merged()
+        try:
+            for s, (store, model) in enumerate(zip(self.stores, self.models)):
+                if self.durable:
+                    self._check_replay(s)
+                    store.durable.destroy()
+                assert dict(store.raw_dict()) == model.merged()
+        finally:
+            if self.durable:
+                shutil.rmtree(self.data_dir, ignore_errors=True)
 
 
 class WideStoreMachine(StoreMachine):
@@ -347,16 +446,25 @@ class TinyStoreMachine(StoreMachine):
     bh = 4
 
 
+class DurableStoreMachine(StoreMachine):
+    """Both stores log to a WAL that checkpoints every few records."""
+
+    durable = True
+
+
 _MACHINE_SETTINGS = settings(
     max_examples=40, stateful_step_count=30, deadline=None,
     suppress_health_check=list(HealthCheck),
 )
-for _machine in (StoreMachine, WideStoreMachine, StrKeyStoreMachine, TinyStoreMachine):
+for _machine in (
+    StoreMachine, WideStoreMachine, StrKeyStoreMachine, TinyStoreMachine, DurableStoreMachine
+):
     _machine.TestCase.settings = _MACHINE_SETTINGS
 TestStoreMachine = StoreMachine.TestCase
 TestWideStoreMachine = WideStoreMachine.TestCase
 TestStrKeyStoreMachine = StrKeyStoreMachine.TestCase
 TestTinyStoreMachine = TinyStoreMachine.TestCase
+TestDurableStoreMachine = DurableStoreMachine.TestCase
 
 
 # --------------------------------------------------------------------------- read-only
@@ -576,3 +684,188 @@ def test_replay_with_a_point_delete_still_takes_the_exact_path():
     out, zero_copy = replay_ops([], [batch, ("drop", [15], [25]), ("del", 3)])
     assert not zero_copy and len(out) == 1
     assert out[0][0].tolist() == [1]
+
+
+# --------------------------------------------------------------------------- columnar values
+
+
+def _void_values(n: int, width: int = 16) -> np.ndarray:
+    """``n`` distinct ``V{width}`` values ending in NUL bytes (which an ``S``
+    dtype would strip)."""
+    raw = b"".join(i.to_bytes(4, "little") + b"\x00" * (width - 4) for i in range(n))
+    return np.frombuffer(raw, f"V{width}").copy()
+
+
+def _hashed_storage(n: int = 200):
+    """A two-vnode storage whose vnode 0 holds ``n`` bulk rows at their keys'
+    hash indexes, with ``V16`` values."""
+    storage = DHTStorage(HashSpace(16))
+    storage.register_vnode(vref(0))
+    storage.register_vnode(vref(1))
+    keys = np.arange(n, dtype=np.int64)
+    indexes = storage.hash_space.hash_keys(keys)
+    values = _void_values(n)
+    storage.put_batch(vref(0), keys, indexes, values)
+    return storage, keys, indexes, values
+
+
+def _whole_space(storage):
+    return storage.range_arrays([(0, storage.hash_space.size - 1)])
+
+
+def test_an_in_place_put_changes_no_caller_array_and_no_other_store():
+    storage, keys, indexes, values = _hashed_storage()
+    callers = (keys.copy(), indexes.copy(), values.copy())
+    primary = storage.primary_store(vref(0))
+    assert not primary.foreign
+    # Two replica stores adopt the very same copied parts.
+    parts = primary.copy_buckets(*_whole_space(storage))
+    replicas = [VnodeStore(vref(1)), VnodeStore(vref(2))]
+    for replica in replicas:
+        replica.adopt_parts(*join_parts(parts))
+    part_values = [segment[2].copy() for segment in parts[0][1]]
+    # A batch handed to ``put_many`` directly is adopted as is.
+    direct = VnodeStore(vref(3))
+    direct.put_many(keys, indexes, values)
+
+    key, index, old = 7, int(indexes[7]), values[7].item()
+    for store, new in ((primary, b"P" * 16), (replicas[0], b"R" * 16), (direct, b"D" * 16)):
+        store.put(key, index, new)
+        assert not store._items  # landed in the run, nothing folded
+        assert store.get(key, index) == (index, new)
+
+    for column, before in zip((keys, indexes, values), callers):
+        assert column.tobytes() == before.tobytes()
+    for segment, before in zip(parts[0][1], part_values):
+        assert segment[2].tobytes() == before.tobytes()
+    assert replicas[1].get(key, index) == (index, old)
+    assert storage.get(vref(0), key) == b"P" * 16
+
+
+def test_a_put_folds_unless_the_run_can_take_it():
+    storage, keys, indexes, values = _hashed_storage()
+    store = storage.primary_store(vref(0))
+    store.put(3, int(indexes[3]), b"short")  # not 16 bytes: no place in V16
+    assert not store._segments and len(store._items) == len(keys)
+    assert store.get(3, int(indexes[3])).value == b"short"
+    # Key 3 now has a hash-tier row and, after this batch, a run row too.
+    store.put_many(keys[:4].copy(), indexes[:4].copy(), values[:4].copy())
+    assert store._sorted_run() is not None
+    store.put(3, int(indexes[3]), b"F" * 16)
+    assert not store._segments and store.get(3, int(indexes[3])).value == b"F" * 16
+
+
+def test_values_leave_a_store_as_bytes_never_void():
+    storage, keys, indexes, values = _hashed_storage()
+    want = [bytes(v) for v in values.tolist()]
+    assert all(v.endswith(b"\x00") for v in want)
+
+    def check(got):
+        assert [type(v) for v in got] == [bytes] * len(got)
+        assert list(got) == want[: len(got)]
+
+    check([storage.get(vref(0), int(k)) for k in keys])
+    check(storage.get_batch(vref(0), keys, indexes))
+    check(storage.get_batch(vref(0), keys))  # hashed here
+    copied = storage.primary_store(vref(0)).copy_buckets(*_whole_space(storage))
+    ((pairs, segments),) = copied
+    assert not pairs
+    rows = {k: v for segment in segments for k, v in zip(segment[0].tolist(), segment[2].tolist())}
+    check([rows[k] for k in range(len(keys))])
+    ((_, popped),) = storage.primary_store(vref(0)).pop_buckets(*_whole_space(storage))
+    items = [popped[0][2].item(i) for i in range(len(popped[0][2]))]
+    assert {type(v) for v in items} == {bytes}
+    storage.primary_store(vref(1)).adopt_parts([], popped)
+    check([item.value for _, item in sorted(storage.primary_store(vref(1)).items())])
+
+
+def test_a_handover_is_spliced_into_the_run_without_a_sort(monkeypatch):
+    store = VnodeStore(vref(0))
+    n = 64
+    store.put_many(np.arange(n), np.arange(0, 2 * n, 2, dtype=np.uint64), None)
+    assert store._sorted_run() is not None
+    sorts = []
+    real_argsort = np.argsort
+    monkeypatch.setattr(
+        np, "argsort", lambda *a, **k: sorts.append(1) or real_argsort(*a, **k)
+    )
+    # Disjoint of each other and of the run's rows (even indexes below 128).
+    segments = [
+        (np.array([1000, 1001]), np.array([5, 5], dtype=np.uint64), None),
+        (np.array([1002]), np.array([200], dtype=np.uint64), None),
+    ]
+    store.adopt_parts([], segments)
+    assert not sorts
+    run_indexes = store._segments[0][1].tolist()
+    assert run_indexes == sorted(run_indexes) and len(run_indexes) == n + 3
+    assert store.get(1001, 5) == (5, None)
+    # A segment with a run row inside its [first, last] is sorted in, and so
+    # are two segments that overlap each other.
+    adopts = (
+        [(np.array([2000, 2001]), np.array([11, 15], dtype=np.uint64), None)],
+        [
+            (np.array([3000, 3001]), np.array([301, 305], dtype=np.uint64), None),
+            (np.array([3002]), np.array([303], dtype=np.uint64), None),
+        ],
+    )
+    rows = n + 3
+    for segments in adopts:
+        sorts.clear()
+        store.adopt_parts([], segments)
+        rows += sum(len(segment[0]) for segment in segments)
+        assert sorts
+        run_indexes = store._segments[0][1].tolist()
+        assert run_indexes == sorted(run_indexes) and len(run_indexes) == rows
+
+
+def test_a_point_miss_on_a_bulk_loaded_store_costs_about_a_hit(monkeypatch):
+    """No miss scans the run: the write paths checked every index against
+    the key's hash, so a key absent from its index span and the hash tier
+    is absent."""
+    dht = build_cluster("local", 2, 2, pmin=4, vmin=4, seed=0)
+    n = 200_000
+    dht.bulk_load(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
+    rng = np.random.default_rng(0)
+
+    def routed(keys):
+        return [(dht.lookup(k).vnode, k, dht.lookup(k).index) for k in keys]
+
+    hits = routed(rng.integers(0, n, 300).tolist())
+    misses = routed((n + rng.integers(0, 2**40, 300)).tolist())
+    storage = dht.storage
+    assert all(storage.contains(*probe) for probe in hits)  # establishes every run
+
+    def scan(*args):
+        raise AssertionError("a point miss scanned the run")
+
+    monkeypatch.setattr("repro.core.storage._scan_row", scan)
+
+    def cost(probes, want):
+        start = time.perf_counter()
+        for probe in probes:
+            assert storage.contains(*probe) is want
+        return time.perf_counter() - start
+
+    best_hit = min(cost(hits, True) for _ in range(5))
+    best_miss = min(cost(misses, False) for _ in range(5))
+    assert best_miss <= 2 * best_hit, (best_miss, best_hit)
+    assert not any(storage.primary_store(ref)._items for ref in dht.vnodes)
+
+
+def test_a_row_under_a_foreign_index_flags_the_store_and_travels():
+    storage = DHTStorage(HashSpace(16))
+    for v in range(3):
+        storage.register_vnode(vref(v))
+    keys = np.arange(10, dtype=np.int64)
+    storage.put_batch(vref(0), keys, storage.hash_space.hash_keys(keys), keys, routed=True)
+    assert not storage.primary_store(vref(0)).foreign
+    storage.put_batch(vref(1), ["x"], [5], ["v"])  # 5 is not hash_key("x")
+    assert storage.primary_store(vref(1)).foreign
+    assert storage.get(vref(1), "x") == "v"  # found by the scan
+    storage.migrate_all(vref(1), vref(2))
+    assert storage.primary_store(vref(2)).foreign
+    assert storage.get(vref(2), "x") == "v"
+    storage.put(vref(0), 3, int(storage.hash_space.hash_key(3)), 30)
+    assert not storage.primary_store(vref(0)).foreign
+    storage.put(vref(0), "y", 7, "w")
+    assert storage.primary_store(vref(0)).foreign
