@@ -86,10 +86,6 @@ UNPICKLE_ALLOWED = {
         1, "bodies of the small messages; BulkLoadChunk and RangeAdopt are columnar"),
     ("src/repro/utils/columns.py", "ColumnReader.column"): (
         1, "the tagged fallback for object columns no typed column kind covers"),
-    ("src/repro/core/durability.py", "load_segment_file"): (
-        4, "segment header and object columns, until segments use repro.utils.columns"),
-    ("src/repro/core/durability.py", "DurableVnodeStore._read_manifest"): (
-        1, "the MANIFEST, until it has a schema"),
     ("src/repro/core/durability.py", "DurableVnodeStore._read_wal"): (
         1, "WAL records, until they use repro.utils.columns"),
 }

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.utils.columns import ColumnReader, encode_column, encode_text
+from repro.utils.columns import ColumnReader, encode_column, encode_text, row_group
 
 #: Wire prefix of an encoded message body: the subclass' type code.
 _TYPE_CODE = struct.Struct("!H")
@@ -367,8 +367,10 @@ class BulkLoadChunk(Message, code=16):
     ``keys``/``indexes``/``values`` are parallel sequences (typically numpy
     arrays) — the row-transfer unit of the bulk-load path.  On the wire they
     are three raw columns; a sequence that is not an ndarray arrives as an
-    ``object`` column.  Applying a chunk twice stores its rows twice, hence
-    not retry-safe.
+    ``object`` column.  Unless all three are ``None`` (the defaults) they
+    decode as one checked row group (:func:`~repro.utils.columns.row_group`):
+    keys and indexes present, all columns of one length.  Applying a chunk twice stores its rows twice,
+    hence not retry-safe.
     """
 
     RETRY_SAFE = False
@@ -390,7 +392,11 @@ class BulkLoadChunk(Message, code=16):
 
 
 def _read_bulk_load_chunk(reader: ColumnReader) -> BulkLoadChunk:
-    return BulkLoadChunk(*_read_head(reader), reader.column(), reader.column(), reader.column())
+    head = _read_head(reader)
+    columns = (reader.column(), reader.column(), reader.column())
+    if any(column is not None for column in columns):
+        columns = row_group(*columns, values_optional=True)
+    return BulkLoadChunk(*head, *columns)
 
 
 @dataclass(frozen=True)
@@ -442,25 +448,13 @@ def _read_range_adopt(reader: ColumnReader) -> RangeAdopt:
     keys = reader.column()
     if keys is None and not n_segments:  # ``parts=None``
         return RangeAdopt(*head, foreign=foreign)
-    keys, indexes, values = _row_group(keys, reader.column(), reader.column())
+    keys, indexes, values = row_group(keys, reader.column(), reader.column())
     pairs = list(zip(keys.tolist(), zip(indexes.tolist(), values.tolist())))
     segments = [
-        _row_group(reader.column(), reader.column(), reader.column(), values_optional=True)
+        row_group(reader.column(), reader.column(), reader.column(), values_optional=True)
         for _ in range(n_segments)
     ]
     return RangeAdopt(*head, parts=[(pairs, segments)], foreign=foreign)
-
-
-def _row_group(
-    keys: Any, indexes: Any, values: Any, values_optional: bool = False
-) -> Tuple[Any, Any, Any]:
-    """``(keys, indexes, values)`` checked to be columns of one length."""
-    if keys is None or indexes is None or (values is None and not values_optional):
-        raise WireError("a row group is missing a column")
-    lengths = {len(column) for column in (keys, indexes, values) if column is not None}
-    if len(lengths) > 1:
-        raise WireError(f"columns of one row group disagree in length: {sorted(lengths)}")
-    return keys, indexes, values
 
 
 @dataclass(frozen=True)

@@ -7,34 +7,36 @@ survives a full restart.  This module adds the missing persistence tier —
 
 * an **append-only write-ahead log** (WAL) that records every logical
   mutation of the primary store (point puts/deletes, columnar batches,
-  migration drops/retains) as length-prefixed, CRC-checksummed pickle
-  records, and
-* **columnar segment files** written by checkpoints: the store's two tiers
-  (hash tier + pending segments) serialized column-wise, with ``uint64``
-  index columns stored as raw aligned bytes so recovery can map them back
-  with ``numpy.memmap`` instead of copying.
+  adopted hash-tier pairs, migration drops/retains) as length-prefixed,
+  CRC-checksummed pickle records, and
+* **segment files** written by checkpoints: each of the store's tiers (the
+  hash tier, then every pending segment) as one row group in the wire's
+  column format (:mod:`repro.utils.columns`) behind a CRC, so native key
+  and value dtypes survive a restart and a damaged file is refused, never
+  loaded.
 
 The tier is enabled by ``DHTConfig(durability=DurabilityConfig(...))`` and
 completely absent when off — every hook in the storage engine is gated on
 ``store.durable is not None``, so the RAM-only path stays bit-identical.
 
 **Write path.**  Mutations append one WAL record; once
-``flush_threshold`` records accumulate the store checkpoints: the current
-in-memory state is written as a fresh *generation* of segment files, a
-manifest naming them is atomically installed (``os.replace``), a new empty
-WAL for that generation is opened and the previous generation's files are
-deleted.  Replaying ``segments + WAL`` of the installed generation always
-reproduces the live store, no matter where a kill lands.
+``flush_threshold`` records accumulate the store checkpoints: its tiers are
+written as a fresh *generation* of segment files, a ``MANIFEST`` naming
+them (JSON behind the same CRC) is atomically installed (``os.replace``), a
+new empty WAL for that generation is opened and the previous generation's
+files are deleted.  A kill anywhere leaves exactly one installed
+generation: its segment files plus its WAL.
 
-**Recovery.**  :meth:`DurableVnodeStore.recover` loads the manifest's
-segment files, replays the WAL tail on top and returns columnar segments
-ready to extend a store's pending-segment tier.  A *torn tail* — a partial
-or corrupt final record from a kill mid-append — is truncated and
-discarded, never fatal.  Replay is columnar: the checkpoint segments are
-adopted as-is (memory-mapped, zero-copy), WAL batches become additional
-pending segments, and a migration ``drop`` / ``retain`` is one column mask
-per accumulated segment.  Only a tail holding a point delete falls back to
-an exact per-row merge that materializes one segment.
+**Recovery.**  :meth:`DurableVnodeStore.recover` only reads: it loads the
+manifest's segment files and decodes the WAL tail, and returns both
+(:class:`RecoveredState`).  It does not apply them — the store does
+(:meth:`~repro.core.storage.VnodeStore.replay`), putting each checkpoint
+tier back where it came from and running every WAL op through the
+mutator that logged it, so replay cannot drift from the live write
+semantics.  A *torn tail* — a partial or corrupt final record from a kill
+mid-append — is truncated and discarded, never fatal; a damaged segment
+file raises :class:`~repro.core.errors.DurabilityError`; a damaged
+manifest falls back to replaying the newest WAL on disk.
 
 **Recovery choice.**  After a restart
 (:meth:`~repro.core.base.BaseDHT.restart_snode`) a vnode's content can
@@ -48,32 +50,39 @@ like every other topology event.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import shutil
 import struct
 import warnings
 import zlib
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import DurabilityError
-from repro.utils.arrays import locate_ranges
+from repro.utils.arrays import as_object_column
+from repro.utils.columns import ColumnReader, encode_column, row_group
 
 #: One WAL record: ``<payload length><crc32(payload)>`` then the payload.
 _RECORD_HEADER = struct.Struct("<II")
-#: Magic prefix of columnar segment files.
-_SEGMENT_MAGIC = b"RSEG1\n"
-#: Header of a segment file: ``<pickled header length>``.
-_SEGMENT_HEADER = struct.Struct("<I")
+#: Magic prefix of segment files.
+_SEGMENT_MAGIC = b"RSEG2\n"
+#: Header of a segment file after its magic: ``<row count><crc32(body)>``.
+_SEGMENT_HEADER = struct.Struct("<QI")
+#: First body byte of a segment file: 1 when the value column is ``object``
+#: (a column of equal-length ``bytes`` otherwise decodes to ``V{width}``).
+_OBJECT_VALUES = struct.Struct("!B")
+#: Magic prefix of the manifest, and its header: ``<crc32(body)>``.
+_MANIFEST_MAGIC = b"RMAN2\n"
+_MANIFEST_HEADER = struct.Struct("<I")
 #: Name of the generation manifest inside a vnode directory.
 _MANIFEST_NAME = "MANIFEST"
 
-#: A recovered columnar segment: ``(keys, indexes, values-or-None)``,
-#: the same shape as :data:`repro.core.storage._Segment`.
+#: A columnar row group: ``(keys, indexes, values-or-None)``, the same
+#: shape as :data:`repro.core.storage._Segment`.
 _Columns = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
@@ -88,9 +97,6 @@ class DurabilityConfig:
     #: ``fsync`` after every WAL append (slow; the model's default relies on
     #: the OS page cache like most single-box stores in relaxed mode).
     fsync: bool = False
-    #: Load ``uint64`` index columns of segment files via ``numpy.memmap``
-    #: (zero-copy) instead of reading them into RAM.
-    mmap_segments: bool = True
     #: Relative cost of replaying one on-disk record (checkpoint row or WAL
     #: record) during recovery.  Used by ``recover_primaries`` to price
     #: local-disk replay against replica rebuild.
@@ -110,15 +116,9 @@ class DurabilityConfig:
             raise DurabilityError("recovery cost weights must be non-negative")
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON/snapshot-serializable form (restored by ``DurabilityConfig(**d)``)."""
-        return {
-            "data_dir": self.data_dir,
-            "flush_threshold": self.flush_threshold,
-            "fsync": self.fsync,
-            "mmap_segments": self.mmap_segments,
-            "disk_record_replay_cost": self.disk_record_replay_cost,
-            "replica_row_fetch_cost": self.replica_row_fetch_cost,
-        }
+        """JSON/snapshot-serializable form (restored by ``DurabilityConfig(**d)``,
+        which refuses a key no field has)."""
+        return asdict(self)
 
 
 @dataclass
@@ -140,51 +140,58 @@ class DurabilityStats:
     restarts: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "wal_records_written": self.wal_records_written,
-            "wal_bytes_written": self.wal_bytes_written,
-            "checkpoints": self.checkpoints,
-            "checkpoint_rows": self.checkpoint_rows,
-            "replays": self.replays,
-            "rows_replayed": self.rows_replayed,
-            "wal_records_replayed": self.wal_records_replayed,
-            "torn_records_discarded": self.torn_records_discarded,
-            "manifests_corrupt": self.manifests_corrupt,
-            "resets": self.resets,
-            "restarts": self.restarts,
-        }
+        return asdict(self)
 
 
 @dataclass
 class RecoveredState:
-    """What one :meth:`DurableVnodeStore.recover` call reconstructed."""
+    """What one :meth:`DurableVnodeStore.recover` call read from disk,
+    ready for :meth:`~repro.core.storage.VnodeStore.replay`."""
 
-    #: Columnar segments ready to extend a store's pending-segment tier.
+    #: The checkpoint's hash tier as one row group, if it had one.
+    hash_tier: Optional[_Columns] = None
+    #: The checkpoint's pending segments, in the store's order.
     segments: List[_Columns] = field(default_factory=list)
-    #: Logical rows across all recovered segments.
+    #: The WAL records written since the checkpoint, in write order.
+    ops: List[Tuple] = field(default_factory=list)
+    #: Rows read: the checkpoint's, plus those the WAL records carry.
+    #: (:meth:`~repro.core.storage.DHTStorage.replay_vnode` reports the
+    #: replayed store's ``fast_len`` instead.)
     rows: int = 0
-    #: WAL records replayed on top of the checkpoint.
+    #: WAL records read on top of the checkpoint.
     wal_records: int = 0
     #: Torn/corrupt tail records discarded (0 or 1 per recovery).
     torn_records_discarded: int = 0
-    #: Whether the zero-copy (mmap adopt) path served the recovery.
-    zero_copy: bool = False
 
 
-# -- columnar segment files ----------------------------------------------------
+# -- checksummed files -----------------------------------------------------------
 
 
-def _as_pylist(column) -> list:
-    """A column as a list of plain Python objects (never numpy scalars).
+def _write_checked(
+    path: str, magic: bytes, header: struct.Struct, fields: tuple, body: bytes
+) -> None:
+    """Write ``magic``, ``header`` (``fields`` then ``crc32(body)``) and
+    ``body`` to ``path`` atomically: a temporary file, then a rename."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(magic + header.pack(*fields, zlib.crc32(body)) + body)
+    os.replace(tmp, path)
 
-    Keys and hash indexes become dict keys / python ints again on replay,
-    so they must round-trip as the exact types the RAM path stores
-    (``ndarray.tolist()`` — the same normalization
-    :meth:`~repro.core.storage.VnodeStore._merge_segments` applies).
-    """
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return list(column)
+
+def _read_checked(path: str, magic: bytes, header: struct.Struct) -> Tuple[tuple, bytes]:
+    """The header fields and the body of a file :func:`_write_checked`
+    wrote.  The magic, the length and the CRC are checked before the caller
+    decodes anything; a mismatch raises :class:`DurabilityError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(magic) + header.size
+    if len(data) < start or data[: len(magic)] != magic:
+        raise DurabilityError(f"{path}: not a {magic!r} file")
+    fields = header.unpack_from(data, len(magic))
+    body = data[start:]
+    if zlib.crc32(body) != fields[-1]:
+        raise DurabilityError(f"{path}: checksum mismatch")
+    return fields, body
 
 
 def write_segment_file(
@@ -193,226 +200,54 @@ def write_segment_file(
     indexes: np.ndarray,
     values: Optional[np.ndarray],
 ) -> int:
-    """Write one columnar segment to ``path`` atomically; return its row count.
+    """Write one row group to ``path`` atomically; return its row count.
 
-    Layout: magic, a pickled header, the index column (raw little-endian
-    bytes 8-byte aligned when ``uint64`` — the region ``numpy.memmap`` maps
-    back — pickled otherwise), then the pickled key and value columns.
+    Layout: magic, ``<row count><crc32(body)>``, then the body — a flag
+    byte (the value column is ``object``) and the three columns in the
+    wire's encoding (:func:`~repro.utils.columns.encode_column`).
     """
-    n = int(len(keys))
-    index_u8 = indexes.dtype == np.dtype(np.uint64)
-    header = {"n": n, "index_dtype": "u8" if index_u8 else "object"}
-    header_bytes = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_SEGMENT_MAGIC)
-        fh.write(_SEGMENT_HEADER.pack(len(header_bytes)))
-        fh.write(header_bytes)
-        if index_u8:
-            fh.write(b"\0" * ((-fh.tell()) % 8))
-            fh.write(np.ascontiguousarray(indexes).tobytes())
-        else:
-            fh.write(pickle.dumps(_as_pylist(indexes), protocol=pickle.HIGHEST_PROTOCOL))
-        fh.write(pickle.dumps(_as_pylist(keys), protocol=pickle.HIGHEST_PROTOCOL))
-        fh.write(
-            pickle.dumps(
-                None if values is None else _as_pylist(values),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+    object_values = values is not None and values.dtype == object
+    body = [_OBJECT_VALUES.pack(object_values)]
+    for column in (keys, indexes, values):
+        encode_column(body, column)
+    _write_checked(path, _SEGMENT_MAGIC, _SEGMENT_HEADER, (len(keys),), b"".join(body))
+    return len(keys)
+
+
+def load_segment_file(path: str) -> _Columns:
+    """Load one row group written by :func:`write_segment_file`, in the
+    dtypes it was written from.  Any damage raises :class:`DurabilityError`."""
+    (n, _), body = _read_checked(path, _SEGMENT_MAGIC, _SEGMENT_HEADER)
+    reader = ColumnReader(body)
+    try:
+        (object_values,) = reader.unpack(_OBJECT_VALUES)
+        columns = row_group(
+            reader.column(), reader.column(), reader.column(), values_optional=True
         )
-    os.replace(tmp, path)
-    return n
-
-
-def load_segment_file(path: str, mmap: bool = True) -> _Columns:
-    """Load one columnar segment written by :func:`write_segment_file`.
-
-    With ``mmap=True`` a ``uint64`` index column is returned as a read-only
-    ``numpy.memmap`` view of the file region (bit-identical to the eager
-    load, pinned by ``tests/test_durability.py``).
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_SEGMENT_MAGIC))
-        if magic != _SEGMENT_MAGIC:
-            raise DurabilityError(f"{path}: bad segment magic {magic!r}")
-        (header_len,) = _SEGMENT_HEADER.unpack(fh.read(_SEGMENT_HEADER.size))
-        header = pickle.loads(fh.read(header_len))
-        n = header["n"]
-        if header["index_dtype"] == "u8":
-            fh.seek((-fh.tell()) % 8, os.SEEK_CUR)
-            offset = fh.tell()
-            if mmap:
-                indexes: np.ndarray = np.memmap(
-                    path, dtype=np.uint64, mode="r", offset=offset, shape=(n,)
-                )
-            else:
-                indexes = np.frombuffer(fh.read(n * 8), dtype=np.uint64).copy()
-            fh.seek(offset + n * 8)
-        else:
-            index_list = pickle.load(fh)
-            indexes = np.empty(n, dtype=object)
-            indexes[:] = index_list
-        key_list = pickle.load(fh)
-        value_list = pickle.load(fh)
-    keys = np.empty(n, dtype=object)
-    keys[:] = key_list
-    if value_list is None:
-        values: Optional[np.ndarray] = None
-    else:
-        values = np.empty(n, dtype=object)
-        values[:] = value_list
+        reader.finish()
+    except Exception as exc:  # a body that passed its CRC but decodes to nothing sane
+        raise DurabilityError(f"{path}: {exc}") from exc
+    keys, indexes, values = columns
+    if len(keys) != n:
+        raise DurabilityError(f"{path}: {len(keys)} rows, header says {n}")
+    if object_values and values is not None and values.dtype != object:
+        values = as_object_column(values.tolist())
     return keys, indexes, values
 
 
-# -- WAL replay ----------------------------------------------------------------
-
-
 def _columns_from_dict(items: Dict[Any, Tuple[Any, Any]]) -> _Columns:
-    """One columnar segment from a ``key -> (index, value)`` mapping."""
-    n = len(items)
-    keys = np.empty(n, dtype=object)
-    keys[:] = list(items.keys())
+    """The hash tier as one row group of ``object`` columns."""
     pairs = list(items.values())
-    values = np.empty(n, dtype=object)
-    values[:] = [p[1] for p in pairs]
-    return keys, _index_column([p[0] for p in pairs]), values
+    return (
+        as_object_column(list(items)),
+        as_object_column([pair[0] for pair in pairs]),
+        as_object_column([pair[1] for pair in pairs]),
+    )
 
 
-def _merge_columns(target: Dict[Any, Tuple[Any, Any]], segment: _Columns) -> None:
-    """Merge one columnar segment into a dict, last write wins (write order)."""
-    keys, indexes, values = segment
-    key_list = _as_pylist(keys)
-    index_list = _as_pylist(indexes)
-    if values is None:
-        for key, index in zip(key_list, index_list):
-            target[key] = (index, None)
-    else:
-        for key, index, value in zip(key_list, index_list, _as_pylist(values)):
-            target[key] = (index, value)
-
-
-def _index_in_ranges(index: Any, starts: Sequence, lasts: Sequence) -> bool:
-    """Whether ``index`` falls in any of the sorted inclusive ranges."""
-    pos = bisect_right(starts, index) - 1
-    return pos >= 0 and index <= lasts[pos]
-
-
-def _apply_op(target: Dict[Any, Tuple[Any, Any]], op: Tuple) -> None:
-    """Apply one WAL op to the exact-replay dict."""
-    kind = op[0]
-    if kind == "put":
-        target[op[1]] = (op[2], op[3])
-    elif kind == "del":
-        target.pop(op[1], None)
-    elif kind == "batch":
-        _merge_columns(target, (op[1], op[2], op[3]))
-    elif kind == "pairs":
-        target.update(op[1])
-    elif kind in ("drop", "retain"):
-        starts, lasts = op[1], op[2]
-        dropping = kind == "drop"
-        doomed = [
-            k for k, (i, _) in target.items()
-            if _index_in_ranges(i, starts, lasts) == dropping
-        ]
-        for key in doomed:
-            del target[key]
-    else:  # pragma: no cover - defensive
-        raise DurabilityError(f"unknown WAL op kind {kind!r}")
-
-
-def _pairs_to_columns(pairs: List[Tuple[Any, Tuple[Any, Any]]]) -> _Columns:
-    """Columnar form of a ``pairs`` WAL op (hash-tier adoption)."""
-    merged: Dict[Any, Tuple[Any, Any]] = {}
-    merged.update(pairs)
-    return _columns_from_dict(merged)
-
-
-def _index_column(indexes: List[Any]) -> np.ndarray:
-    """A list of hash indexes (or range bounds) as ``uint64``, or as an
-    object column of python ints when the hash space is wider."""
-    try:
-        return np.fromiter(indexes, dtype=np.uint64, count=len(indexes))
-    except (OverflowError, ValueError, TypeError):
-        column = np.empty(len(indexes), dtype=object)
-        column[:] = indexes
-        return column
-
-
-def _filter_ranges(
-    segments: List[_Columns], starts: List[Any], lasts: List[Any], keep_inside: bool
-) -> List[_Columns]:
-    """Apply a ``retain`` (``keep_inside``) or ``drop`` op as one column mask
-    per segment.  Segments the op leaves whole are passed through untouched
-    (a memory-mapped checkpoint column stays mapped)."""
-    start_col, last_col = _index_column(starts), _index_column(lasts)
-    out: List[_Columns] = []
-    for segment in segments:
-        keys, indexes, values = segment
-        keep = locate_ranges(indexes, start_col, last_col)[1]
-        if not keep_inside:
-            keep = ~keep
-        kept = int(np.count_nonzero(keep))
-        if kept == len(keys):
-            out.append(segment)
-        elif kept:
-            out.append((keys[keep], indexes[keep], None if values is None else values[keep]))
-    return out
-
-
-def replay_ops(segments: List[_Columns], ops: List[Tuple]) -> Tuple[List[_Columns], bool]:
-    """Replay ``ops`` over checkpoint ``segments``; return ``(segments, zero_copy)``.
-
-    The replay stays columnar: every WAL batch becomes a further pending
-    segment after the checkpoint's (consecutive point puts coalesce into one
-    batch, in order), and a ``drop`` / ``retain`` masks the rows accumulated
-    so far — a key always hashes to the same index, so removing a range
-    from every earlier batch equals removing its keys.  ``zero_copy`` tells
-    that no op removed anything and the checkpoint segments (possibly
-    memory-mapped) came through untouched.  Only a point ``del`` forces the
-    exact path: everything merges into one dict (write order, last write
-    wins) and out comes a single segment.
-    """
-    if any(op[0] == "del" for op in ops):
-        merged: Dict[Any, Tuple[Any, Any]] = {}
-        for segment in segments:
-            _merge_columns(merged, segment)
-        for op in ops:
-            _apply_op(merged, op)
-        return ([_columns_from_dict(merged)] if merged else []), False
-
-    out = list(segments)
-    puts: List[Tuple] = []
-
-    def flush_puts() -> None:
-        if not puts:
-            return
-        keys = np.empty(len(puts), dtype=object)
-        keys[:] = [op[1] for op in puts]
-        values = np.empty(len(puts), dtype=object)
-        values[:] = [op[3] for op in puts]
-        out.append((keys, _index_column([op[2] for op in puts]), values))
-        puts.clear()
-
-    zero_copy = True
-    for op in ops:
-        kind = op[0]
-        if kind == "put":
-            puts.append(op)
-            continue
-        flush_puts()
-        if kind == "batch":
-            out.append((op[1], op[2], op[3]))
-        elif kind == "pairs":
-            if op[1]:
-                out.append(_pairs_to_columns(op[1]))
-        elif kind in ("drop", "retain"):
-            out = _filter_ranges(out, op[1], op[2], keep_inside=kind == "retain")
-            zero_copy = False
-        else:  # pragma: no cover - defensive
-            raise DurabilityError(f"unknown WAL op kind {kind!r}")
-    flush_puts()
-    return out, zero_copy
+def _op_rows(op: Tuple) -> int:
+    """Rows a WAL record carries (deletes and range ops carry none)."""
+    return 1 if op[0] == "put" else len(op[1]) if op[0] in ("batch", "pairs") else 0
 
 
 # -- per-vnode durable store ---------------------------------------------------
@@ -465,7 +300,7 @@ class DurableVnodeStore:
 
     def reset(self) -> None:
         """Discard all on-disk state and start a fresh, empty generation."""
-        self._close()
+        self.close()
         shutil.rmtree(self.directory, ignore_errors=True)
         os.makedirs(self.directory, exist_ok=True)
         self.generation = 0
@@ -477,10 +312,11 @@ class DurableVnodeStore:
 
     def destroy(self) -> None:
         """Close and remove the vnode's directory (vnode unregistered)."""
-        self._close()
+        self.close()
         shutil.rmtree(self.directory, ignore_errors=True)
 
-    def _close(self) -> None:
+    def close(self) -> None:
+        """Close the WAL file handle (the next append reopens it)."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -515,32 +351,32 @@ class DurableVnodeStore:
     ) -> int:
         """Flush the store's live state to a new generation of segment files.
 
-        The hash tier becomes one columnar file, each pending segment one
-        more — written tier-shape-preserving, no merge.  The manifest swap
-        (``os.replace``) is the commit point; the old generation's WAL and
-        files are only deleted after it, so a kill anywhere leaves exactly
-        one consistent generation to recover.
+        The hash tier becomes one file (named as such in the manifest), each
+        pending segment one more — written tier by tier, no merge.  The
+        manifest swap (``os.replace``) is the commit point; the old
+        generation's WAL and files are only deleted after it, so a kill
+        anywhere leaves exactly one consistent generation to recover.
         """
         new_gen = self.generation + 1
+        parts: List[_Columns] = [_columns_from_dict(items)] if items else []
+        parts.extend(segments)
         names: List[str] = []
         total = 0
-        parts: List[_Columns] = []
-        if items:
-            parts.append(_columns_from_dict(items))
-        parts.extend(segments)
         for i, (keys, indexes, values) in enumerate(parts):
             name = f"seg-{new_gen}-{i}.seg"
             total += write_segment_file(
                 os.path.join(self.directory, name), keys, indexes, values
             )
             names.append(name)
-        manifest = {"generation": new_gen, "segments": names}
-        tmp = self.manifest_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(pickle.dumps(manifest, protocol=pickle.HIGHEST_PROTOCOL))
-        os.replace(tmp, self.manifest_path)
+        manifest = {
+            "generation": new_gen,
+            "items": names[0] if items else None,
+            "segments": names[1:] if items else names,
+        }
+        body = json.dumps(manifest).encode("utf-8")
+        _write_checked(self.manifest_path, _MANIFEST_MAGIC, _MANIFEST_HEADER, (), body)
         # Commit point passed: retire the previous generation.
-        self._close()
+        self.close()
         old_wal = os.path.join(self.directory, f"wal-{self.generation}.log")
         old_segments = [
             os.path.join(self.directory, name) for name in self.segment_names
@@ -560,41 +396,43 @@ class DurableVnodeStore:
 
     # -- recovery --------------------------------------------------------------
 
-    def _read_manifest(self) -> None:
-        """Point this log at the generation installed on disk (if any).
+    def _read_manifest(self) -> Optional[str]:
+        """Point this log at the generation installed on disk (if any);
+        return the name of its hash-tier file (``None`` when it has none).
 
         A *missing* manifest is the legitimate fresh-vnode case (nothing was
         ever checkpointed) and points at generation 0.  A manifest that
-        exists but cannot be read — torn by a mid-``os.replace`` kill,
-        bit-rotted, or otherwise malformed — is a real fault: it is counted
-        in :attr:`DurabilityStats.manifests_corrupt`, reported with a
-        :class:`RuntimeWarning`, and recovery falls back to **WAL-only
+        exists but fails its CRC or its schema — torn by a mid-``os.replace``
+        kill, bit-rotted, or otherwise malformed — is a real fault: it is
+        counted in :attr:`DurabilityStats.manifests_corrupt`, reported with
+        a :class:`RuntimeWarning`, and recovery falls back to **WAL-only
         replay** of the newest WAL generation on disk.  The checkpoint
         segment files cannot be trusted without the manifest naming the
         committed generation, but the WAL still holds every acknowledged
         write since that checkpoint — strictly better than recovering
         silently empty as if the vnode were fresh.
         """
-        self.generation = 0
-        self.segment_names = []
         try:
-            with open(self.manifest_path, "rb") as fh:
-                manifest = pickle.load(fh)
-            self.generation = int(manifest["generation"])
-            self.segment_names = list(manifest["segments"])
-        except FileNotFoundError:
-            pass  # fresh vnode: nothing checkpointed yet
-        except Exception as exc:
-            self.generation = self._newest_wal_generation()
-            self.segment_names = []
+            _, body = _read_checked(self.manifest_path, _MANIFEST_MAGIC, _MANIFEST_HEADER)
+            manifest = json.loads(body)
+            generation, items = manifest["generation"], manifest["items"]
+            names = ([] if items is None else [items]) + manifest["segments"]
+            if type(generation) is not int or not all(type(n) is str for n in names):
+                raise DurabilityError(f"malformed manifest {manifest!r}")
+        except FileNotFoundError:  # fresh vnode: nothing checkpointed yet
+            generation, names, items = 0, [], None
+        except (DurabilityError, ValueError, KeyError, TypeError) as exc:
+            generation, names, items = self._newest_wal_generation(), [], None
             self.stats.manifests_corrupt += 1
             warnings.warn(
                 f"corrupt manifest in {self.directory} ({exc!r}); checkpoint "
                 f"segments are untrusted, falling back to WAL-only replay of "
-                f"generation {self.generation}",
+                f"generation {generation}",
                 RuntimeWarning,
                 stacklevel=3,
             )
+        self.generation, self.segment_names = generation, names
+        return items
 
     def _newest_wal_generation(self) -> int:
         """Highest generation with a ``wal-<gen>.log`` on disk (0 if none).
@@ -653,46 +491,39 @@ class DurableVnodeStore:
                 fh.truncate(good)
         return ops, discarded
 
-    def recover(self, mmap: Optional[bool] = None) -> RecoveredState:
-        """Reconstruct the store's content from disk.
+    def recover(self) -> RecoveredState:
+        """Read the store's content from disk; apply nothing.
 
-        Missing directory, manifest or WAL all recover to the empty state —
-        a vnode that never wrote anything restarts empty, not broken.
+        Returns the installed checkpoint's tiers and the decoded WAL tail.
+        Missing directory, manifest or WAL all read as the empty state — a
+        vnode that never wrote anything restarts empty, not broken.
         """
-        if mmap is None:
-            mmap = self.config.mmap_segments
-        self._close()
+        self.close()
         os.makedirs(self.directory, exist_ok=True)
-        self._read_manifest()
-        segments: List[_Columns] = []
-        checkpoint_rows = 0
+        items_name = self._read_manifest()
+        state = RecoveredState()
         for name in self.segment_names:
             path = os.path.join(self.directory, name)
             try:
-                segment = load_segment_file(path, mmap=mmap)
+                columns = load_segment_file(path)
             except FileNotFoundError:
                 raise DurabilityError(
                     f"manifest of {self.directory} names missing segment {name}"
-                )
-            checkpoint_rows += len(segment[0])
-            segments.append(segment)
-        ops, discarded = self._read_wal()
-        out, zero_copy = replay_ops(segments, ops)
-        rows = sum(len(seg[0]) for seg in out)
-        self.checkpoint_rows = checkpoint_rows
-        self.wal_records = len(ops)
+                ) from None
+            state.rows += len(columns[0])
+            if name == items_name:
+                state.hash_tier = columns
+            else:
+                state.segments.append(columns)
+        self.checkpoint_rows = state.rows
+        state.ops, state.torn_records_discarded = self._read_wal()
+        state.wal_records = self.wal_records = len(state.ops)
+        state.rows += sum(map(_op_rows, state.ops))
         self.needs_replay = False
         self.stats.replays += 1
-        self.stats.rows_replayed += rows
-        self.stats.wal_records_replayed += len(ops)
-        self.stats.torn_records_discarded += discarded
-        return RecoveredState(
-            segments=out,
-            rows=rows,
-            wal_records=len(ops),
-            torn_records_discarded=discarded,
-            zero_copy=zero_copy,
-        )
+        self.stats.wal_records_replayed += state.wal_records
+        self.stats.torn_records_discarded += state.torn_records_discarded
+        return state
 
 
 class DurableStoreManager:
@@ -737,7 +568,7 @@ class DurableStoreManager:
     def close(self) -> None:
         """Close every WAL file handle (each reopens on its next append)."""
         for log in self._logs.values():
-            log._close()
+            log.close()
 
     def log_for(self, ref) -> Optional[DurableVnodeStore]:
         return self._logs.get(ref)

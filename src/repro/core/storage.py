@@ -36,9 +36,10 @@ are contiguous slice copies, and what a pop or a retain leaves behind is one
 *Who establishes the run:* the passes that rewrite or copy a store anyway
 — :meth:`VnodeStore.pop_buckets`, :meth:`VnodeStore.copy_buckets`,
 :meth:`VnodeStore.drop_outside`, :meth:`VnodeStore.adopt_parts` and
-:meth:`DHTStorage.replay_vnode` (which rebuilds the store from disk) — and
-the reads.  They concatenate run + tail and sort once; timsort merges the
-presorted pieces at memcpy-like speed.  *Adopts splice:* a partition
+:meth:`DHTStorage.replay_vnode` (which rebuilds the store by running what
+its disk holds through :meth:`VnodeStore.replay`) — and the reads.  They
+concatenate run + tail and sort once; timsort merges the presorted pieces
+at memcpy-like speed.  *Adopts splice:* a partition
 handover's segments are sorted, pairwise disjoint and hold no run row
 between their first and last index, so ``adopt_parts`` builds the new run by
 concatenating run slices and segments in index order instead of re-sorting
@@ -99,8 +100,8 @@ passes the merge-free columnar speed of migration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -531,8 +532,12 @@ class VnodeStore:
         return [hash_keys, *(segment[0] for segment in self._segments)]
 
     def delete(self, key: Hashable) -> StoredItem:
-        """Remove and return an item; raises :class:`KeyError` if absent."""
+        """Remove and return an item; raises :class:`KeyError` if absent,
+        leaving the store unfolded (a failed delete is not logged, so it
+        must change nothing a replay would not)."""
         if self._segments:
+            if self._find(key) is None:
+                raise KeyError(key)
             self._merge_segments()
         item = StoredItem(*self._items.pop(key))
         if self.durable is not None:
@@ -820,6 +825,55 @@ class VnodeStore:
                 self._segments[i] = (new_keys, new_indexes, values)
                 changed += 1
         return changed
+
+    def replay(
+        self,
+        state: RecoveredState,
+        index_column: Callable[[Sequence[int]], np.ndarray],
+    ) -> None:
+        """Rebuild the store from what :meth:`DurableVnodeStore.recover` read.
+
+        Each checkpoint tier goes back into its tier (the store adopts the
+        columns), then every WAL record runs through the mutator
+        that logged it, with logging off — so every ``put`` makes the same
+        in-place-or-fold decision it made live.  ``index_column`` turns a
+        logged range's bound list into an index column
+        (:meth:`DHTStorage.range_arrays`' dtype).  A ``del`` of an absent
+        key — its row was in a checkpoint a corrupt manifest hid — is
+        skipped.
+        """
+        durable, self.durable = self.durable, None
+        try:
+            self._clear()
+            if state.hash_tier is not None:
+                self._segments = [state.hash_tier]
+                self._merge_segments()
+            self._segments = [
+                (_comparable_keys(keys), indexes, values)
+                for keys, indexes, values in state.segments
+                if len(keys)
+            ]
+            for op in state.ops:
+                kind = op[0]
+                if kind == "batch":
+                    self.put_many(op[1], op[2], op[3])
+                elif kind == "put":
+                    self.put(op[1], op[2], op[3])
+                elif kind == "del":
+                    try:
+                        self.delete(op[1])
+                    except KeyError:
+                        pass
+                elif kind == "pairs":
+                    self.adopt_parts(op[1], [])
+                elif kind == "drop":
+                    self.pop_buckets(index_column(op[1]), index_column(op[2]))
+                elif kind == "retain":
+                    self.drop_outside(index_column(op[1]), index_column(op[2]))
+                else:
+                    raise StorageError(f"unknown WAL op kind {kind!r}")
+        finally:
+            self.durable = durable
 
 
 @dataclass
@@ -1302,18 +1356,22 @@ class DHTStorage:
     def replay_vnode(self, ref: VnodeRef) -> RecoveredState:
         """Recover a vnode's primary rows from its durable log.
 
-        The recovered columns join the store's segment tier *without*
-        being re-logged — they are already on disk — so replay is
-        write-free; the store being rebuilt anyway, they are sorted into its
-        run here rather than by the first range pass that follows.
+        :meth:`DurableVnodeStore.recover` reads the disk and
+        :meth:`VnodeStore.replay` applies it through the store's own
+        mutators, logging nothing — the rows are already on disk.  The
+        store being rebuilt anyway, its run is sorted here rather than by
+        the first range pass that follows.  The returned state's ``rows`` is
+        the replayed store's :meth:`VnodeStore.fast_len`.
         """
         store = self._store(ref)
         if store.durable is None:
             raise StorageError(f"vnode {ref} has no durable log to replay")
         state = store.durable.recover()
-        store._segments.extend(state.segments)
+        store.replay(state, self._index_column)
         store._sorted_run()
-        return state
+        rows = store.fast_len()
+        self.durability.rows_replayed += rows
+        return replace(state, rows=rows)
 
     # -- counting ----------------------------------------------------------------
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import pickle
 import re
 import struct
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -241,4 +241,18 @@ class ColumnReader:
         return np.cumsum(lengths, dtype=np.int64)
 
 
-__all__ = ["ColumnError", "ColumnReader", "encode_column", "encode_text"]
+def row_group(
+    keys: Any, indexes: Any, values: Any, values_optional: bool = False
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``(keys, indexes, values)`` as read by :meth:`ColumnReader.column`,
+    checked to be one group of rows: keys and indexes present, values too
+    unless ``values_optional``, and every present column of one length."""
+    if keys is None or indexes is None or (values is None and not values_optional):
+        raise ColumnError("a row group is missing a column")
+    lengths = {len(column) for column in (keys, indexes, values) if column is not None}
+    if len(lengths) > 1:
+        raise ColumnError(f"columns of one row group disagree in length: {sorted(lengths)}")
+    return keys, indexes, values
+
+
+__all__ = ["ColumnError", "ColumnReader", "encode_column", "encode_text", "row_group"]

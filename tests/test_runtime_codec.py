@@ -194,44 +194,63 @@ def _object_column(items):
     return column
 
 
-def _objects(elements):
-    return st.lists(elements, max_size=12).map(_object_column)
+def _objects(elements, n):
+    return st.lists(elements, min_size=n, max_size=n).map(_object_column)
 
 
-#: One strategy per column kind of :mod:`repro.utils.columns`, zero rows included.
-COLUMN_KINDS = {
-    "none": st.none(),
-    "native": st.sampled_from([np.uint64, np.int64, np.float64, np.bool_]).flatmap(
-        lambda dtype: hnp.arrays(dtype, st.integers(0, 12))
+#: One strategy per column kind of :mod:`repro.utils.columns` but ``NONE``,
+#: as a function of the row count.
+_SIZED_KINDS = {
+    "native": lambda n: st.sampled_from([np.uint64, np.int64, np.float64, np.bool_]).flatmap(
+        lambda dtype: hnp.arrays(dtype, n)
     ),
-    "fixed-bytes": st.integers(0, 8).flatmap(
-        lambda w: _objects(st.binary(min_size=w, max_size=w).map(lambda b: b + b"\x00"))
+    "fixed-bytes": lambda n: st.integers(0, 8).flatmap(
+        lambda w: _objects(st.binary(min_size=w, max_size=w).map(lambda b: b + b"\x00"), n)
     ),
-    "variable-bytes": _objects(st.binary(max_size=12)),
-    "str": _objects(st.text(max_size=8)),
-    "boxed": st.one_of(
-        _objects(st.integers(-(2**63), 2**63 - 1)),
-        _objects(st.integers(2**63, 2**64 - 1)),
-        _objects(st.floats(allow_nan=False)),
-        _objects(st.booleans()),
+    "variable-bytes": lambda n: _objects(st.binary(max_size=12), n),
+    "str": lambda n: _objects(st.text(max_size=8), n),
+    "boxed": lambda n: st.one_of(
+        _objects(st.integers(-(2**63), 2**63 - 1), n),
+        _objects(st.integers(2**63, 2**64 - 1), n),
+        _objects(st.floats(allow_nan=False), n),
+        _objects(st.booleans(), n),
     ),
-    "pickled": _objects(
+    "pickled": lambda n: _objects(
         st.one_of(
             st.integers(),
             st.text(max_size=4),
             st.binary(max_size=4),
             st.none(),
             st.tuples(st.integers(), st.integers()),
-        )
+        ),
+        n,
     ),
 }
-COLUMNS = st.one_of(*COLUMN_KINDS.values())
+_ROWS = st.integers(0, 12)
+#: One strategy per column kind, zero rows included.
+COLUMN_KINDS = {
+    "none": st.none(),
+    **{kind: _ROWS.flatmap(column) for kind, column in _SIZED_KINDS.items()},
+}
+
+
+def _column(n):
+    return st.one_of(*(column(n) for column in _SIZED_KINDS.values()))
+
+
+#: ``(keys, indexes, values)`` of one length, of any kinds; values may be
+#: ``None``.
+ROW_GROUPS = _ROWS.flatmap(
+    lambda n: st.tuples(_column(n), _column(n), st.one_of(st.none(), _column(n)))
+)
 
 _REFS = st.sampled_from(["0.0", "3.1", "é.2"])
 _TIERS = st.sampled_from(["primary", "replica"])
+#: Chunks that carry one row group, or no columns at all (the defaults).
 BULK_CHUNKS = st.builds(
-    BulkLoadChunk, src=st.integers(-1, 9), dst=st.integers(0, 9), ref=_REFS, tier=_TIERS,
-    keys=COLUMNS, indexes=COLUMNS, values=COLUMNS,
+    lambda src, dst, ref, tier, rows: BulkLoadChunk(src, dst, ref, tier, *rows),
+    src=st.integers(-1, 9), dst=st.integers(0, 9), ref=_REFS, tier=_TIERS,
+    rows=st.one_of(st.just((None, None, None)), ROW_GROUPS),
 )
 _PAIRS = st.lists(
     st.tuples(
@@ -383,6 +402,19 @@ class TestColumnarBodies:
         _decodes_or_raises_wire_error(body[:2] + data.draw(st.binary(max_size=64)))
         with pytest.raises(WireError):
             decode(body + b"\x00")
+
+    def test_a_chunk_whose_columns_are_no_row_group_is_refused(self):
+        keys = np.arange(3, dtype=np.uint64)
+        for columns in (
+            (keys, keys[:2], None),
+            (keys, keys, _object_column(["a"])),
+            (None, keys, None),
+            (keys, None, keys),
+        ):
+            chunk = BulkLoadChunk(src=-1, dst=0, ref="0.0", keys=columns[0],
+                                  indexes=columns[1], values=columns[2])
+            with pytest.raises(WireError, match="row group"):
+                decode(chunk.encode())
 
     def test_decoded_row_columns_are_owned_and_writable(self):
         """A store may adopt a decoded column as its own and overwrite

@@ -18,8 +18,9 @@
   every primary store is still columnar, retaining next to no memory per
   row, and the check still catches a misplaced row in either tier;
 * consolidation must not widen a native key column;
-* the durable tier replays a consolidated store, and a WAL tail of range ops
-  replayed as column masks equals the per-row dict replay.
+* the durable tier replays through the store itself: a consolidated store,
+  and random WAL op sequences with and without checkpoints, come back with
+  the live store's rows and row count.
 """
 
 from __future__ import annotations
@@ -39,14 +40,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import DHTStorage, HashSpace, Partition, SnodeId, VnodeRef
-from repro.core.durability import (
-    DurabilityConfig,
-    DurabilityStats,
-    DurableVnodeStore,
-    _apply_op,
-    _merge_columns,
-    replay_ops,
-)
+from repro.core.durability import DurabilityConfig, DurabilityStats, DurableVnodeStore
 from repro.core.errors import InvariantViolation
 from repro.core.storage import VnodeStore, join_parts
 from repro.utils.arrays import concat_columns
@@ -272,10 +266,11 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(s=st.integers(0, 1), r=st.integers(0, N_RANGES - 1),
           slot=st.integers(0, KEYS_PER_RANGE - 1))
     def delete(self, s, r, slot):
-        key = self._key(r, slot)
-        self.models[s].merge()
-        if key in self.models[s].hash:
-            assert self.stores[s].delete(key) == self.models[s].hash.pop(key)
+        """A delete folds the store; a failed one leaves it as it was."""
+        key, model = self._key(r, slot), self.models[s]
+        if key in model.merged():
+            model.merge()
+            assert self.stores[s].delete(key) == model.hash.pop(key)
         else:
             with pytest.raises(KeyError):
                 self.stores[s].delete(key)
@@ -405,7 +400,8 @@ class StoreMachine(RuleBasedStateMachine):
     def _check_replay(self, s):
         state = self.stores[s].durable.recover()
         replayed = VnodeStore(vref(9))
-        replayed._segments.extend(state.segments)
+        replayed.replay(state, self._index_column)
+        assert replayed.fast_len() == self.stores[s].fast_len()
         assert replayed.raw_dict() == self.models[s].merged()
 
     # -- checked after every step ------------------------------------------------
@@ -638,13 +634,15 @@ _ROWS = st.lists(
 
 @st.composite
 def _wal_op(draw):
-    kind = draw(st.sampled_from(["batch", "batch", "pairs", "put", "drop", "retain"]))
+    kind = draw(st.sampled_from(["batch", "batch", "pairs", "put", "del", "drop", "retain"]))
     if kind in ("drop", "retain"):
         return (kind, *_ranges(draw(_RANGE_BOUNDS)))
     rows = draw(_ROWS)
     keys = [k for k, _ in rows]
     indexes = [(k * 37) % 256 for k in keys]  # a key always hashes to one index
     values = [f"{kind}{v}" for _, v in rows]
+    if kind == "del":
+        return ("del", keys[0])
     if kind == "put":
         return ("put", keys[0], indexes[0], values[0])
     if kind == "pairs":
@@ -657,33 +655,60 @@ def _wal_op(draw):
             None if valueless else value_column)
 
 
+def _uint64_bounds(bounds: List[int]) -> np.ndarray:
+    return np.array(bounds, dtype=np.uint64)
+
+
+def _apply(store: VnodeStore, op) -> None:
+    """Run one WAL op through the live store's mutator that logs it."""
+    kind = op[0]
+    if kind == "batch":
+        store.put_many(*op[1:])
+    elif kind == "put":
+        store.put(*op[1:])
+    elif kind == "del":
+        try:
+            store.delete(op[1])
+        except KeyError:
+            pass  # a failed delete changes nothing, and is not logged
+    elif kind == "pairs":
+        store.adopt_parts(op[1], [])
+    else:
+        starts, lasts = _uint64_bounds(op[1]), _uint64_bounds(op[2])
+        if kind == "drop":
+            store.pop_buckets(starts, lasts)
+        else:
+            store.drop_outside(starts, lasts)
+
+
 @settings(max_examples=150, deadline=None)
-@given(checkpoint=st.lists(_wal_op().filter(lambda op: op[0] == "batch"), max_size=2),
-       ops=st.lists(_wal_op(), max_size=10))
-def test_columnar_replay_of_range_ops_equals_the_dict_replay(checkpoint, ops):
-    segments = [(op[1], op[2], op[3]) for op in checkpoint]
-    reference: Dict[Any, Tuple[Any, Any]] = {}
-    for segment in segments:
-        _merge_columns(reference, segment)
-    for op in ops:
-        _apply_op(reference, op)
-
-    out, zero_copy = replay_ops(list(segments), ops)
-    replayed: Dict[Any, Tuple[Any, Any]] = {}
-    for segment in out:
-        _merge_columns(replayed, segment)
-    assert replayed == reference
-    assert zero_copy == (not any(op[0] in ("drop", "retain") for op in ops))
-    if zero_copy:
-        assert all(a is b for a, b in zip(out, segments))  # checkpoint untouched
+@given(ops=st.lists(_wal_op(), max_size=12), flush_threshold=st.sampled_from([1, 3, 1024]))
+def test_replay_through_the_store_equals_the_live_store(ops, flush_threshold):
+    """Random op sequences on a live durable store — checkpointing after
+    every op, every few ops, or never — replay to its rows and row count."""
+    with tempfile.TemporaryDirectory() as data_dir:
+        config = DurabilityConfig(data_dir=data_dir, flush_threshold=flush_threshold)
+        live = VnodeStore(vref(0), DurableVnodeStore(data_dir, config, DurabilityStats()))
+        for op in ops:
+            _apply(live, op)
+        replayed = VnodeStore(vref(1))
+        replayed.replay(live.durable.recover(), _uint64_bounds)
+        assert replayed.fast_len() == live.fast_len()
+        assert replayed.raw_dict() == live.raw_dict()
+        live.durable.close()
 
 
-def test_replay_with_a_point_delete_still_takes_the_exact_path():
-    keys = np.array([1, 2, 3], dtype=np.int64)
-    batch = ("batch", keys, np.array([10, 20, 30], dtype=np.uint64), None)
-    out, zero_copy = replay_ops([], [batch, ("drop", [15], [25]), ("del", 3)])
-    assert not zero_copy and len(out) == 1
-    assert out[0][0].tolist() == [1]
+def test_replay_of_a_drop_and_a_point_delete_through_the_store(tmp_path):
+    config = DurabilityConfig(data_dir=str(tmp_path))
+    log = DurableVnodeStore(str(tmp_path), config, DurabilityStats())
+    log.append(("batch", np.array([1, 2, 3], dtype=np.int64),
+                np.array([10, 20, 30], dtype=np.uint64), None))
+    log.append(("drop", [15], [25]))
+    log.append(("del", 3))
+    store = VnodeStore(vref(0))
+    store.replay(log.recover(), _uint64_bounds)
+    assert store.raw_dict() == {1: (10, None)}
+    log.close()
 
 
 # --------------------------------------------------------------------------- columnar values
