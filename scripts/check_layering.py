@@ -4,7 +4,7 @@
 The engine core (:mod:`repro.core.engine`) is the transport-agnostic heart
 of the DHT; keeping its dependency arrows pointed the right way is what
 lets a future networked runtime reuse it unchanged.  This lint AST-walks
-every module under ``src/repro`` and enforces six rules:
+every module under ``src/repro`` and enforces seven rules:
 
 1. **engine isolation** — modules in ``repro.core.engine`` import nothing
    from ``repro.sim``, ``repro.cluster``, ``repro.workloads``,
@@ -37,7 +37,12 @@ every module under ``src/repro`` and enforces six rules:
    ``src/repro``.  The global approach is a ``LocalDHT`` with one group
    that never splits, so such a check would silently misroute a global
    DHT; approach-dependent code reads ``config.is_grouped`` or
-   ``dht.approach`` instead.
+   ``dht.approach`` instead;
+7. **no whole-store folds in checks** — ``_merge_segments`` (the fold of a
+   store's pending rows into its hash tier) is referenced only inside
+   :data:`FOLD_ALLOWED`: the point writes that must fold and the replay
+   that repeats them.  Views and checks read the columns instead
+   (``VnodeStore.newest_rows``), so a fold cannot creep back into one.
 
 Run from the repository root (CI does)::
 
@@ -95,6 +100,9 @@ _UNPICKLERS = ("load", "loads", "Unpickler")
 
 #: Model classes no ``isinstance`` may test (rule 6).
 _MODEL_CLASSES = ("GlobalDHT", "LocalDHT")
+
+#: The only functions that may fold a store into its hash tier (rule 7).
+FOLD_ALLOWED = ("VnodeStore.put", "VnodeStore.delete", "VnodeStore.replay")
 
 
 def _iter_modules() -> Iterator[Path]:
@@ -266,22 +274,28 @@ def check_dead_symbols() -> List[str]:
     return errors
 
 
-def _unpickle_calls(node: ast.AST, scope: str = "") -> Iterator[Tuple[int, str]]:
-    """Yield ``(lineno, enclosing qualified name)`` of every unpickling call."""
+def _scoped(node: ast.AST, scope: str = "") -> Iterator[Tuple[ast.AST, str]]:
+    """Yield ``(node, enclosing qualified name)`` for every node below ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _unpickle_calls(child, f"{scope}.{child.name}" if scope else child.name)
+            yield from _scoped(child, f"{scope}.{child.name}" if scope else child.name)
             continue
-        func = getattr(child, "func", None)
+        yield child, scope or "<module>"
+        yield from _scoped(child, scope)
+
+
+def _unpickle_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+    """Yield ``(lineno, enclosing qualified name)`` of every unpickling call."""
+    for node, scope in _scoped(tree):
+        func = getattr(node, "func", None)
         if (
-            isinstance(child, ast.Call)
+            isinstance(node, ast.Call)
             and isinstance(func, ast.Attribute)
             and func.attr in _UNPICKLERS
             and isinstance(func.value, ast.Name)
             and func.value.id == "pickle"
         ):
-            yield child.lineno, scope or "<module>"
-        yield from _unpickle_calls(child, scope)
+            yield node.lineno, scope
 
 
 def check_unpickling() -> List[str]:
@@ -353,8 +367,28 @@ def check_one_model() -> List[str]:
     return errors
 
 
+def check_folds() -> List[str]:
+    """Rule 7: ``_merge_segments`` referenced outside :data:`FOLD_ALLOWED`."""
+    errors: List[str] = []
+    for path in _iter_modules():
+        rel = path.relative_to(REPO_ROOT).as_posix()
+        for node, scope in _scoped(ast.parse(path.read_text(), filename=rel)):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "_merge_segments"
+                and scope not in FOLD_ALLOWED
+            ):
+                errors.append(
+                    f"{rel}:{node.lineno}: {scope} folds a store (only "
+                    f"{', '.join(FOLD_ALLOWED)} may; read VnodeStore.newest_rows)"
+                )
+    return errors
+
+
 def main() -> int:
-    errors = check() + check_dead_symbols() + check_unpickling() + check_one_model()
+    errors = (
+        check() + check_dead_symbols() + check_unpickling() + check_one_model() + check_folds()
+    )
     if errors:
         print(f"check_layering: {len(errors)} violation(s)")
         for error in errors:

@@ -58,7 +58,7 @@ import struct
 import warnings
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -154,6 +154,9 @@ class RecoveredState:
     segments: List[_Columns] = field(default_factory=list)
     #: The WAL records written since the checkpoint, in write order.
     ops: List[Tuple] = field(default_factory=list)
+    #: The store's ``foreign`` flag at the checkpoint (True when a corrupt
+    #: manifest hid it: a foreign store only reads more carefully).
+    foreign: bool = False
     #: Rows read: the checkpoint's, plus those the WAL records carry.
     #: (:meth:`~repro.core.storage.DHTStorage.replay_vnode` reports the
     #: replayed store's ``fast_len`` instead.)
@@ -348,11 +351,13 @@ class DurableVnodeStore:
         self,
         items: Dict[Any, Tuple[Any, Any]],
         segments: Sequence[_Columns],
+        foreign: bool = False,
     ) -> int:
         """Flush the store's live state to a new generation of segment files.
 
         The hash tier becomes one file (named as such in the manifest), each
-        pending segment one more — written tier by tier, no merge.  The
+        pending segment one more — written tier by tier, no merge; the
+        manifest records the store's ``foreign`` flag when it is set.  The
         manifest swap (``os.replace``) is the commit point; the old
         generation's WAL and files are only deleted after it, so a kill
         anywhere leaves exactly one consistent generation to recover.
@@ -373,6 +378,8 @@ class DurableVnodeStore:
             "items": names[0] if items else None,
             "segments": names[1:] if items else names,
         }
+        if foreign:
+            manifest["foreign"] = True
         body = json.dumps(manifest).encode("utf-8")
         _write_checked(self.manifest_path, _MANIFEST_MAGIC, _MANIFEST_HEADER, (), body)
         # Commit point passed: retire the previous generation.
@@ -396,9 +403,10 @@ class DurableVnodeStore:
 
     # -- recovery --------------------------------------------------------------
 
-    def _read_manifest(self) -> Optional[str]:
+    def _read_manifest(self) -> Tuple[Optional[str], bool]:
         """Point this log at the generation installed on disk (if any);
-        return the name of its hash-tier file (``None`` when it has none).
+        return the name of its hash-tier file (``None`` when it has none)
+        and the store's ``foreign`` flag (True when the manifest is corrupt).
 
         A *missing* manifest is the legitimate fresh-vnode case (nothing was
         ever checkpointed) and points at generation 0.  A manifest that
@@ -417,12 +425,18 @@ class DurableVnodeStore:
             manifest = json.loads(body)
             generation, items = manifest["generation"], manifest["items"]
             names = ([] if items is None else [items]) + manifest["segments"]
-            if type(generation) is not int or not all(type(n) is str for n in names):
+            foreign = manifest.get("foreign", False)
+            if (
+                type(generation) is not int
+                or not all(type(n) is str for n in names)
+                or type(foreign) is not bool
+            ):
                 raise DurabilityError(f"malformed manifest {manifest!r}")
         except FileNotFoundError:  # fresh vnode: nothing checkpointed yet
-            generation, names, items = 0, [], None
+            generation, names, items, foreign = 0, [], None, False
         except (DurabilityError, ValueError, KeyError, TypeError) as exc:
             generation, names, items = self._newest_wal_generation(), [], None
+            foreign = True
             self.stats.manifests_corrupt += 1
             warnings.warn(
                 f"corrupt manifest in {self.directory} ({exc!r}); checkpoint "
@@ -432,7 +446,7 @@ class DurableVnodeStore:
                 stacklevel=3,
             )
         self.generation, self.segment_names = generation, names
-        return items
+        return items, foreign
 
     def _newest_wal_generation(self) -> int:
         """Highest generation with a ``wal-<gen>.log`` on disk (0 if none).
@@ -500,8 +514,8 @@ class DurableVnodeStore:
         """
         self.close()
         os.makedirs(self.directory, exist_ok=True)
-        items_name = self._read_manifest()
-        state = RecoveredState()
+        items_name, foreign = self._read_manifest()
+        state = RecoveredState(foreign=foreign)
         for name in self.segment_names:
             path = os.path.join(self.directory, name)
             try:
@@ -526,6 +540,11 @@ class DurableVnodeStore:
         return state
 
 
+#: Vnode directories (real paths) an open :class:`DurableStoreManager` of
+#: this process holds: attaching one twice would ``rmtree`` a live WAL.
+_HELD: Set[str] = set()
+
+
 class DurableStoreManager:
     """All durable per-vnode stores of one :class:`~repro.core.storage.DHTStorage`."""
 
@@ -544,18 +563,24 @@ class DurableStoreManager:
         *process* re-registering the vnodes it hosted before being killed
         passes ``fresh=False``: the on-disk WAL/segments are kept and the
         store is marked as needing replay (disk is ahead of the empty RAM).
+        A directory another open manager of this process holds is refused
+        with :class:`DurabilityError`, before anything on disk changes.
         """
         if ref in self._logs:
             raise DurabilityError(f"durable store for {ref} already attached")
-        log = DurableVnodeStore(
-            os.path.join(self.config.data_dir, str(ref.canonical_name)),
-            self.config,
-            self.stats,
+        directory = os.path.realpath(
+            os.path.join(self.config.data_dir, str(ref.canonical_name))
         )
+        if directory in _HELD:
+            raise DurabilityError(
+                f"{directory} is held by another open durable store manager"
+            )
+        log = DurableVnodeStore(directory, self.config, self.stats)
         if fresh:
             log.reset()
         else:
             log.needs_replay = True
+        _HELD.add(directory)
         self._logs[ref] = log
         return log
 
@@ -563,11 +588,14 @@ class DurableStoreManager:
         """Destroy the durable store of an unregistered vnode."""
         log = self._logs.pop(ref, None)
         if log is not None:
+            _HELD.discard(log.directory)
             log.destroy()
 
     def close(self) -> None:
-        """Close every WAL file handle (each reopens on its next append)."""
+        """Close every WAL file handle (each reopens on its next append) and
+        release the vnode directories to other managers."""
         for log in self._logs.values():
+            _HELD.discard(log.directory)
             log.close()
 
     def log_for(self, ref) -> Optional[DurableVnodeStore]:

@@ -34,7 +34,6 @@ replica stores synchronously; reads fall back primary → replicas.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +42,7 @@ import numpy as np
 from repro.core.errors import ReplicationError
 from repro.core.hashspace import Partition
 from repro.core.ids import VnodeRef
-from repro.core.storage import DHTStorage, join_parts, parts_size
+from repro.core.storage import DHTStorage, join_parts, parts_size, same_rows
 
 #: One entry of the router's sorted interval table.
 _TableEntry = Tuple[Partition, VnodeRef]
@@ -502,28 +501,18 @@ def verify_placement(placement: ReplicaPlacement, expected_ranks: int) -> None:
             )
 
 
-def _merged_range_rows(store, pair: Tuple[int, int]) -> Dict:
-    """The store's ``key -> (index, value)`` rows inside one range, merged."""
-    lo, hi = pair
-    return {
-        key: item for key, item in store.raw_dict().items() if lo <= item[0] <= hi
-    }
-
-
 def verify_replica_consistency(
     storage: DHTStorage, placement: ReplicaPlacement, deep: bool = False
 ) -> None:
     """Check replica stores against their primaries; raise :class:`ReplicationError`.
 
-    The count pass (always run) is merge-free: every replica store must hold
-    exactly the primary's physical row count for each assigned range and no
-    rows outside its assigned ranges.  A count mismatch alone is not fatal —
-    physical counts can diverge benignly when one side merged a duplicate
-    key out of its segments (e.g. a point read on the primary after a
-    duplicate-key bulk load) — so mismatched ranges are re-checked by merged
-    content before raising.  With ``deep=True`` every range is compared key
-    by key through the merged hash tiers regardless of counts (intended for
-    tests).
+    The count pass (always run, merge-free): every replica store holds the
+    primary's physical row count in each assigned range and no row outside
+    them.  Counts can diverge benignly when one side folded a duplicate key
+    away, so a mismatched range — and with ``deep=True`` every assigned
+    range — is compared by content: the newest row of each key
+    (:meth:`~repro.core.storage.VnodeStore.newest_rows`), keys, indexes and
+    values, replica against primary.  No store is folded.
     """
     pairs = _range_pairs(storage, placement)
     primary_counts = _primary_counts(storage, placement, pairs)
@@ -544,43 +533,18 @@ def verify_replica_consistency(
                 f"vnode {ref} holds {store.fast_len() - int(have.sum())} replica "
                 f"rows outside its assigned ranges"
             )
-        for k, pos in enumerate(positions):
-            if int(have[k]) == int(primary_counts[pos]):
-                continue
-            primary_store = storage.primary_store(placement.primaries[pos])
-            if _merged_range_rows(store, pairs[pos]) == _merged_range_rows(
-                primary_store, pairs[pos]
-            ):
-                continue  # duplicate-key segments merged on one side only
-            raise ReplicationError(
-                f"partition {placement.partitions[pos]}: replica {ref} holds "
-                f"{int(have[k])} rows, primary {placement.primaries[pos]} "
-                f"holds {int(primary_counts[pos])}"
-            )
-
-    if not deep:
-        return
-
-    range_starts = [pair[0] for pair in pairs]
-    primary_dicts = {
-        ref: storage.primary_store(ref).raw_dict() for ref in set(placement.primaries)
-    }
-    for ref, store in storage.replica_store_items():
-        for key, item in store.raw_dict().items():
-            pos = bisect.bisect_right(range_starts, item[0]) - 1
-            if pos < 0 or not (pairs[pos][0] <= item[0] <= pairs[pos][1]):
-                raise ReplicationError(
-                    f"replica row {key!r} at vnode {ref} has hash index "
-                    f"{item[0]} outside every partition"
-                )
-            if ref not in placement.replicas[pos]:
-                raise ReplicationError(
-                    f"replica row {key!r} at vnode {ref} belongs to partition "
-                    f"{placement.partitions[pos]}, which is not replicated there"
-                )
-            primary_item = primary_dicts[placement.primaries[pos]].get(key)
-            if primary_item != item:
-                raise ReplicationError(
-                    f"replica row {key!r} at vnode {ref} disagrees with primary "
-                    f"{placement.primaries[pos]}: {item!r} != {primary_item!r}"
-                )
+        checked = [
+            pos for k, pos in enumerate(positions)
+            if deep or int(have[k]) != int(primary_counts[pos])
+        ]
+        by_primary = _positions_by_store(checked, [placement.primaries[p] for p in checked])
+        for primary, group in by_primary.items():
+            bounds = storage.range_arrays([pairs[p] for p in group])
+            views = zip(store.newest_rows(*bounds), storage.primary_store(primary).newest_rows(*bounds))
+            for pos, (mine, theirs) in zip(group, views):
+                if not same_rows(mine, theirs):
+                    raise ReplicationError(
+                        f"partition {placement.partitions[pos]}: replica {ref} holds "
+                        f"{len(mine[0])} rows, primary {primary} holds {len(theirs[0])}, "
+                        f"and their keys, indexes or values differ"
+                    )

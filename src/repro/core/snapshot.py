@@ -282,14 +282,25 @@ def _restore_groups(dht: LocalDHT, entries: List[Dict[str, Any]]) -> None:
             raise ReproError(f"snapshot corrupt: vnode {ref} belongs to no group")
 
 
-def restore_dht(snapshot: Dict[str, Any], rng: RngLike = None) -> LocalDHT:
-    """Rebuild a DHT from a snapshot produced by :func:`snapshot_dht`."""
+def restore_dht(
+    snapshot: Dict[str, Any], rng: RngLike = None, data_dir: Optional[str] = None
+) -> LocalDHT:
+    """Rebuild a DHT from a snapshot produced by :func:`snapshot_dht`.
+
+    A durable DHT's vnode logs go under ``data_dir`` when given, else under
+    the snapshot's own; a directory a live DHT of this process still holds
+    is refused with :class:`~repro.core.errors.DurabilityError`.
+    """
     version = snapshot.get("version")
     if version != SNAPSHOT_VERSION:
         raise ReproError(
             f"unsupported snapshot version {version!r} (expected {SNAPSHOT_VERSION})"
         )
     durability_dict = snapshot["config"].get("durability")
+    if data_dir is not None:
+        if not durability_dict:
+            raise ReproError("data_dir given for a snapshot without durability")
+        durability_dict = {**durability_dict, "data_dir": data_dir}
     parallel_dict = snapshot["config"].get("parallel")
     config = DHTConfig(
         bh=snapshot["config"]["bh"],

@@ -1,101 +1,46 @@
 """Key/value storage attached to vnodes, with migration on partition moves.
 
-The paper's DHT is ultimately a distributed *data* structure: every key hashes
-to an index of ``R_h``, the index falls in exactly one partition, and the
-vnode owning that partition stores the item.  When the balancing algorithm
-hands a partition over to another vnode, the items stored under that
-partition must migrate with it.
-
-This module provides:
-
-* :class:`StoredItem` — a value together with the hash index it was stored
-  under (so migration does not need to re-hash keys);
-* :class:`VnodeStore` — the per-vnode container;
-* :class:`DHTStorage` — the DHT-wide coordinator that routes puts/gets and
-  performs migrations, keeping counters that the examples and tests use to
-  quantify data movement.
+Every key hashes to an index of ``R_h``, the index falls in exactly one
+partition, and the vnode owning that partition stores the item; when the
+balancer hands a partition to another vnode, its items migrate with it.
+:class:`VnodeStore` is the per-vnode container, :class:`DHTStorage` the
+DHT-wide coordinator that routes writes and reads, migrates partitions and
+counts the data moved.  ``docs/architecture.md`` ("The vectorized batch
+engine") is the long form of what follows.
 
 Every store is a **hash tier + one index-sorted run + an unsorted tail**:
+a dict of ``key -> (index, value)`` for point writes, then columnar
+batches (numpy key/index/value arrays): the *run*, every pending row
+stably sorted by hash index, and the *tail*, the batches
+:meth:`VnodeStore.put_many` appended since, in write order.  A partition
+is a ``[start, last]`` range, and on the run a range is a slice (two
+``searchsorted`` calls), so counting, copying, popping and retaining a
+range never bucket rows one by one.  The passes that rewrite or copy a
+store anyway, and the reads, establish the run (one stable sort of run +
+tail); a partition handover's segments are spliced into it without a
+sort.  ``put_many`` stays an O(1) append, and
+:meth:`VnodeStore.count_buckets` never replaces a segment.
 
-* the *hash tier* — one dict of ``key -> (index, value)`` tuples per vnode,
-  serving point writes (and reads of what they wrote) in O(1);
-* the *segment tier* — columnar batches (numpy key/index/value arrays) that
-  never materialize a per-key python object.  Its first segment may be the
-  *run*: every pending row sorted by hash index (stable, so the rows of one
-  key — one index — keep their write order); the segments after it are the
-  *tail*, the batches :meth:`VnodeStore.put_many` appended since, in O(1)
-  each and in write order.
+*Reads never fold:* ``get`` / ``get_many`` / ``contains`` binary-search
+the run at the key's hash index, newest row first, and fall back to the
+hash tier; only a :attr:`VnodeStore.foreign` store (one handed a row under
+another index) scans its run on a miss.  *Overwrites of run keys land in
+place* when the run's value column holds the value as is.  *Other writes
+fold:* every other ``put``, and every ``delete``, first merges every
+pending row into the hash tier in write order, so pending rows are always
+newer than hash-tier rows.  *Views never fold:*
+:meth:`VnodeStore.newest_rows` gives, per range, the newest row of each
+key as columns (vectorized last-write-wins), and ``len``, ``items`` and
+the deep replica check read it.  Migration slices rows out of the run and
+the target adopts them still columnar, so per-key python objects are only
+ever materialized by point writes.  Fixed-width values stay native
+(``V{width}``) from the wire to the run and back, and leave a store as
+``bytes``.
 
-The paper's unit of balancing is the partition — a contiguous
-``[start, last]`` range of the hash space — and on a sorted run a range is a
-slice: ``lo = searchsorted(run_index, starts, "left")``, ``hi =
-searchsorted(run_index, lasts, "right")``, counts are ``hi - lo``, buckets
-are contiguous slice copies, and what a pop or a retain leaves behind is one
-``concatenate`` of the gaps.  No per-row bucketing, no fancy indexing.
-
-*Who establishes the run:* the passes that rewrite or copy a store anyway
-— :meth:`VnodeStore.pop_buckets`, :meth:`VnodeStore.copy_buckets`,
-:meth:`VnodeStore.drop_outside`, :meth:`VnodeStore.adopt_parts` and
-:meth:`DHTStorage.replay_vnode` (which rebuilds the store by running what
-its disk holds through :meth:`VnodeStore.replay`) — and the reads.  They
-concatenate run + tail and sort once; timsort merges the presorted pieces
-at memcpy-like speed.  *Adopts splice:* a partition
-handover's segments are sorted, pairwise disjoint and hold no run row
-between their first and last index, so ``adopt_parts`` builds the new run by
-concatenating run slices and segments in index order instead of re-sorting
-the whole store; any other adoption is concatenated and stably sorted.
-*Who may not:* ``put_many`` / ``bulk_load`` stay O(1) appends, and the
-counting pass (:meth:`VnodeStore.count_buckets`, hence
-``verify_replication`` and load measurement) binary-searches the run and
-scans the tail but never replaces a segment — rewriting every store of a
-freshly bulk-loaded cluster to verify it costs memory the allocator does
-not hand back.  The run's arrays are always fresh copies the store owns,
-never a caller's ``put_many`` arrays or a view of a receive buffer.
-
-*Reads never fold.*  :meth:`VnodeStore.get`, :meth:`VnodeStore.get_many`
-and :meth:`VnodeStore.contains` search the run in place: the caller's hash
-index is binary-searched in the run's index column and the key compared
-within that index's span, newest row first (the stable sort leaves the
-newest row of an equal-index span last).  Only what the run does not hold
-comes from the hash tier.  A key in neither is absent: every row sits at
-its key's hash index unless the store is :attr:`VnodeStore.foreign`, which
-:class:`DHTStorage` sets when a caller hands it a row under another index;
-only such a store scans its run on a miss.  *Overwrites of run keys land in
-place:* a :meth:`VnodeStore.put` of a key whose newest row is in the run,
-with no hash-tier row, writes the value into that run row when the value
-column holds it as is (any value in an ``object`` column, ``width`` bytes in
-a ``V{width}`` one).  *Other writes fold:* every other ``put``, and every
-:meth:`VnodeStore.delete`, first merges every pending row into the hash
-tier — run first, tail after, write order per key — so pending rows are
-always newer than hash-tier rows, and later writes win exactly as they
-would with per-key puts.  The whole-store views (``items``, ``len``,
-``raw_dict``) fold too.  This is what lets :meth:`DHTStorage.put_batch`
-ingest millions of keys at array speed, and :meth:`DHTStorage.get_batch`
-serve and point puts overwrite them, without ever boxing a row into a
-per-key python object.  Fixed-width values stay native (``V{width}``) from
-the wire to the run and back; a value leaves a store as ``bytes``
-(``item``, ``tolist``), never as ``numpy.void``.
-
-Migration is *segment-preserving*: moving a partition's range out of a
-store slices it out of the run instead of merging into the hash tier first
-(:meth:`VnodeStore.pop_buckets`), and the moved rows are adopted by the
-target store still columnar (:meth:`VnodeStore.adopt_parts`).  A churn burst
-over freshly bulk-loaded data therefore runs at array speed end to end — the
-per-key python objects are only ever materialized by point writes and
-whole-store views, never by reads or rebalancing.  Rows of the hash tier
-take the per-row path of the same primitives (:func:`_bucket_rows`).
-
-Since the replication extension (:mod:`repro.core.replication`), every
-vnode also owns a **replica store** — a second :class:`VnodeStore` holding
-the rows it keeps as a non-primary replica of partitions owned elsewhere.
-Replica stores are deliberately separate from the primary stores: routing,
-migration and the storage-consistency invariant never see them, and
-:meth:`DHTStorage.item_count` keeps counting *logical* items while
-:meth:`DHTStorage.fast_item_count` counts physical rows across both tiers
-(``replication_factor × logical`` when fully synced).  The same range
-primitives (:meth:`VnodeStore.count_buckets`, :meth:`VnodeStore.copy_buckets`,
-:meth:`VnodeStore.drop_outside`) give the replica sync and crash-recovery
-passes the merge-free columnar speed of migration.
+Every vnode also owns a **replica store** (:mod:`repro.core.replication`),
+kept apart from the primary stores: routing, migration and the storage
+invariant never see it; :meth:`DHTStorage.item_count` counts *logical*
+items, :meth:`DHTStorage.fast_item_count` physical rows of both tiers.
 """
 
 from __future__ import annotations
@@ -248,10 +193,6 @@ def _comparable_keys(keys: np.ndarray) -> np.ndarray:
     return keys.astype(object) if keys.dtype.kind == "V" else keys
 
 
-def _is_sorted(column: np.ndarray) -> bool:
-    return len(column) < 2 or bool(np.all(column[:-1] <= column[1:]))
-
-
 def _splice(run: Optional[_Segment], segments: Sequence[_Segment]) -> Optional[_Segment]:
     """The index-sorted run holding ``run``'s rows and ``segments``', built by
     concatenating run slices and segments in index order — or ``None`` when
@@ -261,7 +202,7 @@ def _splice(run: Optional[_Segment], segments: Sequence[_Segment]) -> Optional[_
     handover meets the conditions.  The result never shares an array with
     ``run`` or ``segments``."""
     dtype = segments[0][1].dtype if run is None else run[1].dtype
-    if any(s[1].dtype != dtype or not _is_sorted(s[1]) for s in segments):
+    if any(s[1].dtype != dtype or np.any(s[1][1:] < s[1][:-1]) for s in segments):
         return None
     ordered = sorted(segments, key=lambda s: s[1].item(0))
     for before, after in zip(ordered, ordered[1:]):
@@ -287,6 +228,49 @@ def _splice(run: Optional[_Segment], segments: Sequence[_Segment]) -> Optional[_
     return _concat_segments(pieces)
 
 
+def _take(rows: _Segment, selector) -> _Segment:
+    return tuple(None if column is None else column[selector] for column in rows)
+
+
+def _newest(
+    pairs: Sequence[Tuple[Hashable, Tuple[int, Any]]],
+    segments: Sequence[_Segment],
+    dtype: np.dtype,
+    newest: Optional[Dict[Hashable, Any]],
+) -> _Segment:
+    """The newest row of each key among one range's parts, index-sorted:
+    ``pairs`` (hash-tier rows; indexes in ``dtype``) are older than the run
+    slices ``segments``, so after a stable sort by index a row loses to a
+    later row of its key in its equal-index span.  ``newest``
+    (:meth:`VnodeStore._newest_index`) also drops a foreign store's rows
+    under another index than their key's newest."""
+    pieces = list(segments)
+    if pairs:
+        indexes = np.empty(len(pairs), dtype=dtype)
+        indexes[:] = [item[0] for _, item in pairs]
+        values = as_object_column([item[1] for _, item in pairs])
+        pieces.insert(0, (as_object_column([key for key, _ in pairs]), indexes, values))
+    if not pieces:
+        return np.empty(0, dtype=object), np.empty(0, dtype=dtype), None
+    rows = _concat_segments(pieces)
+    if pairs:
+        rows = _take(rows, np.argsort(rows[1], kind="stable"))
+    keys, indexes, _ = rows
+    keep = np.ones(len(keys), dtype=bool)
+    shared = np.flatnonzero(indexes[1:] == indexes[:-1])
+    if shared.size:
+        span = np.union1d(shared, shared + 1)
+        last = dict(zip(zip(indexes[span].tolist(), keys[span].tolist()), span.tolist()))
+        keep[span] = False
+        keep[list(last.values())] = True
+    if newest is not None:
+        keep &= np.array(
+            [newest[key] == index for key, index in zip(keys.tolist(), indexes.tolist())],
+            dtype=bool,
+        )
+    return rows if keep.all() else _take(rows, keep)
+
+
 def _run_slice(run: _Segment, lo: int, hi: int) -> _Segment:
     keys, indexes, values = run
     return keys[lo:hi], indexes[lo:hi], None if values is None else values[lo:hi]
@@ -307,6 +291,22 @@ def join_parts(buckets: Sequence[_Parts]) -> _Parts:
     )
 
 
+def same_rows(mine: _Segment, theirs: _Segment) -> bool:
+    """Whether two :meth:`VnodeStore.newest_rows` views hold the same rows:
+    column by column, else — an equal-index span may list its keys in
+    another order on each side — as ``(key, index) -> value`` dicts."""
+    if len(mine[0]) != len(theirs[0]):
+        return False
+    views = [
+        [np.full(len(keys), None) if c is None else _comparable_keys(c) for c in (keys, *rest)]
+        for keys, *rest in (mine, theirs)
+    ]
+    if all(np.all(a == b) for a, b in zip(*views)):
+        return True
+    rows = [dict(zip(zip(k.tolist(), i.tolist()), v.tolist())) for k, i, v in views]
+    return rows[0] == rows[1]
+
+
 class StoredItem(NamedTuple):
     """A stored value plus the hash index its key mapped to."""
 
@@ -319,11 +319,12 @@ class VnodeStore:
 
     Point writes work against the hash tier (``_items``); bulk batches land
     in the segment tier (``_segments``): one index-sorted run followed by
-    the batches written since.  Reads search the run in place and may
-    establish it, but never fold it into the hash tier; a point write
-    overwrites its key's run row in place or folds it first, deletes and
-    whole-store views fold it first.  Only :meth:`count_buckets` is
-    strictly read-only.  See the module docstring for the layout.
+    the batches written since.  Reads and whole-store views
+    (:meth:`newest_rows`, ``len``, :meth:`items`) search or copy the run
+    and may establish it, but never fold it into the hash tier; a point
+    write overwrites its key's run row in place or folds it first, a
+    delete folds it first.  Only :meth:`count_buckets` leaves even the
+    segment arrays in place.  See the module docstring for the layout.
     """
 
     __slots__ = ("vnode", "_items", "_segments", "_sorted", "foreign", "durable")
@@ -340,7 +341,8 @@ class VnodeStore:
         #: index (see :class:`DHTStorage`, which checks the indexes callers
         #: hand it).  Until then a read that misses the key's index span and
         #: the hash tier is a miss; after, it scans the run.  Moves carry the
-        #: flag to the adopting store; only :meth:`wipe` clears it.
+        #: flag to the adopting store; only :meth:`wipe` clears it.  Set it
+        #: through :meth:`mark_foreign`, which logs it.
         self.foreign = False
         #: Optional durability tier (WAL + checkpoint files) of this store.
         #: ``None`` — the default, and always the case for replica stores —
@@ -353,7 +355,16 @@ class VnodeStore:
         durable = self.durable
         durable.append(op)
         if durable.should_checkpoint():
-            durable.checkpoint(self._items, self._segments)
+            durable.checkpoint(self._items, self._segments, self.foreign)
+
+    def mark_foreign(self) -> None:
+        """Set :attr:`foreign`; a durable store logs the change (one WAL
+        record), so a restart replays every later write under the flag the
+        live store had."""
+        if not self.foreign:
+            self.foreign = True
+            if self.durable is not None:
+                self._log(("foreign",))
 
     # -- segment tier ----------------------------------------------------------
 
@@ -547,23 +558,44 @@ class VnodeStore:
     def __contains__(self, key: Hashable) -> bool:
         return self.contains(key)
 
+    # -- read-only columnar views ------------------------------------------------
+
+    def _newest_index(self) -> Optional[Dict[Hashable, Any]]:
+        """``key -> index`` of the row a fold would keep, for a :attr:`foreign`
+        store, a key of which may sit under several indexes; else ``None``."""
+        if not self.foreign:
+            return None
+        newest = {key: item[0] for key, item in self._items.items()}
+        run = self._sorted_run()
+        if run is not None:
+            newest.update(zip(run[0].tolist(), run[1].tolist()))
+        return newest
+
+    def newest_rows(self, starts: np.ndarray, lasts: np.ndarray) -> List[_Segment]:
+        """Per ``[start, last]`` range, the rows a fold would leave in it —
+        the newest row of each key — as index-sorted ``(keys, indexes,
+        values)`` columns (``values`` ``None`` when every value is):
+        :meth:`copy_buckets`' parts after vectorized last-write-wins
+        (:func:`_newest`).  Never folds, never logs."""
+        newest = self._newest_index()
+        return [_newest(*parts, starts.dtype, newest) for parts in self.copy_buckets(starts, lasts)]
+
+    def _all_newest(self) -> _Segment:
+        """:meth:`newest_rows` over the whole store, as one triple."""
+        run = self._sorted_run()
+        dtype = np.dtype(object) if run is None else run[1].dtype
+        return _newest(list(self._items.items()), [run] if run else [], dtype, self._newest_index())
+
     def __len__(self) -> int:
-        if self._segments:
-            self._merge_segments()
-        return len(self._items)
+        return len(self._all_newest()[0])
 
     def items(self) -> Iterator[Tuple[Hashable, StoredItem]]:
-        """Iterate over ``(key, stored_item)`` pairs."""
-        if self._segments:
-            self._merge_segments()
-        for key, item in self._items.items():
-            yield key, StoredItem(*item)
-
-    def raw_dict(self) -> Dict[Hashable, Tuple[int, Any]]:
-        """The merged ``key -> (index, value)`` dict (internal fast path)."""
-        if self._segments:
-            self._merge_segments()
-        return self._items
+        """Iterate over ``(key, stored_item)`` pairs, in hash-index order;
+        never folds (see :meth:`newest_rows`)."""
+        keys, indexes, values = self._all_newest()
+        values = [None] * len(keys) if values is None else values.tolist()
+        for key, index, value in zip(keys.tolist(), indexes.tolist(), values):
+            yield key, StoredItem(index, value)
 
     # -- segment-aware range primitives ------------------------------------------
 
@@ -789,7 +821,8 @@ class VnodeStore:
         """
         durable = self.durable
         segments = [(_comparable_keys(keys), idx, values) for keys, idx, values in segments]
-        self.foreign = self.foreign or foreign
+        if foreign:
+            self.mark_foreign()
         if durable is not None:
             pairs = list(pairs)
             if pairs:
@@ -806,7 +839,7 @@ class VnodeStore:
             else:
                 self._set_run(run)
         if durable is not None and durable.should_checkpoint():
-            durable.checkpoint(self._items, self._segments)
+            durable.checkpoint(self._items, self._segments, self.foreign)
 
     def materialize_segments(self, owns) -> int:
         """Copy pending-segment columns out of foreign-owned memory.
@@ -838,13 +871,15 @@ class VnodeStore:
         that logged it, with logging off — so every ``put`` makes the same
         in-place-or-fold decision it made live.  ``index_column`` turns a
         logged range's bound list into an index column
-        (:meth:`DHTStorage.range_arrays`' dtype).  A ``del`` of an absent
-        key — its row was in a checkpoint a corrupt manifest hid — is
-        skipped.
+        (:meth:`DHTStorage.range_arrays`' dtype).  :attr:`foreign` starts
+        at the checkpoint's value and is set again where a ``foreign``
+        record was logged.  A ``del`` of an absent key — its row was in a
+        checkpoint a corrupt manifest hid — is skipped.
         """
         durable, self.durable = self.durable, None
         try:
             self._clear()
+            self.foreign = state.foreign
             if state.hash_tier is not None:
                 self._segments = [state.hash_tier]
                 self._merge_segments()
@@ -870,6 +905,8 @@ class VnodeStore:
                     self.pop_buckets(index_column(op[1]), index_column(op[2]))
                 elif kind == "retain":
                     self.drop_outside(index_column(op[1]), index_column(op[2]))
+                elif kind == "foreign":
+                    self.mark_foreign()
                 else:
                     raise StorageError(f"unknown WAL op kind {kind!r}")
         finally:
@@ -953,8 +990,8 @@ class DHTStorage:
     a node serving the wire, a snapshot restore, a test — has its indexes
     checked against the keys' hashes, and a store handed a row under any
     other index is flagged :attr:`VnodeStore.foreign`, so its reads still
-    find the row.  A store re-attached to a log it did not write
-    (``register_vnode(fresh=False)``) is flagged too.
+    find the row.  The flag is logged, so a store re-attached to its log
+    (``register_vnode(fresh=False)``) gets it back from the replay.
     """
 
     def __init__(
@@ -996,7 +1033,6 @@ class DHTStorage:
             raise StorageError(f"storage for vnode {ref} already exists")
         log = self.durable.attach(ref, fresh=fresh) if self.durable is not None else None
         self._stores[ref] = VnodeStore(ref, durable=log)
-        self._stores[ref].foreign = log is not None and not fresh
         self._replica_stores[ref] = VnodeStore(ref)
 
     def unregister_vnode(self, ref: VnodeRef) -> VnodeStore:
@@ -1008,7 +1044,7 @@ class DHTStorage:
         re-creates them on the vnodes the new placement assigns.
         """
         store = self._store(ref)
-        if len(store) > 0:
+        if store.fast_len() > 0:
             raise StorageError(
                 f"cannot unregister vnode {ref}: {len(store)} items still stored"
             )
@@ -1113,7 +1149,8 @@ class DHTStorage:
         # A put that landed in place found the key at ``index`` in the run of
         # a store without foreign rows, so ``index`` is the key's hash index.
         if not (store.put(key, index, value) or routed or store.foreign):
-            store.foreign = self._foreign_index(key, index)
+            if self._foreign_index(key, index):
+                store.mark_foreign()
 
     def _ingest_batch(
         self,
@@ -1146,8 +1183,8 @@ class DHTStorage:
             index_arr = index_arr.astype(np.uint64)
         key_arr = _comparable_keys(np.array(as_object_column(keys)))
         value_arr = None if values is None else np.array(as_object_column(values))
-        if not (routed or store.foreign):
-            store.foreign = self._foreign_indexes(key_arr, index_arr)
+        if not (routed or store.foreign) and self._foreign_indexes(key_arr, index_arr):
+            store.mark_foreign()
         store.put_many(key_arr, index_arr, value_arr)
         return n
 
@@ -1325,7 +1362,7 @@ class DHTStorage:
 
     def replica_items_of(self, ref: VnodeRef) -> List[Tuple[Hashable, Any]]:
         """All ``(key, value)`` replica pairs held by a vnode."""
-        return [(k, item[1]) for k, item in self._replica(ref).raw_dict().items()]
+        return [(k, item.value) for k, item in self._replica(ref).items()]
 
     def wipe_vnode(self, ref: VnodeRef) -> int:
         """Destroy every row a vnode holds — primary and replica tiers.
@@ -1417,7 +1454,7 @@ class DHTStorage:
 
     def items_of(self, ref: VnodeRef) -> List[Tuple[Hashable, Any]]:
         """All primary ``(key, value)`` pairs stored at a vnode."""
-        return [(k, item[1]) for k, item in self._store(ref).raw_dict().items()]
+        return [(k, item.value) for k, item in self._store(ref).items()]
 
     def primary_rows(self, ref: VnodeRef) -> List[Tuple[Hashable, StoredItem]]:
         """All primary ``(key, (index, value))`` rows stored at a vnode.
@@ -1552,9 +1589,7 @@ class DHTStorage:
         moved = src.fast_len()
         if moved:
             dst.adopt_parts(src._items.items(), src._segments, foreign=src.foreign)
-            src._clear()
-            if src.durable is not None:
-                src.durable.reset()
+            src.wipe()  # its log is reset, so its flag must be too
             self.stats.record(moved)
         return moved
 

@@ -63,8 +63,8 @@ class TestVectorizedMigration:
         moving = oracle.rows_in([(0x4000, 0x8000)])
         moved = storage.migrate_partition(partition, vref(0), vref(1))
         assert moved == len(moving) > 0
-        assert dict(storage._store(vref(1)).raw_dict()) == moving
-        assert dict(storage._store(vref(0)).raw_dict()) == {
+        assert dict(storage._store(vref(1)).items()) == moving
+        assert dict(storage._store(vref(0)).items()) == {
             k: item for k, item in oracle.rows.items() if k not in moving
         }
         assert storage.stats.partitions_moved == 1
@@ -101,8 +101,8 @@ class TestVectorizedMigration:
         )
         assert total_bulk == total_single
         for v in range(3):
-            assert dict(bulk._store(vref(v)).raw_dict()) == dict(
-                single._store(vref(v)).raw_dict()
+            assert dict(bulk._store(vref(v)).items()) == dict(
+                single._store(vref(v)).items()
             )
         assert bulk.stats.partitions_moved == single.stats.partitions_moved
         assert bulk.stats.items_moved == single.stats.items_moved
@@ -186,7 +186,7 @@ class TestVectorizedMigration:
         bh = dht.hash_space.bh
         for ref, vnode in dht.vnodes.items():
             ranges = [(p.start(bh), p.end(bh)) for p in vnode.partitions]
-            assert dict(dht.storage.primary_store(ref).raw_dict()) == oracle.rows_in(ranges)
+            assert dict(dht.storage.primary_store(ref).items()) == oracle.rows_in(ranges)
         assert dht.storage.total_items() == 20_000
 
 
@@ -400,8 +400,9 @@ class TestChurnEngine:
             # Simulate a migration bug: drop an item behind the DHT's back.
             ref = next(iter(dht_.vnodes))
             store = dht_.storage._store(ref)
-            if store.raw_dict():
-                store.raw_dict().pop(next(iter(store.raw_dict())))
+            for key, _ in store.items():
+                store.delete(key)
+                break
 
         engine._apply_topology = leaky
         with pytest.raises(ReproError, match="conservation"):

@@ -150,13 +150,13 @@ def restart_bit_for_bit(dht, snode_id) -> None:
     node = dht.get_snode(snode_id)
     durable = dht.storage.durable is not None
     pre = {
-        ref: dict(dht.storage._store(ref).raw_dict()) for ref in node.vnodes
+        ref: dict(dht.storage._store(ref).items()) for ref in node.vnodes
     }
     report = dht.restart_snode(snode_id)
     assert report.snode == snode_id.value
     if durable:
         for ref, want in pre.items():
-            got = dht.storage._store(ref).raw_dict()
+            got = dict(dht.storage._store(ref).items())
             assert got == want, (
                 f"vnode {ref} recovered {len(got)} rows != pre-kill {len(want)}"
             )

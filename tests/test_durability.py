@@ -13,6 +13,7 @@ disk intact) restarts and serves every acknowledged write even with
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def replayed(state) -> dict:
     """The ``key -> (index, value)`` content of a store replaying ``state``."""
     store = VnodeStore(VnodeRef(SnodeId(0), 0))
     store.replay(state, _uint64_bounds)
-    return dict(store.raw_dict())
+    return dict(store.items())
 
 
 def _object_column(items) -> np.ndarray:
@@ -407,12 +408,27 @@ class TestRestartEndToEnd:
         keys = uniform_keys(200, rng=7)
         values = [f"v-{i}" for i in range(len(keys))]
         dht.bulk_load(keys, values)
-        restored = restore_dht(snapshot_dht(dht))
+        snapshot = snapshot_dht(dht)
+        restored = restore_dht(snapshot, data_dir=str(tmp_path / "restored"))
         opened.append(restored)
-        assert restored.config.durability == dht.config.durability
+        assert restored.config.durability == replace(
+            dht.config.durability, data_dir=str(tmp_path / "restored")
+        )
         assert restored.storage.item_count() == 200
         assert restored.get_many(list(keys)) == values
         restored.check_invariants()
+
+    def test_restoring_into_a_live_data_dir_is_refused(self, cls, tmp_path, opened):
+        """The live DHT's vnode directories are never deleted under it."""
+        dht = self.build(cls, tmp_path, opened, factor=1)
+        keys = uniform_keys(200, rng=7)
+        values = [f"v-{i}" for i in range(len(keys))]
+        dht.bulk_load(keys, values)
+        with pytest.raises(DurabilityError, match="held by another open"):
+            restore_dht(snapshot_dht(dht))
+        for sid in sorted(dht.snodes):
+            dht.restart_snode(sid)  # replays every vnode's WAL from disk
+        assert dht.get_many(list(keys)) == values
 
 
 class TestCorruptManifest:
@@ -553,7 +569,7 @@ class TestRestartLeavesWhatItFound:
         tiers = (len(store._items), store.pending_item_count())  # all folded
         probes = [*keys.tolist(), new_key]
         values = [storage.get(ref, key) for key in probes]
-        content = dict(storage.primary_store(ref).raw_dict())
+        content = dict(storage.primary_store(ref).items())
         assert count == 101
 
         storage.lose_vnode_memory(ref)
@@ -561,9 +577,37 @@ class TestRestartLeavesWhatItFound:
         assert storage.fast_primary_count(ref) == count
         # Each row is back in its tier, so the next put decides as it would have.
         assert (len(store._items), store.pending_item_count()) == tiers
-        assert dict(store.raw_dict()) == content
+        assert dict(store.items()) == content
         assert [storage.get(ref, key) for key in probes] == values
         storage.durable.close()
+
+    def test_a_store_flagged_after_an_in_place_overwrite_reboots_with_its_tiers(
+        self, tmp_path, flush_threshold
+    ):
+        """``foreign`` is logged: a rebooted process replays the overwrite in
+        place, as the live store ran it, and sets the flag after it."""
+        storage, ref = _restartable(tmp_path, flush_threshold)
+        keys = np.arange(100, dtype=np.int64)
+        indexes = storage.hash_space.hash_keys(keys)
+        storage.put_batch(ref, keys, indexes, [f"v{k}" for k in range(100)])
+        assert storage.primary_store(ref).put(5, int(indexes[5]), "overwritten")  # in place
+        wrong = (storage.hash_space.hash_key(1000) + 1) % storage.hash_space.size
+        storage.put_batch(ref, [1000], [wrong], ["foreign"])  # flags the store
+        store = storage.primary_store(ref)
+        assert store.foreign
+        tiers = (len(store._items), store.pending_item_count())
+        content = dict(store.items())
+        storage.durable.close()
+
+        rebooted = DHTStorage(storage.hash_space, durability=storage.durable.config)
+        rebooted.register_vnode(ref, fresh=False)
+        rebooted.replay_vnode(ref)
+        store = rebooted.primary_store(ref)
+        assert store.foreign
+        assert (len(store._items), store.pending_item_count()) == tiers
+        assert dict(store.items()) == content
+        assert rebooted.get(ref, 1000, wrong) == "foreign"
+        rebooted.durable.close()
 
 
 def test_a_checkpointed_run_keeps_its_native_dtypes(tmp_path):

@@ -12,8 +12,8 @@ module pins that guarantee:
   :class:`~repro.core.local_model.LocalDHT`;
 * the resulting :class:`~repro.workloads.churn.ChurnReport` (timing fields
   stripped), the full :func:`~repro.core.snapshot.snapshot_dht` dictionary
-  and the merged per-vnode ``raw_dict`` contents (primary and replica
-  tiers) are canonically serialized and compared against goldens pinned
+  and every vnode's ``primary_rows`` and ``replica_rows`` are canonically
+  serialized and compared against goldens pinned
   from pre-refactor HEAD (``tests/goldens/engine_equivalence.json``).
 
 Regenerating the goldens (only legitimate when a PR *intentionally* changes

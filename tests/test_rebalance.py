@@ -352,7 +352,7 @@ class TestLoadRebalanceProperties:
         bh = dht.config.bh
         for ref, vnode in dht.vnodes.items():
             ranges = [(p.start(bh), p.end(bh)) for p in vnode.partitions]
-            assert dict(dht.storage.primary_store(ref).raw_dict()) == oracle.rows_in(ranges)
+            assert dict(dht.storage.primary_store(ref).items()) == oracle.rows_in(ranges)
 
     def test_plan_round_rejects_bad_tolerance(self):
         dht = build_cluster("local", 4, 2, pmin=4, vmin=4, seed=0)

@@ -149,7 +149,7 @@ class TestVnodeStoreRangePrimitives:
         starts, lasts = self._halves(storage)
         for pairs, segments in store.copy_buckets(starts, lasts):
             storage._store(vref(1)).adopt_parts(pairs, segments)
-        assert dict(storage._store(vref(1)).raw_dict()) == dict(store.raw_dict())
+        assert dict(storage._store(vref(1)).items()) == dict(store.items())
 
     def test_drop_outside_keeps_only_given_ranges(self):
         storage = self._loaded_storage()
@@ -159,7 +159,7 @@ class TestVnodeStoreRangePrimitives:
         dropped = store.drop_outside(starts, lasts)
         assert dropped == 16
         assert store.fast_len() == 16
-        assert all(item[0] < size // 2 for _, item in store.raw_dict().items())
+        assert all(item[0] < size // 2 for _, item in store.items())
 
     def test_wipe_destroys_everything(self):
         storage = self._loaded_storage()

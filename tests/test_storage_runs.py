@@ -9,7 +9,10 @@
   ``V{w}`` or no values, overwrites of run keys land in the run, adopts
   splice disjoint segments or sort overlapping ones, and point and batch
   reads — of absent keys too — must answer from the model's last write
-  without ever growing the hash tier;
+  without ever growing the hash tier; the whole-store views (``len``,
+  ``items``, ``item_count``) and ``verify_replication(deep=True)`` must
+  leave every store's tiers, ``fast_len`` and flag as they were, and a
+  durable store killed right after them must replay to the same;
 * read-only passes (``count_buckets``, ``verify_replication``) must leave
   every segment array in place — rewriting them is what raised
   ``peak_rss_mb`` on a bulk-loaded cluster;
@@ -42,6 +45,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core import DHTStorage, HashSpace, Partition, SnodeId, VnodeRef
 from repro.core.durability import DurabilityConfig, DurabilityStats, DurableVnodeStore
 from repro.core.errors import InvariantViolation
+from repro.core.replication import ReplicaPlacement, sync_replicas, verify_replica_consistency
 from repro.core.storage import VnodeStore, join_parts
 from repro.utils.arrays import concat_columns
 from repro.workloads.driver import build_cluster
@@ -391,6 +395,52 @@ class StoreMachine(RuleBasedStateMachine):
         model.hash = {k: item for k, item in model.hash.items() if kept(item[0])}
         model.pending = [row for row in model.pending if kept(row[1])]
 
+    @rule()
+    def views(self):
+        """Whole-store views and the deep replica check are read-only: every
+        store keeps its tiers, row count and flag, and a durable store
+        killed right after them replays to the same."""
+        def state():
+            return [
+                (len(store._items), store.pending_item_count(), store.fast_len(), store.foreign)
+                for store in self.stores
+            ]
+
+        before = state()
+        storage, placement = self._replicated()
+        for s, (store, model) in enumerate(zip(self.stores, self.models)):
+            merged = model.merged()
+            assert len(store) == storage.item_count(vref(s)) == len(merged)
+            assert dict(store.items()) == merged
+        verify_replica_consistency(storage, placement, deep=True)
+        assert state() == before
+        if self.durable:
+            for store in self.stores:
+                store.lose_memory()
+                store.replay(store.durable.recover(), self._index_column)
+            assert state() == before
+
+    def _replicated(self):
+        """A storage holding both stores as primaries, each range replicated
+        on the store that does not own it, synced."""
+        storage = DHTStorage(HashSpace(self.bh))
+        refs = [vref(0), vref(1)]
+        for ref, store in zip(refs, self.stores):
+            storage._stores[ref] = store
+            storage._replica_stores[ref] = VnodeStore(ref)
+        partitions = tuple(Partition(3, r) for r in range(N_RANGES))
+        replicas = tuple((refs[1 - s],) for s in self.owner)
+        placement = ReplicaPlacement(
+            n_ranks=1, version=0, partitions=partitions,
+            primaries=tuple(refs[s] for s in self.owner), replicas=replicas,
+            by_partition=dict(zip(partitions, replicas)),
+            positions_of={
+                ref: tuple(r for r in range(N_RANGES) if replicas[r] == (ref,)) for ref in refs
+            },
+        )
+        sync_replicas(storage, placement)
+        return storage, placement
+
     @rule(s=st.integers(0, 1))
     def replay(self, s):
         """The WAL (and checkpoints) replay to the live content."""
@@ -402,7 +452,7 @@ class StoreMachine(RuleBasedStateMachine):
         replayed = VnodeStore(vref(9))
         replayed.replay(state, self._index_column)
         assert replayed.fast_len() == self.stores[s].fast_len()
-        assert replayed.raw_dict() == self.models[s].merged()
+        assert dict(replayed.items()) == self.models[s].merged()
 
     # -- checked after every step ------------------------------------------------
 
@@ -422,7 +472,7 @@ class StoreMachine(RuleBasedStateMachine):
                 if self.durable:
                     self._check_replay(s)
                     store.durable.destroy()
-                assert dict(store.raw_dict()) == model.merged()
+                assert dict(store.items()) == model.merged()
         finally:
             if self.durable:
                 shutil.rmtree(self.data_dir, ignore_errors=True)
@@ -608,11 +658,11 @@ def test_consolidated_store_replays_to_the_same_rows(tmp_path):
     moved = storage.migrate_partition(Partition(2, 1), vref(0), vref(1))
     assert moved and store._sorted
     for ref in (vref(0), vref(1)):
-        live = dict(storage.primary_store(ref).raw_dict())
+        live = dict(storage.primary_store(ref).items())
         storage.lose_vnode_memory(ref)
         assert storage.primary_store(ref).fast_len() == 0
         storage.replay_vnode(ref)
-        assert dict(storage.primary_store(ref).raw_dict()) == live
+        assert dict(storage.primary_store(ref).items()) == live
     assert storage.item_count() == 400
     owner = vref(0) if storage.contains(vref(0), 150) else vref(1)
     assert storage.get(owner, 150) == "b150"  # the later batch still wins
@@ -694,7 +744,7 @@ def test_replay_through_the_store_equals_the_live_store(ops, flush_threshold):
         replayed = VnodeStore(vref(1))
         replayed.replay(live.durable.recover(), _uint64_bounds)
         assert replayed.fast_len() == live.fast_len()
-        assert replayed.raw_dict() == live.raw_dict()
+        assert dict(replayed.items()) == dict(live.items())
         live.durable.close()
 
 
@@ -707,7 +757,7 @@ def test_replay_of_a_drop_and_a_point_delete_through_the_store(tmp_path):
     log.append(("del", 3))
     store = VnodeStore(vref(0))
     store.replay(log.recover(), _uint64_bounds)
-    assert store.raw_dict() == {1: (10, None)}
+    assert dict(store.items()) == {1: (10, None)}
     log.close()
 
 
@@ -894,3 +944,25 @@ def test_a_row_under_a_foreign_index_flags_the_store_and_travels():
     assert not storage.primary_store(vref(0)).foreign
     storage.put(vref(0), "y", 7, "w")
     assert storage.primary_store(vref(0)).foreign
+
+
+def test_the_views_of_a_foreign_store_keep_each_key_once():
+    """A foreign store may hold one key under several indexes: its views
+    keep only the row a fold would keep, in the hash tier or the run."""
+    storage = DHTStorage(HashSpace(16))
+    storage.register_vnode(vref(0))
+    store = storage.primary_store(vref(0))
+    storage.put(vref(0), "h", 40, "old")  # hash tier, then a newer run row
+    storage.put_batch(vref(0), ["k", "h", "j"], [9, 30, 50], ["k-old", "new", "j"])
+    storage.put_batch(vref(0), ["k"], [20], ["k-new"])
+    assert store.foreign
+    tiers = (len(store._items), store.pending_item_count())
+    want = {"h": (30, "new"), "j": (50, "j"), "k": (20, "k-new")}
+    assert len(store) == 3
+    assert dict(store.items()) == want
+    starts, lasts = storage.range_arrays([(0, 19), (20, 39), (40, 65535)])
+    views = store.newest_rows(starts, lasts)
+    assert [list(zip(*(column.tolist() for column in view))) for view in views] == [
+        [], [("k", 20, "k-new"), ("h", 30, "new")], [("j", 50, "j")],
+    ]
+    assert (len(store._items), store.pending_item_count()) == tiers
