@@ -4,7 +4,7 @@
 The engine core (:mod:`repro.core.engine`) is the transport-agnostic heart
 of the DHT; keeping its dependency arrows pointed the right way is what
 lets a future networked runtime reuse it unchanged.  This lint AST-walks
-every module under ``src/repro`` and enforces seven rules:
+every module under ``src/repro`` and enforces eight rules:
 
 1. **engine isolation** — modules in ``repro.core.engine`` import nothing
    from ``repro.sim``, ``repro.cluster``, ``repro.workloads``,
@@ -42,7 +42,12 @@ every module under ``src/repro`` and enforces seven rules:
    store's pending rows into its hash tier) is referenced only inside
    :data:`FOLD_ALLOWED`: the point writes that must fold and the replay
    that repeats them.  Views and checks read the columns instead
-   (``VnodeStore.newest_rows``), so a fold cannot creep back into one.
+   (``VnodeStore.newest_rows``), so a fold cannot creep back into one;
+8. **one way in** — ``VnodeStore.put_row`` and ``VnodeStore.put_many``
+   (a store's point and batch writes) are referenced only inside
+   :data:`WRITE_ALLOWED`, whose ``DHTStorage`` checks every row the router
+   did not index against its key's hash first.  No module writes rows
+   past that check; ``VnodeStore.adopt_parts`` stays the move path.
 
 Run from the repository root (CI does)::
 
@@ -102,7 +107,11 @@ _UNPICKLERS = ("load", "loads", "Unpickler")
 _MODEL_CLASSES = ("GlobalDHT", "LocalDHT")
 
 #: The only functions that may fold a store into its hash tier (rule 7).
-FOLD_ALLOWED = ("VnodeStore.put", "VnodeStore.delete", "VnodeStore.replay")
+FOLD_ALLOWED = ("VnodeStore.put_row", "VnodeStore.delete", "VnodeStore.replay")
+
+#: A store's own write methods (rule 8), and the one module that may call them.
+STORE_WRITES = ("put_row", "put_many")
+WRITE_ALLOWED = "src/repro/core/storage.py"
 
 
 def _iter_modules() -> Iterator[Path]:
@@ -385,9 +394,26 @@ def check_folds() -> List[str]:
     return errors
 
 
+def check_one_way_in() -> List[str]:
+    """Rule 8: a store's write methods referenced outside :data:`WRITE_ALLOWED`."""
+    errors: List[str] = []
+    for path in _iter_modules():
+        rel = path.relative_to(REPO_ROOT).as_posix()
+        if rel == WRITE_ALLOWED:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=rel)):
+            if isinstance(node, ast.Attribute) and node.attr in STORE_WRITES:
+                errors.append(
+                    f"{rel}:{node.lineno}: writes a store with {node.attr} (rows enter "
+                    f"through DHTStorage's put / put_batch, moves through adopt_parts)"
+                )
+    return errors
+
+
 def main() -> int:
     errors = (
-        check() + check_dead_symbols() + check_unpickling() + check_one_model() + check_folds()
+        check() + check_dead_symbols() + check_unpickling() + check_one_model()
+        + check_folds() + check_one_way_in()
     )
     if errors:
         print(f"check_layering: {len(errors)} violation(s)")

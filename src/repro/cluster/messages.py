@@ -40,9 +40,8 @@ _TYPE_CODE = struct.Struct("!H")
 #: Fixed header of a columnar body after the type code: ``src``, ``dst``.
 _ENDPOINTS = struct.Struct("!qq")
 
-#: Segment count of a :class:`RangeAdopt` body; its top bit is ``foreign``.
+#: Segment count of a :class:`RangeAdopt` body.
 _SEGMENTS = struct.Struct("!I")
-_FOREIGN = 1 << 31
 
 #: ``type code -> message class``, filled by ``Message.__init_subclass__``
 #: from the code each class declares.
@@ -407,11 +406,10 @@ class RangeAdopt(Message, code=17):
     of :mod:`repro.core.storage`, as copied out of the source's buckets.  On
     the wire they travel joined: the hash-tier pairs as one ``(keys,
     indexes, values)`` column group, then three columns per segment — so a
-    decoded message holds a single ``(pairs, segments)`` entry.  ``foreign``
-    is the source store's :attr:`~repro.core.storage.VnodeStore.foreign`
-    flag; it rides in the top bit of the segment count, so it costs no
-    byte.  Adopting the same parts twice counts their rows twice, hence not
-    retry-safe.
+    decoded message holds a single ``(pairs, segments)`` entry.  The target
+    trusts the rows to sit under their keys' hash indexes, as they did in
+    the source store.  Adopting the same parts twice counts their rows
+    twice, hence not retry-safe.
     """
 
     RETRY_SAFE = False
@@ -419,21 +417,19 @@ class RangeAdopt(Message, code=17):
     ref: str = ""
     tier: str = "primary"
     parts: Any = None
-    foreign: bool = False
 
     def size_bytes(self) -> float:
         return _measured_size(self)
 
     def encode(self) -> bytes:
         out = _columnar_head(self)
-        flag = _FOREIGN if self.foreign else 0
         if self.parts is None:
-            out.append(_SEGMENTS.pack(flag))
+            out.append(_SEGMENTS.pack(0))
             encode_column(out, None)
             return b"".join(out)
         pairs = [pair for part_pairs, _ in self.parts for pair in part_pairs]
         segments = [segment for _, part_segments in self.parts for segment in part_segments]
-        out.append(_SEGMENTS.pack(flag | len(segments)))
+        out.append(_SEGMENTS.pack(len(segments)))
         keys, items = zip(*pairs) if pairs else ((), ())
         indexes, values = zip(*items) if pairs else ((), ())
         for column in (keys, indexes, values, *(c for segment in segments for c in segment)):
@@ -443,18 +439,17 @@ class RangeAdopt(Message, code=17):
 
 def _read_range_adopt(reader: ColumnReader) -> RangeAdopt:
     head = _read_head(reader)
-    (word,) = reader.unpack(_SEGMENTS)
-    foreign, n_segments = bool(word & _FOREIGN), word & ~_FOREIGN
+    (n_segments,) = reader.unpack(_SEGMENTS)
     keys = reader.column()
     if keys is None and not n_segments:  # ``parts=None``
-        return RangeAdopt(*head, foreign=foreign)
+        return RangeAdopt(*head)
     keys, indexes, values = row_group(keys, reader.column(), reader.column())
     pairs = list(zip(keys.tolist(), zip(indexes.tolist(), values.tolist())))
     segments = [
         row_group(reader.column(), reader.column(), reader.column(), values_optional=True)
         for _ in range(n_segments)
     ]
-    return RangeAdopt(*head, parts=[(pairs, segments)], foreign=foreign)
+    return RangeAdopt(*head, parts=[(pairs, segments)])
 
 
 @dataclass(frozen=True)

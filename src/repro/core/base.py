@@ -115,16 +115,14 @@ class BaseDHT(ABC):
         processes, shared memory).
 
         Safe to call repeatedly, and the DHT stays usable: a WAL handle
-        reopens on the next append.  Zero-copy segments the bulk pipeline
-        adopted into vnode stores are materialized as private copies first,
-        so every read keeps working after close — only the worker pool and
-        its shared-memory arena go away.
+        reopens on the next append, and the stores hold their own copies of
+        every bulk-loaded column, so only the worker pool and its
+        shared-memory arena go away.
         """
         if self.storage.durable is not None:
             self.storage.durable.close()
         if self.parallel is None:
             return
-        self.storage.materialize_shared(self.parallel.owns_array)
         self.parallel.close()
         self.parallel = None
         self.data.parallel = None
@@ -534,7 +532,7 @@ class BaseDHT(ABC):
         be deleted, and no removed key is later resurrected by recovery.
         """
         result = self.lookup(key)
-        return self.data.discard(result.vnode, result.partition, key)
+        return self.data.discard(result.vnode, result.partition, key, result.index)
 
     def contains(self, key: Hashable) -> bool:
         """True if ``key`` is currently stored in the DHT (any copy)."""

@@ -34,8 +34,9 @@ manifest's segment files and decodes the WAL tail, and returns both
 tier back where it came from and running every WAL op through the
 mutator that logged it, so replay cannot drift from the live write
 semantics.  A *torn tail* — a partial or corrupt final record from a kill
-mid-append — is truncated and discarded, never fatal; a damaged segment
-file raises :class:`~repro.core.errors.DurabilityError`; a damaged
+mid-append, with no intact record after it — is truncated and discarded,
+never fatal; a corrupt record with intact records after it, and a damaged
+segment file, raise :class:`~repro.core.errors.DurabilityError`; a damaged
 manifest falls back to replaying the newest WAL on disk.
 
 **Recovery choice.**  After a restart
@@ -154,9 +155,6 @@ class RecoveredState:
     segments: List[_Columns] = field(default_factory=list)
     #: The WAL records written since the checkpoint, in write order.
     ops: List[Tuple] = field(default_factory=list)
-    #: The store's ``foreign`` flag at the checkpoint (True when a corrupt
-    #: manifest hid it: a foreign store only reads more carefully).
-    foreign: bool = False
     #: Rows read: the checkpoint's, plus those the WAL records carry.
     #: (:meth:`~repro.core.storage.DHTStorage.replay_vnode` reports the
     #: replayed store's ``fast_len`` instead.)
@@ -251,6 +249,33 @@ def _columns_from_dict(items: Dict[Any, Tuple[Any, Any]]) -> _Columns:
 def _op_rows(op: Tuple) -> int:
     """Rows a WAL record carries (deletes and range ops carry none)."""
     return 1 if op[0] == "put" else len(op[1]) if op[0] in ("batch", "pairs") else 0
+
+
+def _record_at(data: bytes, offset: int) -> Optional[bytes]:
+    """The payload of the WAL record at ``offset`` if its header fits, its
+    length fits and its CRC matches, else ``None``."""
+    if offset + _RECORD_HEADER.size > len(data):
+        return None
+    length, crc = _RECORD_HEADER.unpack_from(data, offset)
+    start = offset + _RECORD_HEADER.size
+    payload = data[start : start + length]
+    return payload if len(payload) == length and zlib.crc32(payload) == crc else None
+
+
+def _intact_record_after(data: bytes, offset: int) -> bool:
+    """Whether a non-empty record (:func:`_record_at`) starts at some byte
+    after ``offset`` — what tells a corrupt middle record from a torn tail.
+    Every byte is a candidate header; only those whose length fits the file
+    are checksummed.  A zero-filled tail holds no candidate (no record is
+    empty)."""
+    start = offset + 1
+    count = len(data) - _RECORD_HEADER.size - start + 1
+    if count <= 0:
+        return False
+    lengths = np.ndarray((count,), dtype="<u4", buffer=data, offset=start, strides=(1,))
+    room = len(data) - _RECORD_HEADER.size - np.arange(start, start + count)
+    candidates = np.flatnonzero((lengths > 0) & (lengths <= room)) + start
+    return any(_record_at(data, int(at)) for at in candidates.tolist())
 
 
 # -- per-vnode durable store ---------------------------------------------------
@@ -351,13 +376,11 @@ class DurableVnodeStore:
         self,
         items: Dict[Any, Tuple[Any, Any]],
         segments: Sequence[_Columns],
-        foreign: bool = False,
     ) -> int:
         """Flush the store's live state to a new generation of segment files.
 
         The hash tier becomes one file (named as such in the manifest), each
-        pending segment one more — written tier by tier, no merge; the
-        manifest records the store's ``foreign`` flag when it is set.  The
+        pending segment one more — written tier by tier, no merge.  The
         manifest swap (``os.replace``) is the commit point; the old
         generation's WAL and files are only deleted after it, so a kill
         anywhere leaves exactly one consistent generation to recover.
@@ -378,8 +401,6 @@ class DurableVnodeStore:
             "items": names[0] if items else None,
             "segments": names[1:] if items else names,
         }
-        if foreign:
-            manifest["foreign"] = True
         body = json.dumps(manifest).encode("utf-8")
         _write_checked(self.manifest_path, _MANIFEST_MAGIC, _MANIFEST_HEADER, (), body)
         # Commit point passed: retire the previous generation.
@@ -403,10 +424,9 @@ class DurableVnodeStore:
 
     # -- recovery --------------------------------------------------------------
 
-    def _read_manifest(self) -> Tuple[Optional[str], bool]:
+    def _read_manifest(self) -> Optional[str]:
         """Point this log at the generation installed on disk (if any);
-        return the name of its hash-tier file (``None`` when it has none)
-        and the store's ``foreign`` flag (True when the manifest is corrupt).
+        return the name of its hash-tier file (``None`` when it has none).
 
         A *missing* manifest is the legitimate fresh-vnode case (nothing was
         ever checkpointed) and points at generation 0.  A manifest that
@@ -418,25 +438,22 @@ class DurableVnodeStore:
         segment files cannot be trusted without the manifest naming the
         committed generation, but the WAL still holds every acknowledged
         write since that checkpoint — strictly better than recovering
-        silently empty as if the vnode were fresh.
+        silently empty as if the vnode were fresh.  An intact manifest
+        with a ``foreign`` field was written by a store that held rows
+        under other indexes than their keys' hashes, which no store does
+        now: it raises :class:`DurabilityError`.
         """
         try:
             _, body = _read_checked(self.manifest_path, _MANIFEST_MAGIC, _MANIFEST_HEADER)
             manifest = json.loads(body)
             generation, items = manifest["generation"], manifest["items"]
             names = ([] if items is None else [items]) + manifest["segments"]
-            foreign = manifest.get("foreign", False)
-            if (
-                type(generation) is not int
-                or not all(type(n) is str for n in names)
-                or type(foreign) is not bool
-            ):
+            if type(generation) is not int or not all(type(n) is str for n in names):
                 raise DurabilityError(f"malformed manifest {manifest!r}")
         except FileNotFoundError:  # fresh vnode: nothing checkpointed yet
-            generation, names, items, foreign = 0, [], None, False
+            generation, names, items, manifest = 0, [], None, {}
         except (DurabilityError, ValueError, KeyError, TypeError) as exc:
-            generation, names, items = self._newest_wal_generation(), [], None
-            foreign = True
+            generation, names, items, manifest = self._newest_wal_generation(), [], None, {}
             self.stats.manifests_corrupt += 1
             warnings.warn(
                 f"corrupt manifest in {self.directory} ({exc!r}); checkpoint "
@@ -445,8 +462,10 @@ class DurableVnodeStore:
                 RuntimeWarning,
                 stacklevel=3,
             )
+        if "foreign" in manifest:
+            raise DurabilityError(f"{self.manifest_path}: names a foreign store")
         self.generation, self.segment_names = generation, names
-        return items, foreign
+        return items
 
     def _newest_wal_generation(self) -> int:
         """Highest generation with a ``wal-<gen>.log`` on disk (0 if none).
@@ -470,7 +489,14 @@ class DurableVnodeStore:
         return max(generations, default=0)
 
     def _read_wal(self) -> Tuple[List[Tuple], int]:
-        """All intact WAL records; truncate and count a torn/corrupt tail."""
+        """All intact WAL records, and the number of torn ones discarded.
+
+        A record that fails its length, CRC or decode check ends the read.
+        If an intact record (:func:`_intact_record_after`) follows it, the
+        damage is in the middle of the log and later records would be lost:
+        :class:`DurabilityError`, the file untouched.  Otherwise it is a torn
+        tail — a kill mid-append — truncated at the last intact record and
+        counted (0 or 1)."""
         try:
             with open(self.wal_path, "rb") as fh:
                 data = fh.read()
@@ -478,32 +504,25 @@ class DurableVnodeStore:
             return [], 0
         ops: List[Tuple] = []
         offset = 0
-        good = 0
-        discarded = 0
         size = len(data)
-        while offset + _RECORD_HEADER.size <= size:
-            length, crc = _RECORD_HEADER.unpack_from(data, offset)
-            start = offset + _RECORD_HEADER.size
-            if start + length > size:
-                discarded = 1
-                break
-            payload = data[start : start + length]
-            if zlib.crc32(payload) != crc:
-                discarded = 1
+        while offset < size:
+            payload = _record_at(data, offset)
+            if payload is None:
                 break
             try:
                 ops.append(pickle.loads(payload))
-            except Exception:
-                discarded = 1
+            except Exception:  # a payload that passed its CRC but decodes to nothing
                 break
-            offset = start + length
-            good = offset
-        if good < size and discarded == 0:
-            discarded = 1  # trailing partial header
-        if good < size:
-            with open(self.wal_path, "r+b") as fh:
-                fh.truncate(good)
-        return ops, discarded
+            offset += _RECORD_HEADER.size + len(payload)
+        if offset == size:
+            return ops, 0
+        if _intact_record_after(data, offset):
+            raise DurabilityError(
+                f"{self.wal_path}: corrupt record at byte {offset} with intact records after it"
+            )
+        with open(self.wal_path, "r+b") as fh:
+            fh.truncate(offset)
+        return ops, 1
 
     def recover(self) -> RecoveredState:
         """Read the store's content from disk; apply nothing.
@@ -514,8 +533,8 @@ class DurableVnodeStore:
         """
         self.close()
         os.makedirs(self.directory, exist_ok=True)
-        items_name, foreign = self._read_manifest()
-        state = RecoveredState(foreign=foreign)
+        items_name = self._read_manifest()
+        state = RecoveredState()
         for name in self.segment_names:
             path = os.path.join(self.directory, name)
             try:

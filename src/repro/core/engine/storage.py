@@ -186,8 +186,11 @@ class StorageEngine:
                     continue
             raise
 
-    def discard(self, owner: VnodeRef, partition: Partition, key: Hashable) -> Any:
-        """Delete one item from its owner and every replica.
+    def discard(
+        self, owner: VnodeRef, partition: Partition, key: Hashable, index: Optional[int] = None
+    ) -> Any:
+        """Delete one item from its owner and every replica (``index`` as in
+        :meth:`read`).
 
         Mirrors :meth:`read`'s fallback: when the primary misses but a
         replica still holds the key (an in-place damaged primary awaiting
@@ -198,15 +201,15 @@ class StorageEngine:
         replicas = self._placement.replicas_of(partition)
         found = True
         try:
-            value = self.store.delete(owner, key)
+            value = self.store.delete(owner, key, index)
         except KeyError:
             found = False
             value = None
         for ref in replicas:
-            if not found and self.store.contains_replica(ref, key):
-                value = self.store.get_replica(ref, key)
+            if not found and self.store.contains_replica(ref, key, index):
+                value = self.store.get_replica(ref, key, index)
                 found = True
-            self.store.delete_replica(ref, key)
+            self.store.delete_replica(ref, key, index)
         if not found:
             raise KeyError(key)
         return value
@@ -260,7 +263,7 @@ class StorageEngine:
         / seconds per replica rank.  When a parallel executor is attached
         and the batch is eligible, the hash → locate → sort fan-out runs
         fused across worker processes on shared-memory columns and the
-        sorted slices are adopted zero-copy; ineligible batches (or
+        sorted slices are copied into the stores; ineligible batches (or
         ``workers=0``) take the bit-identical serial path.
         """
         n = len(keys)
@@ -343,9 +346,10 @@ class StorageEngine:
 
         Hash + locate + stable position sort run fused in the workers
         (:meth:`~repro.parallel.executor.ParallelExecutor.route_batch`);
-        the parent adopts the sorted shared-memory column slices zero-copy,
-        iterating positions ascending and chunks ascending so every store
-        receives its rows in exactly the serial write order.  Returns False
+        the parent copies the sorted shared-memory column slices into the
+        stores (:meth:`DHTStorage.put_batch`), iterating positions ascending
+        and chunks ascending so every store receives its rows in exactly the
+        serial write order.  Returns False
         when the batch is ineligible (the caller then runs the serial
         path).
         """
@@ -385,15 +389,15 @@ class StorageEngine:
                 index_col = routed.sorted_indices[c][lo:hi]
                 value_col = None if chunk_values is None else chunk_values[c][lo:hi]
                 stage_start = time.perf_counter()
-                report.stored += self.store.put_batch_columns(
-                    owner, key_col, index_col, value_col
+                report.stored += self.store.put_batch(
+                    owner, key_col, index_col, value_col, routed=True
                 )
                 secs[0] += time.perf_counter() - stage_start
                 rows[0] += hi - lo
                 for rank, ref in enumerate(replicas, start=1):
                     stage_start = time.perf_counter()
-                    self.store.put_replica_batch_columns(
-                        ref, key_col, index_col, value_col
+                    self.store.put_replica_batch(
+                        ref, key_col, index_col, value_col, routed=True
                     )
                     secs[rank] += time.perf_counter() - stage_start
                     rows[rank] += hi - lo

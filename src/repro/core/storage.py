@@ -21,14 +21,17 @@ tail); a partition handover's segments are spliced into it without a
 sort.  ``put_many`` stays an O(1) append, and
 :meth:`VnodeStore.count_buckets` never replaces a segment.
 
-*Reads never fold:* ``get`` / ``get_many`` / ``contains`` binary-search
-the run at the key's hash index, newest row first, and fall back to the
-hash tier; only a :attr:`VnodeStore.foreign` store (one handed a row under
-another index) scans its run on a miss.  *Overwrites of run keys land in
-place* when the run's value column holds the value as is.  *Other writes
-fold:* every other ``put``, and every ``delete``, first merges every
-pending row into the hash tier in write order, so pending rows are always
-newer than hash-tier rows.  *Views never fold:*
+*One write contract:* a row lives only under its key's hash index, as in
+the paper.  :class:`DHTStorage` checks every write the router did not
+compute against ``hash_key`` and refuses a wrong one before anything
+changes, so a key has one index in a store and a read never looks
+elsewhere.  *Reads never fold:* ``get`` / ``get_many`` / ``contains``
+binary-search the run at the key's hash index, newest row first, and fall
+back to the hash tier; a key in neither is absent.  *Overwrites of run
+keys land in place* when the run's value column holds the value as is.
+*Other writes fold:* every other ``put``, and every ``delete``, first
+merges every pending row into the hash tier in write order, so pending
+rows are always newer than hash-tier rows.  *Views never fold:*
 :meth:`VnodeStore.newest_rows` gives, per range, the newest row of each
 key as columns (vectorized last-write-wins), and ``len``, ``items`` and
 the deep replica check read it.  Migration slices rows out of the run and
@@ -57,7 +60,7 @@ from repro.core.durability import (
     DurableVnodeStore,
     RecoveredState,
 )
-from repro.core.errors import StorageError, UnknownVnodeError
+from repro.core.errors import DurabilityError, StorageError, UnknownVnodeError
 from repro.core.hashspace import HashSpace, Partition
 from repro.core.ids import VnodeRef
 from repro.utils.arrays import as_object_column, concat_columns, is_plain_void, locate_ranges
@@ -162,18 +165,6 @@ def _span_row(run: _Segment, key: Hashable, index: int) -> Optional[Tuple[int, A
     return run[1].item(row), None if run[2] is None else run[2].item(row)
 
 
-def _scan_row(run: _Segment, key: Hashable) -> Optional[Tuple[int, Any]]:
-    """The last row of ``key`` anywhere in a run, or ``None`` — the miss path
-    that still finds a row stored under another index than the reader's."""
-    probe = np.empty(1, dtype=object)
-    probe[0] = key  # an object probe: numpy compares every element with ``==``
-    rows = np.flatnonzero(run[0] == probe)
-    if rows.size == 0:
-        return None
-    row = int(rows[-1])
-    return run[1].item(row), None if run[2] is None else run[2].item(row)
-
-
 def _holds(values: Optional[np.ndarray], value: Any) -> bool:
     """Whether ``value`` can be written into the value column ``values`` as
     is: any value into an ``object`` column, exactly ``width`` ``bytes`` into
@@ -236,14 +227,12 @@ def _newest(
     pairs: Sequence[Tuple[Hashable, Tuple[int, Any]]],
     segments: Sequence[_Segment],
     dtype: np.dtype,
-    newest: Optional[Dict[Hashable, Any]],
 ) -> _Segment:
     """The newest row of each key among one range's parts, index-sorted:
     ``pairs`` (hash-tier rows; indexes in ``dtype``) are older than the run
     slices ``segments``, so after a stable sort by index a row loses to a
-    later row of its key in its equal-index span.  ``newest``
-    (:meth:`VnodeStore._newest_index`) also drops a foreign store's rows
-    under another index than their key's newest."""
+    later row of its key in its equal-index span (every row of a key sits
+    under its hash index)."""
     pieces = list(segments)
     if pairs:
         indexes = np.empty(len(pairs), dtype=dtype)
@@ -263,11 +252,6 @@ def _newest(
         last = dict(zip(zip(indexes[span].tolist(), keys[span].tolist()), span.tolist()))
         keep[span] = False
         keep[list(last.values())] = True
-    if newest is not None:
-        keep &= np.array(
-            [newest[key] == index for key, index in zip(keys.tolist(), indexes.tolist())],
-            dtype=bool,
-        )
     return rows if keep.all() else _take(rows, keep)
 
 
@@ -327,7 +311,7 @@ class VnodeStore:
     segment arrays in place.  See the module docstring for the layout.
     """
 
-    __slots__ = ("vnode", "_items", "_segments", "_sorted", "foreign", "durable")
+    __slots__ = ("vnode", "_items", "_segments", "_sorted", "durable")
 
     def __init__(self, vnode: VnodeRef, durable: Optional[DurableVnodeStore] = None):
         self.vnode = vnode
@@ -337,13 +321,6 @@ class VnodeStore:
         #: after it (all of them when False) are the unsorted tail, in write
         #: order.  Never True while ``_segments`` is empty.
         self._sorted = False
-        #: True once a row may sit under an index other than its key's hash
-        #: index (see :class:`DHTStorage`, which checks the indexes callers
-        #: hand it).  Until then a read that misses the key's index span and
-        #: the hash tier is a miss; after, it scans the run.  Moves carry the
-        #: flag to the adopting store; only :meth:`wipe` clears it.  Set it
-        #: through :meth:`mark_foreign`, which logs it.
-        self.foreign = False
         #: Optional durability tier (WAL + checkpoint files) of this store.
         #: ``None`` — the default, and always the case for replica stores —
         #: leaves every mutation path bit-identical to the RAM-only model.
@@ -355,16 +332,7 @@ class VnodeStore:
         durable = self.durable
         durable.append(op)
         if durable.should_checkpoint():
-            durable.checkpoint(self._items, self._segments, self.foreign)
-
-    def mark_foreign(self) -> None:
-        """Set :attr:`foreign`; a durable store logs the change (one WAL
-        record), so a restart replays every later write under the flag the
-        live store had."""
-        if not self.foreign:
-            self.foreign = True
-            if self.durable is not None:
-                self._log(("foreign",))
+            durable.checkpoint(self._items, self._segments)
 
     # -- segment tier ----------------------------------------------------------
 
@@ -378,10 +346,15 @@ class VnodeStore:
         pending segment (sorted into the run by the next read or range pass).
 
         ``values`` may be ``None`` to store ``None`` for every key.  Later
-        duplicates win, exactly as repeated :meth:`put` calls would (pending
-        rows are newer than the hash tier, and keep their write order).
+        duplicates win, exactly as repeated :meth:`put_row` calls would
+        (pending rows are newer than the hash tier, and keep their write
+        order).  Every row must sit under its key's hash index (see
+        :class:`DHTStorage`).  This and :meth:`adopt_parts` are the only
+        ways columns enter a store, and both apply the one key-column rule
+        (:func:`_comparable_keys`).
         """
         if len(keys):
+            keys = _comparable_keys(keys)
             self._segments.append((keys, indexes, values))
             if self.durable is not None:
                 self._log(("batch", keys, indexes, values))
@@ -419,13 +392,26 @@ class VnodeStore:
 
     # -- hash tier -------------------------------------------------------------
 
-    def put(self, key: Hashable, index: int, value: Any) -> bool:
+    def put_row(
+        self,
+        key: Hashable,
+        index: int,
+        value: Any,
+        check: Optional[Callable[[Hashable, int], None]] = None,
+    ) -> bool:
         """Store (or overwrite) an item: in place when the key's newest row
         is in the run (see :meth:`_overwrite_in_run`), else into the hash
         tier after folding every pending row into it.  Returns True when
-        the value landed in the run."""
+        the value landed in the run.
+
+        ``check(key, index)`` runs before any other write and may raise to
+        refuse it.  A write that lands in place needs no check: it found
+        ``key`` at ``index``, and every stored row sits under its key's
+        hash index."""
         in_place = bool(self._segments) and self._overwrite_in_run(key, index, value)
         if not in_place:
+            if check is not None:
+                check(key, index)
             if self._segments:
                 self._merge_segments()
             self._items[key] = (index, value)
@@ -436,49 +422,38 @@ class VnodeStore:
     def _overwrite_in_run(self, key: Hashable, index: int, value: Any) -> bool:
         """Write ``value`` over the run row a read of ``key`` at ``index``
         returns; False (nothing written) unless that row exists, the key has
-        no hash-tier row, the store holds no foreign-index rows and the
-        run's value column holds ``value`` as is (:func:`_holds`).  The run's
-        arrays are the store's own, so no other store or caller sees it."""
-        if self.foreign or key in self._items:
+        no hash-tier row and the run's value column holds ``value`` as is
+        (:func:`_holds`).  The run's arrays are the store's own, so no other
+        store or caller sees it."""
+        if key in self._items:
             return False
         run = self._sorted_run()
         if not _holds(run[2], value):
             return False
-        row = _span_find(run, key, index)
+        try:
+            row = _span_find(run, key, index)
+        except (OverflowError, TypeError, ValueError):  # no index of this hash space
+            return False
         if row < 0:
             return False
         run[2][row] = value
         return True
 
-    def _find(self, key: Hashable, index: Optional[int] = None) -> Optional[Tuple[int, Any]]:
+    def _find(self, key: Hashable, index: Optional[int]) -> Optional[Tuple[int, Any]]:
         """The newest ``(index, value)`` row of ``key`` across both tiers, or
         ``None`` — without folding the segment tier into the hash tier.
 
-        ``index`` is the key's hash index: the run is searched at it first.
-        Then the hash tier (older than every pending row); a hash-tier row
-        stored under another index sends the search back to the run at that
-        index.  A key in neither is absent — unless the store is
-        :attr:`foreign` or ``index`` is ``None``: then the whole run is
-        scanned, so a row stored under an index other than the reader's is
-        still found.
+        ``index`` is the key's hash index, the only index a row of ``key``
+        can sit under: the run is searched at it, then the hash tier (older
+        than every pending row).  A store without pending rows reads its
+        hash tier alone, so ``index`` may be ``None`` there.
         """
         if not self._segments:
             return self._items.get(key)
-        run = self._sorted_run()
-        if index is not None:
-            row = _span_row(run, key, index)
-            if row is not None:
-                return row
-        item = self._items.get(key)
-        if item is None:
-            return _scan_row(run, key) if index is None or self.foreign else None
-        if item[0] != index:
-            row = _span_row(run, key, item[0])
-            if row is not None:
-                return row
-        return item
+        row = _span_row(self._sorted_run(), key, index)
+        return self._items.get(key) if row is None else row
 
-    def get(self, key: Hashable, index: Optional[int] = None) -> StoredItem:
+    def get(self, key: Hashable, index: Optional[int]) -> StoredItem:
         """Fetch an item; raises :class:`KeyError` if absent.  ``index`` is the
         key's hash index (see :meth:`_find`); reads never fold."""
         row = self._find(key, index)
@@ -486,34 +461,33 @@ class VnodeStore:
             raise KeyError(key)
         return StoredItem(*row)
 
-    def get_value(self, key: Hashable, index: Optional[int] = None) -> Any:
+    def get_value(self, key: Hashable, index: Optional[int]) -> Any:
         """Fetch just the stored value (no :class:`StoredItem` wrapper)."""
         row = self._find(key, index)
         if row is None:
             raise KeyError(key)
         return row[1]
 
-    def contains(self, key: Hashable, index: Optional[int] = None) -> bool:
+    def contains(self, key: Hashable, index: Optional[int]) -> bool:
         """True if ``key`` is stored in either tier (``index`` as in :meth:`get`)."""
         return self._find(key, index) is not None
 
     def get_many(self, keys: np.ndarray, indexes: Optional[np.ndarray]) -> List[Any]:
-        """The values of a batch of keys (``indexes`` their hash indexes),
-        in the order given; raises :class:`KeyError` for the first absent key.
+        """The values of a batch of keys (``indexes`` their hash indexes, as
+        in :meth:`get`), in the order given; raises :class:`KeyError` for
+        the first absent key.
 
         One ``searchsorted`` of the whole batch over the run's index column:
         a key whose last equal-index run row is its own is served by one
         vectorized gather.  The rest — an index span holding other keys
         (hash collisions, duplicates) or rows only the hash tier has — take
         :meth:`_find`.  Sorted needles make the search cache-friendly.
-        ``indexes=None`` looks every key up on its own.
         """
         run = self._sorted_run()
         if run is None:
             items = self._items
             return [items[key][1] for key in keys.tolist()]
-        if indexes is None:
-            return [self.get_value(key) for key in keys.tolist()]
+        keys = _comparable_keys(keys)
         run_keys, run_indexes, run_values = run
         last = np.searchsorted(run_indexes, indexes, side="right") - 1
         at = np.maximum(last, 0)
@@ -542,12 +516,13 @@ class VnodeStore:
         hash_keys[:] = list(self._items)
         return [hash_keys, *(segment[0] for segment in self._segments)]
 
-    def delete(self, key: Hashable) -> StoredItem:
-        """Remove and return an item; raises :class:`KeyError` if absent,
-        leaving the store unfolded (a failed delete is not logged, so it
-        must change nothing a replay would not)."""
+    def delete(self, key: Hashable, index: Optional[int]) -> StoredItem:
+        """Remove and return an item (``index`` as in :meth:`get`); raises
+        :class:`KeyError` if absent, leaving the store unfolded (a failed
+        delete is not logged, so it must change nothing a replay would
+        not)."""
         if self._segments:
-            if self._find(key) is None:
+            if self._find(key, index) is None:
                 raise KeyError(key)
             self._merge_segments()
         item = StoredItem(*self._items.pop(key))
@@ -555,21 +530,7 @@ class VnodeStore:
             self._log(("del", key))
         return item
 
-    def __contains__(self, key: Hashable) -> bool:
-        return self.contains(key)
-
     # -- read-only columnar views ------------------------------------------------
-
-    def _newest_index(self) -> Optional[Dict[Hashable, Any]]:
-        """``key -> index`` of the row a fold would keep, for a :attr:`foreign`
-        store, a key of which may sit under several indexes; else ``None``."""
-        if not self.foreign:
-            return None
-        newest = {key: item[0] for key, item in self._items.items()}
-        run = self._sorted_run()
-        if run is not None:
-            newest.update(zip(run[0].tolist(), run[1].tolist()))
-        return newest
 
     def newest_rows(self, starts: np.ndarray, lasts: np.ndarray) -> List[_Segment]:
         """Per ``[start, last]`` range, the rows a fold would leave in it —
@@ -577,14 +538,13 @@ class VnodeStore:
         values)`` columns (``values`` ``None`` when every value is):
         :meth:`copy_buckets`' parts after vectorized last-write-wins
         (:func:`_newest`).  Never folds, never logs."""
-        newest = self._newest_index()
-        return [_newest(*parts, starts.dtype, newest) for parts in self.copy_buckets(starts, lasts)]
+        return [_newest(*parts, starts.dtype) for parts in self.copy_buckets(starts, lasts)]
 
     def _all_newest(self) -> _Segment:
         """:meth:`newest_rows` over the whole store, as one triple."""
         run = self._sorted_run()
         dtype = np.dtype(object) if run is None else run[1].dtype
-        return _newest(list(self._items.items()), [run] if run else [], dtype, self._newest_index())
+        return _newest(list(self._items.items()), [run] if run else [], dtype)
 
     def __len__(self) -> int:
         return len(self._all_newest()[0])
@@ -775,7 +735,6 @@ class VnodeStore:
         """
         n = self.fast_len()
         self._clear()
-        self.foreign = False
         if self.durable is not None:
             self.durable.reset()
         return n
@@ -798,7 +757,6 @@ class VnodeStore:
         self,
         pairs: Iterable[Tuple[Hashable, Tuple[int, Any]]],
         segments: Iterable[_Segment],
-        foreign: bool = False,
     ) -> None:
         """Adopt parts popped from another store by :meth:`pop_buckets`.
 
@@ -811,8 +769,8 @@ class VnodeStore:
         A handover's segments are sorted, disjoint and hold no run row
         between their first and last index, so they are spliced between run
         slices (:func:`_splice`) instead of re-sorting the whole store; any
-        other adoption is concatenated and stably sorted.  ``foreign`` is
-        the source store's :attr:`foreign` flag.
+        other adoption is concatenated and stably sorted.  The rows are
+        trusted to sit under their keys' hash indexes, as every store's do.
 
         A checkpoint snapshots the in-memory tiers and deletes the WAL, so it
         may only run once every logged part is also in memory: all records
@@ -821,8 +779,6 @@ class VnodeStore:
         """
         durable = self.durable
         segments = [(_comparable_keys(keys), idx, values) for keys, idx, values in segments]
-        if foreign:
-            self.mark_foreign()
         if durable is not None:
             pairs = list(pairs)
             if pairs:
@@ -839,25 +795,7 @@ class VnodeStore:
             else:
                 self._set_run(run)
         if durable is not None and durable.should_checkpoint():
-            durable.checkpoint(self._items, self._segments, self.foreign)
-
-    def materialize_segments(self, owns) -> int:
-        """Copy pending-segment columns out of foreign-owned memory.
-
-        ``owns(array) -> bool`` identifies columns living in memory whose
-        lifetime this store does not control — the shared-memory blocks the
-        parallel bulk pipeline adopts zero-copy.  Called before that memory
-        is torn down (``BaseDHT.close``).  Returns the number of segments
-        rewritten.
-        """
-        changed = 0
-        for i, (keys, indexes, values) in enumerate(self._segments):
-            new_keys = keys.copy() if owns(keys) else keys
-            new_indexes = indexes.copy() if owns(indexes) else indexes
-            if new_keys is not keys or new_indexes is not indexes:
-                self._segments[i] = (new_keys, new_indexes, values)
-                changed += 1
-        return changed
+            durable.checkpoint(self._items, self._segments)
 
     def replay(
         self,
@@ -871,44 +809,37 @@ class VnodeStore:
         that logged it, with logging off — so every ``put`` makes the same
         in-place-or-fold decision it made live.  ``index_column`` turns a
         logged range's bound list into an index column
-        (:meth:`DHTStorage.range_arrays`' dtype).  :attr:`foreign` starts
-        at the checkpoint's value and is set again where a ``foreign``
-        record was logged.  A ``del`` of an absent key — its row was in a
-        checkpoint a corrupt manifest hid — is skipped.
+        (:meth:`DHTStorage.range_arrays`' dtype).  A ``del`` folds and
+        drops its key, as the live delete that logged it did; the key is
+        absent only when its row was in a checkpoint a corrupt manifest
+        hid.  A record of a kind no mutator logs raises
+        :class:`DurabilityError`.
         """
         durable, self.durable = self.durable, None
         try:
             self._clear()
-            self.foreign = state.foreign
             if state.hash_tier is not None:
                 self._segments = [state.hash_tier]
                 self._merge_segments()
-            self._segments = [
-                (_comparable_keys(keys), indexes, values)
-                for keys, indexes, values in state.segments
-                if len(keys)
-            ]
+            for keys, indexes, values in state.segments:
+                self.put_many(keys, indexes, values)
             for op in state.ops:
                 kind = op[0]
                 if kind == "batch":
                     self.put_many(op[1], op[2], op[3])
                 elif kind == "put":
-                    self.put(op[1], op[2], op[3])
+                    self.put_row(op[1], op[2], op[3])
                 elif kind == "del":
-                    try:
-                        self.delete(op[1])
-                    except KeyError:
-                        pass
+                    self._merge_segments()
+                    self._items.pop(op[1], None)
                 elif kind == "pairs":
                     self.adopt_parts(op[1], [])
                 elif kind == "drop":
                     self.pop_buckets(index_column(op[1]), index_column(op[2]))
                 elif kind == "retain":
                     self.drop_outside(index_column(op[1]), index_column(op[2]))
-                elif kind == "foreign":
-                    self.mark_foreign()
                 else:
-                    raise StorageError(f"unknown WAL op kind {kind!r}")
+                    raise DurabilityError(f"unknown WAL op kind {kind!r}")
         finally:
             self.durable = durable
 
@@ -985,13 +916,17 @@ class DHTStorage:
     vnode is the router's job (see :meth:`repro.core.base.BaseDHT.bulk_load`),
     so the per-vnode stores are each touched exactly once per batch.
 
-    The write entry points take the hash index of every row from the
-    caller.  The router computed it (``routed=True``); any other caller —
-    a node serving the wire, a snapshot restore, a test — has its indexes
-    checked against the keys' hashes, and a store handed a row under any
-    other index is flagged :attr:`VnodeStore.foreign`, so its reads still
-    find the row.  The flag is logged, so a store re-attached to its log
-    (``register_vnode(fresh=False)``) gets it back from the replay.
+    **The write contract.**  A row lives only under its key's hash index.
+    The four write entry points — :meth:`put`, :meth:`put_replica`,
+    :meth:`put_batch` and :meth:`put_replica_batch` — take every row's
+    index from the caller.  The router computed it (``routed=True``); any
+    other caller — a node serving the wire, a snapshot restore, a test —
+    has its rows checked against ``hash_key`` first, and a row whose index
+    is not its key's hash, or whose key the hash space does not take, is
+    refused with :class:`StorageError` before the store or its log
+    changes.  So the stores never search a key anywhere but at its hash
+    index; a read without an index hashes the key here, and only when the
+    store has pending rows to search.
     """
 
     def __init__(
@@ -1096,36 +1031,47 @@ class DHTStorage:
 
     # -- client operations ---------------------------------------------------------
 
-    def _check_index(self, index: int) -> None:
-        """Refuse a point write whose hash index lies outside the hash space."""
-        if not self.hash_space.contains(index):
-            raise StorageError(f"hash index {index} outside the hash space")
-
-    def _foreign_index(self, key: Hashable, index: int) -> bool:
-        """Whether ``index`` is not ``key``'s hash index (or ``key`` has none)."""
+    def _check_row(self, key: Hashable, index: int) -> None:
+        """The point-write validator: refuse a row whose index is not ``key``'s
+        hash index, or whose key the hash space does not take."""
         try:
-            return self.hash_space.hash_key(key) != index
-        except (TypeError, ValueError):
-            return True
+            hashed = self.hash_space.hash_key(key)
+        except TypeError as exc:
+            raise StorageError(f"key {key!r} has no hash index ({exc})") from None
+        if hashed != index:
+            raise StorageError(f"index {index!r} is not key {key!r}'s hash index {hashed}")
 
-    def _foreign_indexes(self, keys: np.ndarray, indexes: np.ndarray) -> bool:
-        """Whether some ``indexes[i]`` is not ``keys[i]``'s hash index."""
+    def _checked_indexes(
+        self, keys: np.ndarray, indexes: Union[Sequence[int], np.ndarray]
+    ) -> np.ndarray:
+        """The batch validator: ``keys``' hash index column, once every row of
+        ``indexes`` is found equal to it (else :class:`StorageError`)."""
         try:
-            return bool(np.any(self.hash_space.hash_keys(keys) != indexes))
-        except (TypeError, ValueError):
-            return True
+            hashed = self.hash_space.hash_keys(keys)
+        except (TypeError, ValueError) as exc:
+            raise StorageError(f"a key has no hash index ({exc})") from None
+        given = np.asarray(indexes)
+        if given.dtype == hashed.dtype:
+            wrong = hashed != given
+        else:  # python ints, or another integer dtype: compare exactly
+            wrong = hashed.astype(object) != given.astype(object)
+        if np.any(wrong):
+            row = int(np.flatnonzero(wrong)[0])
+            key, index, want = (column[row : row + 1].tolist()[0] for column in (keys, given, hashed))
+            raise StorageError(f"index {index!r} is not key {key!r}'s hash index {want}")
+        return hashed
 
     def _search_index(self, store: VnodeStore, key: Hashable, index: Optional[int]) -> Optional[int]:
-        """The hash index a read of ``key`` searches ``store``'s run at: the
-        caller's, else the key's own hash — computed only when the store has
-        pending rows (a folded store is one dict lookup).  ``None`` for a key
-        no hash function takes; the read then scans the run for it."""
+        """The hash index a read of ``key`` hands ``store``: the caller's,
+        else the key's own hash — computed only when the store has pending
+        rows (a folded store is one dict lookup).  A key no hash function
+        takes was never written: :class:`KeyError`."""
         if index is not None or not store._segments:
             return index
         try:
             return self.hash_space.hash_key(key)
         except TypeError:
-            return None
+            raise KeyError(key) from None
 
     def _index_column(self, indexes: Union[Sequence[int], np.ndarray]) -> np.ndarray:
         """A batch read's index column in the dtype the runs hold: ``uint64``,
@@ -1140,17 +1086,7 @@ class DHTStorage:
     ) -> None:
         """Store an item under the vnode that owns hash index ``index``
         (``routed``: see the class docstring)."""
-        self._check_index(index)
-        self._point_write(self._store(owner), key, index, value, routed)
-
-    def _point_write(
-        self, store: VnodeStore, key: Hashable, index: int, value: Any, routed: bool
-    ) -> None:
-        # A put that landed in place found the key at ``index`` in the run of
-        # a store without foreign rows, so ``index`` is the key's hash index.
-        if not (store.put(key, index, value) or routed or store.foreign):
-            if self._foreign_index(key, index):
-                store.mark_foreign()
+        self._store(owner).put_row(key, index, value, None if routed else self._check_row)
 
     def _ingest_batch(
         self,
@@ -1170,21 +1106,12 @@ class DHTStorage:
             )
         if n == 0:
             return 0
-        index_arr = np.array(indexes)  # always a fresh copy
-        if index_arr.dtype == object:
-            lo, hi = min(indexes), max(indexes)
+        key_arr = np.array(as_object_column(keys))  # always a fresh copy
+        if routed:
+            index_arr = np.array(indexes, dtype=np.uint64 if self.hash_space.bh <= 64 else object)
         else:
-            lo, hi = int(index_arr.min()), int(index_arr.max())
-        if not self.hash_space.contains(lo) or not self.hash_space.contains(hi):
-            raise StorageError("put_batch: hash index outside the hash space")
-        if self.hash_space.bh <= 64 and index_arr.dtype != np.uint64:
-            # Normalize the segment's index column so migration-time range
-            # searches compare a single dtype (values are validated in-range).
-            index_arr = index_arr.astype(np.uint64)
-        key_arr = _comparable_keys(np.array(as_object_column(keys)))
+            index_arr = self._checked_indexes(key_arr, indexes)
         value_arr = None if values is None else np.array(as_object_column(values))
-        if not (routed or store.foreign) and self._foreign_indexes(key_arr, index_arr):
-            store.mark_foreign()
         store.put_many(key_arr, index_arr, value_arr)
         return n
 
@@ -1198,65 +1125,15 @@ class DHTStorage:
     ) -> int:
         """Bulk-store a group of items that all route to the same vnode.
 
-        Validates the whole index column at once (min/max) instead of per
-        item, then hands the columns to :meth:`VnodeStore.put_many` as one
-        columnar segment.  The columns are copied on the way in (a shallow,
-        references-only copy for object arrays), so callers remain free to
-        mutate their arrays after the call.  ``values=None`` stores ``None``
-        for every key; ``routed`` is as in the class docstring.  Returns the
-        number of items ingested.
+        Checks the whole index column at once (one :meth:`HashSpace.hash_keys`
+        call unless ``routed``; see the class docstring), then hands the
+        columns to :meth:`VnodeStore.put_many` as one columnar segment.  The
+        columns are copied on the way in (a shallow, references-only copy
+        for object arrays), so callers remain free to mutate their arrays
+        after the call.  ``values=None`` stores ``None`` for every key.
+        Returns the number of items ingested.
         """
         return self._ingest_batch(self._store(owner), keys, indexes, values, routed)
-
-    def put_batch_columns(
-        self,
-        owner: VnodeRef,
-        keys: np.ndarray,
-        indexes: np.ndarray,
-        values: Optional[np.ndarray] = None,
-    ) -> int:
-        """Adopt pre-validated columns as one segment — the trusted fast
-        path of the parallel bulk pipeline.
-
-        Unlike :meth:`put_batch` the columns are adopted *as is*: no length,
-        range or hash check (the caller's hash kernel produced the index
-        column already masked to the hash space) and no defensive copy (the
-        columns are shared-memory views or freshly gathered arrays the
-        caller promises never to mutate).  Establishing the run and slicing
-        it always build new arrays, so adopted views are safe downstream.
-        """
-        self._store(owner).put_many(keys, indexes, values)
-        return len(keys)
-
-    def put_replica_batch_columns(
-        self,
-        owner: VnodeRef,
-        keys: np.ndarray,
-        indexes: np.ndarray,
-        values: Optional[np.ndarray] = None,
-    ) -> int:
-        """Replica-store counterpart of :meth:`put_batch_columns`.
-
-        The parallel replica fan-out adopts the *same* column arrays for
-        the primary and every replica rank — safe because segments are
-        immutable once appended (every mutation path replaces them).
-        """
-        self._replica(owner).put_many(keys, indexes, values)
-        self.replication.replica_rows_written += len(keys)
-        return len(keys)
-
-    def materialize_shared(self, owns) -> int:
-        """Copy every store's segments out of foreign-owned (shm) memory.
-
-        See :meth:`VnodeStore.materialize_segments`; walks every primary
-        and replica store.  Returns the number of segments rewritten.
-        """
-        changed = 0
-        for store in self._stores.values():
-            changed += store.materialize_segments(owns)
-        for store in self._replica_stores.values():
-            changed += store.materialize_segments(owns)
-        return changed
 
     def get(self, owner: VnodeRef, key: Hashable, index: Optional[int] = None) -> Any:
         """Fetch the value stored for ``key`` at vnode ``owner``.
@@ -1293,24 +1170,35 @@ class DHTStorage:
         elif store._segments:
             try:
                 indexes = self.hash_space.hash_keys(keys)
-            except TypeError:
-                pass  # a key no hash function takes: per-key run scans
+            except TypeError:  # key by key: raises for the first one no hash takes
+                indexes = self._index_column(
+                    [self._search_index(store, key, None) for key in keys.tolist()]
+                )
         try:
             return store.get_many(keys, indexes)
         except KeyError as exc:
             raise KeyError(exc.args[0]) from None
 
-    def delete(self, owner: VnodeRef, key: Hashable) -> Any:
-        """Delete and return the value stored for ``key`` at vnode ``owner``."""
+    def _delete(self, store: VnodeStore, key: Hashable, index: Optional[int]) -> Any:
         try:
-            return self._store(owner).delete(key).value
+            return store.delete(key, self._search_index(store, key, index)).value
         except KeyError:
             raise KeyError(key) from None
 
+    def delete(self, owner: VnodeRef, key: Hashable, index: Optional[int] = None) -> Any:
+        """Delete and return the value stored for ``key`` at vnode ``owner``
+        (``index`` as in :meth:`get`)."""
+        return self._delete(self._store(owner), key, index)
+
+    def _contains(self, store: VnodeStore, key: Hashable, index: Optional[int]) -> bool:
+        try:
+            return store.contains(key, self._search_index(store, key, index))
+        except KeyError:
+            return False
+
     def contains(self, owner: VnodeRef, key: Hashable, index: Optional[int] = None) -> bool:
         """True if ``key`` is stored at vnode ``owner`` (``index`` as in :meth:`get`)."""
-        store = self._store(owner)
-        return store.contains(key, self._search_index(store, key, index))
+        return self._contains(self._store(owner), key, index)
 
     # -- replica operations ------------------------------------------------------
 
@@ -1319,11 +1207,10 @@ class DHTStorage:
     ) -> None:
         """Store a replica row at vnode ``owner`` (the write fan-out path).
 
-        Validated exactly like :meth:`put`: the runtime feeds this straight
+        Checked exactly like :meth:`put`: the runtime feeds this straight
         from a replica ``PutRequest`` off the socket.
         """
-        self._check_index(index)
-        self._point_write(self._replica(owner), key, index, value, routed)
+        self._replica(owner).put_row(key, index, value, None if routed else self._check_row)
         self.replication.replica_rows_written += 1
 
     def put_replica_batch(
@@ -1349,16 +1236,15 @@ class DHTStorage:
         self, owner: VnodeRef, key: Hashable, index: Optional[int] = None
     ) -> bool:
         """True if vnode ``owner`` holds a replica row for ``key``."""
-        store = self._replica(owner)
-        return store.contains(key, self._search_index(store, key, index))
+        return self._contains(self._replica(owner), key, index)
 
-    def delete_replica(self, owner: VnodeRef, key: Hashable) -> bool:
+    def delete_replica(self, owner: VnodeRef, key: Hashable, index: Optional[int] = None) -> bool:
         """Delete the replica row for ``key`` at ``owner`` if present."""
-        store = self._replica(owner)
-        if key in store:
-            store.delete(key)
-            return True
-        return False
+        try:
+            self._delete(self._replica(owner), key, index)
+        except KeyError:
+            return False
+        return True
 
     def replica_items_of(self, ref: VnodeRef) -> List[Tuple[Hashable, Any]]:
         """All ``(key, value)`` replica pairs held by a vnode."""
@@ -1526,7 +1412,7 @@ class DHTStorage:
         starts, lasts = self.range_arrays([(start, end - 1)])
         pairs, segments = src.pop_buckets(starts, lasts)[0]
         moved = parts_size((pairs, segments))
-        dst.adopt_parts(pairs, segments, foreign=src.foreign)
+        dst.adopt_parts(pairs, segments)
         self.stats.record(moved)
         return moved
 
@@ -1568,7 +1454,7 @@ class DHTStorage:
         for target, store in zip((t for _, t in real), targets):
             if target in per_target:
                 pairs, segments = per_target.pop(target)
-                store.adopt_parts(pairs, segments, foreign=src.foreign)
+                store.adopt_parts(pairs, segments)
         return total
 
     def migrate_all(self, source: VnodeRef, target: VnodeRef) -> int:
@@ -1588,8 +1474,8 @@ class DHTStorage:
             return 0
         moved = src.fast_len()
         if moved:
-            dst.adopt_parts(src._items.items(), src._segments, foreign=src.foreign)
-            src.wipe()  # its log is reset, so its flag must be too
+            dst.adopt_parts(src._items.items(), src._segments)
+            src.wipe()
             self.stats.record(moved)
         return moved
 

@@ -8,8 +8,7 @@ work across OS processes, passing ``(shm_name, offset, length)`` descriptors
 instead of pickled rows:
 
 ``shm``
-    The shared-memory arena: descriptor type, block pooling, zero-copy
-    adoption bookkeeping.
+    The shared-memory arena: descriptor type and block pooling.
 ``tasks``
     Worker-side kernels (SplitMix64/BLAKE2b hashing, routing, position
     sort) — numerically identical to the serial engine.

@@ -15,11 +15,9 @@ Eligibility gates (``None`` → serial):
 * key kinds outside the vectorizable set (int numpy arrays; homogeneous
   str/bytes sequences for the hashing/lookup kernels).
 
-Data movement per call: inputs are copied once into recycled *scratch*
-blocks, workers write outputs into scratch or — for the sorted bulk-load
-columns that become ``VnodeStore`` segments — into *pinned* blocks whose
-slices the storage layer adopts zero-copy (:meth:`owns_array` is how it
-recognizes them later, see ``materialize`` in the storage layer).
+Data movement per call: inputs are copied once into recycled shm blocks,
+workers write their outputs into more of them, and the outputs leave as
+private copies before the call releases its blocks.
 """
 
 from __future__ import annotations
@@ -84,9 +82,9 @@ class RoutedBatch(NamedTuple):
 
     #: ``(lo, hi)`` input range of each chunk.
     bounds: List[Tuple[int, int]]
-    #: Per chunk: sorted keys as uint64 bit patterns (pinned shm views).
+    #: Per chunk: sorted keys as uint64 bit patterns.
     sorted_keys: List[np.ndarray]
-    #: Per chunk: sorted hash indices (pinned shm views).
+    #: Per chunk: sorted hash indices.
     sorted_indices: List[np.ndarray]
     #: Per chunk: the stable argsort permutation (``None`` without values).
     orders: Optional[List[np.ndarray]]
@@ -96,7 +94,7 @@ class RoutedBatch(NamedTuple):
     run_offsets: List[np.ndarray]
     #: Sorted union of occupied table positions.
     present: np.ndarray
-    #: True when the input keys were a signed integer array (adopted key
+    #: True when the input keys were a signed integer array (the sorted key
     #: columns must be re-viewed as int64).
     signed: bool
 
@@ -155,10 +153,6 @@ class ParallelExecutor:
     @property
     def mask(self) -> int:
         return self.hash_space.size - 1
-
-    def owns_array(self, array: np.ndarray) -> bool:
-        """True if the array is a view into this executor's shm arena."""
-        return self.arena.owns(array)
 
     def stats(self) -> Dict[str, object]:
         """Dispatch counters plus cumulative worker busy time (seconds)."""
@@ -302,8 +296,7 @@ class ParallelExecutor:
         Integer-array keys only (str/bytes bulk loads parallelize hashing
         via :meth:`hash_locate` and group serially — the value column is a
         python-object column that cannot cross shm anyway).  The sorted
-        key/index columns land in **pinned** shm blocks; the caller adopts
-        slices of them zero-copy as store segments.
+        key/index columns come back as private arrays.
         """
         n = len(keys)
         if not self._eligible(n):
@@ -315,8 +308,8 @@ class ParallelExecutor:
         starts_ref, lasts_ref, npos = self._route_columns(router)
         bounds = _chunk_bounds(n, pool.n_workers)
         keys_ref, _ = self.arena.store(bits[0])
-        skeys_ref, skeys_view = self.arena.alloc(n, np.uint64, pinned=True)
-        sidx_ref, sidx_view = self.arena.alloc(n, np.uint64, pinned=True)
+        skeys_ref, skeys_view = self.arena.alloc(n, np.uint64)
+        sidx_ref, sidx_view = self.arena.alloc(n, np.uint64)
         order_ref = order_view = None
         if want_order:
             order_ref, order_view = self.arena.alloc(n, np.int64)
@@ -352,29 +345,25 @@ class ParallelExecutor:
                 # Private copies per chunk: the order column is scratch and
                 # recycled, while the caller gathers values lazily.
                 orders = [order_view[lo:hi].copy() for lo, hi in bounds]
+            skeys, sidx = skeys_view.copy(), sidx_view.copy()
             return RoutedBatch(
                 bounds=bounds,
-                sorted_keys=[skeys_view[lo:hi] for lo, hi in bounds],
-                sorted_indices=[sidx_view[lo:hi] for lo, hi in bounds],
+                sorted_keys=[skeys[lo:hi] for lo, hi in bounds],
+                sorted_indices=[sidx[lo:hi] for lo, hi in bounds],
                 orders=orders,
                 run_offsets=run_offsets,
                 present=np.flatnonzero(present_mask),
                 signed=bits[1],
             )
         finally:
-            self.arena.release(keys_ref)
-            if order_ref is not None:
-                self.arena.release(order_ref)
+            for ref in (keys_ref, skeys_ref, sidx_ref, order_ref):
+                if ref is not None:
+                    self.arena.release(ref)
 
     # ------------------------------------------------------------------ close
 
     def close(self) -> None:
-        """Stop the pool and destroy the arena.  Idempotent.
-
-        Callers holding zero-copy segment views must materialize them
-        *before* closing (``BaseDHT.close`` does) — afterwards the shm
-        blocks are unlinked and survive only as long as live mappings.
-        """
+        """Stop the pool and destroy the arena.  Idempotent."""
         if self._closed:
             return
         self._closed = True

@@ -8,17 +8,11 @@ zero-copy numpy views (:func:`attach_view`).  A 10M-key batch therefore
 crosses the process boundary as a few hundred bytes of descriptors instead
 of hundreds of megabytes of pickle.
 
-Two block classes exist:
-
-* **scratch** blocks hold per-call inputs and intermediates.  They are
-  recycled between calls through a size-keyed free pool, so a steady-state
-  bulk pipeline allocates shm once and reuses it.
-* **pinned** blocks hold columns that outlive the call — the sorted
-  key/index columns ``bulk_load`` adopts *zero-copy* as ``VnodeStore``
-  pending segments.  They are never recycled; :meth:`ShmArena.owns` lets
-  the storage layer detect such views (and materialize private copies
-  before the arena goes away, see
-  :meth:`repro.core.storage.DHTStorage.materialize_shared`).
+Every block holds per-call inputs, intermediates or outputs, and is
+recycled between calls through a size-keyed free pool, so a steady-state
+bulk pipeline allocates shm once and reuses it.  Outputs leave the arena
+as private copies before their block is released, so no column outlives
+the call that filled it.
 
 Lifecycle notes (learned the hard way):
 
@@ -102,16 +96,13 @@ def _round_size(nbytes: int) -> int:
 
 
 class _Block:
-    """One owned ``SharedMemory`` block plus its parent-side address range."""
+    """One owned ``SharedMemory`` block and its size."""
 
-    __slots__ = ("shm", "size", "addr", "pinned")
+    __slots__ = ("shm", "size")
 
-    def __init__(self, shm: shared_memory.SharedMemory, pinned: bool) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory) -> None:
         self.shm = shm
         self.size = shm.size
-        # Base address of the mapping in THIS process, for owns() lookups.
-        self.addr = np.frombuffer(shm.buf, dtype=np.uint8).ctypes.data
-        self.pinned = pinned
 
 
 class ShmArena:
@@ -119,47 +110,41 @@ class ShmArena:
 
     def __init__(self) -> None:
         self._blocks: Dict[str, _Block] = {}
-        #: Recyclable scratch blocks by rounded size (name lists).
+        #: Recyclable blocks by rounded size (name lists).
         self._free: Dict[int, List[str]] = {}
         self._closed = False
 
     # ---------------------------------------------------------------- allocate
 
-    def _new_block(self, nbytes: int, pinned: bool) -> _Block:
+    def _take_block(self, nbytes: int) -> _Block:
         if self._closed:
             raise ValueError("shm arena is closed")
-        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-        block = _Block(shm, pinned)
-        self._blocks[shm.name] = block
-        return block
-
-    def _take_scratch(self, nbytes: int) -> _Block:
         size = _round_size(nbytes)
         names = self._free.get(size)
         if names:
             return self._blocks[names.pop()]
-        return self._new_block(size, pinned=False)
+        block = _Block(shared_memory.SharedMemory(create=True, size=size))
+        self._blocks[block.shm.name] = block
+        return block
 
-    def alloc(self, count: int, dtype, pinned: bool = False) -> Tuple[ArrayRef, np.ndarray]:
+    def alloc(self, count: int, dtype) -> Tuple[ArrayRef, np.ndarray]:
         """Allocate an uninitialized array; returns ``(descriptor, view)``."""
         dt = np.dtype(dtype)
-        nbytes = count * dt.itemsize
-        block = self._new_block(nbytes, True) if pinned else self._take_scratch(nbytes)
+        block = self._take_block(count * dt.itemsize)
         ref = ArrayRef(block.shm.name, 0, count, dt.name)
         return ref, np.frombuffer(block.shm.buf, dtype=dt, count=count)
 
-    def store(self, array: np.ndarray, pinned: bool = False) -> Tuple[ArrayRef, np.ndarray]:
+    def store(self, array: np.ndarray) -> Tuple[ArrayRef, np.ndarray]:
         """Copy an array into the arena; returns ``(descriptor, view)``."""
-        ref, view = self.alloc(len(array), array.dtype, pinned=pinned)
+        ref, view = self.alloc(len(array), array.dtype)
         view[:] = array
         return ref, view
 
     def release(self, ref: ArrayRef) -> None:
-        """Return a scratch block to the free pool (no-op for pinned blocks)."""
+        """Return a block to the free pool."""
         block = self._blocks.get(ref.name)
-        if block is None or block.pinned:
-            return
-        self._free.setdefault(block.size, []).append(ref.name)
+        if block is not None:
+            self._free.setdefault(block.size, []).append(ref.name)
 
     # ------------------------------------------------------------------ lookup
 
@@ -170,22 +155,6 @@ class ShmArena:
             block.shm.buf, dtype=np.dtype(ref.dtype), count=ref.count, offset=ref.offset
         )
 
-    def owns(self, array: np.ndarray) -> bool:
-        """True if the array's data lives inside one of this arena's blocks.
-
-        Pointer-range check against every owned block — this is how the
-        storage layer recognizes zero-copy shm segments it must materialize
-        before the arena is destroyed.
-        """
-        if array.dtype == object or array.nbytes == 0:
-            return False
-        addr = array.ctypes.data
-        end = addr + array.nbytes
-        for block in self._blocks.values():
-            if block.addr <= addr and end <= block.addr + block.size:
-                return True
-        return False
-
     @property
     def block_names(self) -> List[str]:
         """Names of every live block (tests assert none leak after close)."""
@@ -193,7 +162,7 @@ class ShmArena:
 
     @property
     def total_bytes(self) -> int:
-        """Bytes currently held across all blocks (pinned + scratch)."""
+        """Bytes currently held across all blocks."""
         return sum(block.size for block in self._blocks.values())
 
     # ------------------------------------------------------------------- close
@@ -203,9 +172,7 @@ class ShmArena:
 
         Unlink always succeeds (removing the ``/dev/shm`` entry even while
         mappings are alive); ``close()`` is best-effort because numpy views
-        still referencing a block legally prevent unmapping — callers that
-        adopted zero-copy segments materialize them first (see module
-        docstring).
+        still referencing a block legally prevent unmapping.
         """
         self._closed = True
         blocks, self._blocks = self._blocks, {}

@@ -183,7 +183,7 @@ class SnodeNode:
             )
         if isinstance(msg, RangeAdopt):
             store = self._tier_store(msg.ref, msg.tier)
-            store.adopt_parts(*join_parts(msg.parts), foreign=msg.foreign)
+            store.adopt_parts(*join_parts(msg.parts))
             return None
         if isinstance(msg, RangeDrop):
             store, starts, lasts = self._store_ranges(msg)
@@ -289,7 +289,6 @@ class SnodeNode:
                 ref=msg.target_ref,
                 tier=msg.target_tier or msg.tier,
                 parts=parts,
-                foreign=store.foreign,
             )
         )
         await self._await_hook("after_adopt")

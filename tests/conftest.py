@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import DHTConfig, GlobalDHT, LocalDHT
+from repro.core.hashspace import splitmix64_inverse
 
 
 @pytest.fixture
@@ -39,6 +41,16 @@ def grow(dht, n: int, snode=None):
     """Create ``n`` vnodes on the DHT (helper used across test modules)."""
     snode = snode if snode is not None else next(iter(dht.snodes.values()))
     return [dht.create_vnode(snode) for _ in range(n)]
+
+
+def key_at(index: int, bh: int = 16, salt: int = 0) -> int:
+    """An int key whose hash index in a ``2**bh`` space (``bh <= 64``) is
+    ``index``: SplitMix64 run backwards from a 64-bit hash whose low ``bh``
+    bits are ``index`` and whose high bits are ``salt``, so distinct
+    ``(index, salt)`` pairs give distinct keys.  Lets a test lay rows out by
+    index and still write each under its key's hash."""
+    word = ((salt << bh) | index) & ((1 << 64) - 1)
+    return int(splitmix64_inverse(np.array([word], dtype=np.uint64))[0])
 
 
 class MigrationOracle:

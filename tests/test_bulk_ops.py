@@ -16,7 +16,7 @@ import pytest
 from repro.core import DHTConfig, GlobalDHT, HashSpace, LocalDHT
 from repro.core.errors import EmptyDHTError, KeyLookupError, StorageError
 
-from tests.conftest import grow
+from tests.conftest import grow, key_at
 
 
 def small_dht(cls=LocalDHT, n_snodes=3, n_vnodes=9, rng=0):
@@ -232,14 +232,15 @@ class TestBulkLoad:
     def test_put_batch_copies_caller_arrays(self, cls):
         dht = small_dht(cls)
         ref = next(iter(dht.vnodes))
-        karr = np.asarray(["a1", "a2"], dtype=object)
+        karr = np.asarray([key_at(1, dht.hash_space.bh), key_at(2, dht.hash_space.bh)], dtype=object)
         varr = np.asarray(["v1", "v2"], dtype=object)
         idx = np.array([1, 2], dtype=np.uint64)
         dht.storage.put_batch(ref, karr, idx, varr)
         varr[0] = "MUTATED"
         idx[0] = 99
-        assert dht.storage.get(ref, "a1") == "v1"
-        assert dht.storage._store(ref).get("a1").index == 1
+        karr[0] = "MUTATED"
+        assert dht.storage.get(ref, key_at(1, dht.hash_space.bh)) == "v1"
+        assert dht.storage._store(ref).get(key_at(1, dht.hash_space.bh), 1).index == 1
 
     def test_interleaved_point_and_bulk_writes(self, cls):
         dht = small_dht(cls)
@@ -302,7 +303,8 @@ class TestStorageBatchPaths:
     def test_get_batch_raises_for_missing_key(self, local_dht):
         grow(local_dht, 4)
         ref = next(iter(local_dht.vnodes))
-        local_dht.storage.put_batch(ref, ["a"], [1], ["v"])
-        assert local_dht.storage.get_batch(ref, ["a"]) == ["v"]
+        key = key_at(1, local_dht.hash_space.bh)
+        local_dht.storage.put_batch(ref, [key], [1], ["v"])
+        assert local_dht.storage.get_batch(ref, [key]) == ["v"]
         with pytest.raises(KeyError):
-            local_dht.storage.get_batch(ref, ["a", "missing"])
+            local_dht.storage.get_batch(ref, [key, "missing"])

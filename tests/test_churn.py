@@ -17,7 +17,7 @@ from repro.workloads.churn import (
 )
 from repro.workloads.driver import build_cluster
 from repro.workloads.keys import id_keys, zipf_id_keys
-from tests.conftest import MigrationOracle
+from tests.conftest import MigrationOracle, key_at
 
 
 def vref(v: int) -> VnodeRef:
@@ -31,21 +31,23 @@ def make_storage(bh: int = 16, vnodes: int = 3) -> DHTStorage:
     return storage
 
 
-def mixed_tier_rows(space: int, n: int = 64) -> dict:
-    """The rows :func:`fill_mixed_tiers` stores, as ``key -> (index, value)``."""
+def mixed_tier_rows(bh: int, n: int = 64) -> dict:
+    """The rows :func:`fill_mixed_tiers` stores, as ``key -> (index, value)``:
+    ``n`` indexes spread evenly over a ``2**bh`` space, each under a key
+    that hashes there."""
     rows = {}
     for i in range(n):
-        tier, label = ("s", "seg") if i % 2 else ("h", "hash")
-        rows[f"{tier}{i}"] = ((i * space) // n, f"{label}-{i}")
+        index = (i << bh) // n
+        rows[key_at(index, bh)] = (index, f"{'seg' if i % 2 else 'hash'}-{i}")
     return rows
 
 
 def fill_mixed_tiers(storage: DHTStorage, owner: VnodeRef, n: int = 64) -> None:
     """Half the items via per-key puts (hash tier), half via put_batch (segments)."""
-    rows = mixed_tier_rows(storage.hash_space.size, n)
-    for key in (k for k in rows if k.startswith("h")):
+    rows = mixed_tier_rows(storage.hash_space.bh, n)
+    for key in (k for k, item in rows.items() if item[1].startswith("hash")):
         storage.put(owner, key, *rows[key])
-    keys = [k for k in rows if k.startswith("s")]
+    keys = [k for k, item in rows.items() if item[1].startswith("seg")]
     storage.put_batch(
         owner, keys, [rows[k][0] for k in keys], [rows[k][1] for k in keys]
     )
@@ -59,7 +61,7 @@ class TestVectorizedMigration:
         partition = Partition(2, 1)  # covers [0x4000, 0x8000) of a 16-bit space
         storage = make_storage()
         fill_mixed_tiers(storage, vref(0))
-        oracle = MigrationOracle(mixed_tier_rows(storage.hash_space.size))
+        oracle = MigrationOracle(mixed_tier_rows(storage.hash_space.bh))
         moving = oracle.rows_in([(0x4000, 0x8000)])
         moved = storage.migrate_partition(partition, vref(0), vref(1))
         assert moved == len(moving) > 0
@@ -82,7 +84,7 @@ class TestVectorizedMigration:
         assert src.pending_item_count() > 0
         assert dst.pending_item_count() > 0
         # Point reads still see every item (merge happens lazily, later).
-        assert storage.get(vref(1), "s63") == "seg-63"
+        assert storage.get(vref(1), key_at((63 << 16) // 64)) == "seg-63"
 
     def test_migrate_partitions_matches_per_partition_calls(self):
         moves = [
@@ -128,7 +130,7 @@ class TestVectorizedMigration:
         assert storage.item_count(vref(0)) == 0
         assert storage._store(vref(1)).pending_item_count() == pending
         assert storage.item_count(vref(1)) == 64  # merged count, exact
-        assert storage.get(vref(1), "h0") == "hash-0"
+        assert storage.get(vref(1), key_at(0)) == "hash-0"
 
     def test_fast_item_count_exact_with_distinct_keys(self):
         storage = make_storage()
@@ -142,25 +144,28 @@ class TestVectorizedMigration:
 
     def test_fast_item_count_upper_bound_with_duplicates(self):
         storage = make_storage()
-        storage.put(vref(0), "dup", 10, "old")
-        storage.put_batch(vref(0), ["dup"], [10], ["new"])
+        storage.put(vref(0), key_at(10), 10, "old")
+        storage.put_batch(vref(0), [key_at(10)], [10], ["new"])
         assert storage.fast_item_count() == 2  # upper bound
         assert storage.total_items() == 1  # merged truth
-        assert storage.get(vref(0), "dup") == "new"
+        assert storage.get(vref(0), key_at(10)) == "new"
 
     def test_wide_hash_space_migration(self):
         storage = DHTStorage(HashSpace(80))
         storage.register_vnode(vref(0))
         storage.register_vnode(vref(1))
         half = 1 << 79
-        storage.put(vref(0), "low", 123, "a")
-        storage.put(vref(0), "high", half + 456, "b")
-        storage.put_batch(vref(0), ["shigh"], [half + 789], ["c"])
+        hashed = {f"k{i}": storage.hash_space.hash_key(f"k{i}") for i in range(16)}
+        low = next(k for k, index in hashed.items() if index < half)
+        high, shigh = [k for k, index in hashed.items() if index >= half][:2]
+        for key, value in ((low, "a"), (high, "b")):
+            storage.put(vref(0), key, hashed[key], value)
+        storage.put_batch(vref(0), [shigh], [hashed[shigh]], ["c"])
         moved = storage.migrate_partition(Partition(1, 1), vref(0), vref(1))
         assert moved == 2
-        assert storage.get(vref(1), "high") == "b"
-        assert storage.get(vref(1), "shigh") == "c"
-        assert storage.get(vref(0), "low") == "a"
+        assert storage.get(vref(1), high) == "b"
+        assert storage.get(vref(1), shigh) == "c"
+        assert storage.get(vref(0), low) == "a"
 
     def test_churn_burst_matches_per_item_path(self):
         """A join, a full snode drain, an enrollment grow and a shrink over
@@ -400,8 +405,8 @@ class TestChurnEngine:
             # Simulate a migration bug: drop an item behind the DHT's back.
             ref = next(iter(dht_.vnodes))
             store = dht_.storage._store(ref)
-            for key, _ in store.items():
-                store.delete(key)
+            for key, item in store.items():
+                store.delete(key, item.index)
                 break
 
         engine._apply_topology = leaky

@@ -152,7 +152,7 @@ def _replicated(kind: str, numbers: List[int], void: bool, dup: List[int]):
     for s, ref in enumerate(REFS):
         rows = owner == s
         if rows.any():
-            storage.put_batch_columns(ref, keys[rows], indexes[rows], values[rows])
+            storage.put_batch(ref, keys[rows], indexes[rows], values[rows])
     sync_replicas(storage, placement)
     for number in dup:
         row = numbers.index(number)
@@ -182,16 +182,16 @@ def _corrupt(storage, how, keys, indexes, owner, pick, spare, void) -> bool:
         at = max(i for i, stored in enumerate(run[0].tolist()) if stored == key)
         run[2][at] = flipped
     elif how == "hash_value":
-        replica.delete(key)  # folds the replica
+        replica.delete(key, index)  # folds the replica
         replica._items[key] = (index, flipped)
     elif how == "missing":
-        replica.delete(key)
+        replica.delete(key, index)
     elif how == "extra":
-        replica.put(spare[0], spare[1], "extra")
-    elif how == "wrong_index":
+        replica.put_row(spare[0], spare[1], "extra")
+    elif how == "wrong_index":  # planted past DHTStorage, which refuses it
         value = replica.get_value(key, index)
-        replica.delete(key)
-        replica.put(key, (index + 1) % (1 << BH), value)
+        replica.delete(key, index)
+        replica.put_row(key, (index + 1) % (1 << BH), value)
     else:  # fold_one_side: the same rows, one side's duplicates folded away
         side = storage.primary_store(REFS[owner[row]]) if pick % 2 else replica
         side._merge_segments()

@@ -27,6 +27,7 @@ from repro.core import (
     HashSpace,
     LocalDHT,
     SnodeId,
+    StorageError,
     VnodeRef,
     restore_dht,
     snapshot_dht,
@@ -215,6 +216,44 @@ class TestWal:
         state = log.recover()
         assert state.torn_records_discarded == 1
         assert replayed(state) == {"a": (1, "va")}
+
+    def test_every_cut_and_flipped_bit_recovers_a_record_prefix_or_raises(self, make_log):
+        """On a 4-record WAL every cut recovers the records before it and
+        truncates the rest; a flipped bit in the last record recovers the
+        three before it; a flipped bit anywhere inside a middle record
+        raises and leaves the file as it found it — truncating there would
+        drop the intact records after it."""
+        log = make_log()
+        records = [("put", "a", 1, "va"), ("put", "b", 2, "vb"), ("del", "a"), ("put", "c", 3, "vc")]
+        ends = []
+        for op in records:
+            log.append(op)
+            log.close()
+            ends.append(os.path.getsize(log.wal_path))
+        with open(log.wal_path, "rb") as fh:
+            good = fh.read()
+
+        def recover(data: bytes):
+            with open(log.wal_path, "wb") as fh:
+                fh.write(data)
+            return log.recover()
+
+        for cut in range(len(good)):
+            whole = sum(end <= cut for end in ends)
+            state = recover(good[:cut])
+            assert state.ops == records[:whole]
+            assert state.torn_records_discarded == (cut > (ends[whole - 1] if whole else 0))
+            assert os.path.getsize(log.wal_path) == (ends[whole - 1] if whole else 0)
+        for bit in range(8 * len(good)):
+            flipped = bytearray(good)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            if bit // 8 >= ends[-2]:
+                assert recover(bytes(flipped)).ops == records[:3]
+                continue
+            with pytest.raises(DurabilityError):
+                recover(bytes(flipped))
+            with open(log.wal_path, "rb") as fh:
+                assert fh.read() == flipped
 
     def test_empty_wal_and_missing_directory_recover_empty(self, make_log, tmp_path):
         log = make_log()
@@ -561,7 +600,7 @@ class TestRestartLeavesWhatItFound:
         keys = np.arange(100, dtype=np.int64)
         indexes = storage.hash_space.hash_keys(keys)
         storage.put_batch(ref, keys, indexes, [f"v{k}" for k in range(100)])
-        assert storage.primary_store(ref).put(5, int(indexes[5]), "overwritten")  # in place
+        assert storage.primary_store(ref).put_row(5, int(indexes[5]), "overwritten")  # in place
         new_key = 1000
         storage.put(ref, new_key, storage.hash_space.hash_key(new_key), "new")  # folds
         store = storage.primary_store(ref)
@@ -584,17 +623,20 @@ class TestRestartLeavesWhatItFound:
     def test_a_store_flagged_after_an_in_place_overwrite_reboots_with_its_tiers(
         self, tmp_path, flush_threshold
     ):
-        """``foreign`` is logged: a rebooted process replays the overwrite in
-        place, as the live store ran it, and sets the flag after it."""
+        """A row under a foreign index is flagged as wrong and refused before
+        it reaches the log, so a rebooted process replays the overwrite in
+        place, as the live store ran it, and holds no trace of the row."""
         storage, ref = _restartable(tmp_path, flush_threshold)
         keys = np.arange(100, dtype=np.int64)
         indexes = storage.hash_space.hash_keys(keys)
         storage.put_batch(ref, keys, indexes, [f"v{k}" for k in range(100)])
-        assert storage.primary_store(ref).put(5, int(indexes[5]), "overwritten")  # in place
+        assert storage.primary_store(ref).put_row(5, int(indexes[5]), "overwritten")  # in place
         wrong = (storage.hash_space.hash_key(1000) + 1) % storage.hash_space.size
-        storage.put_batch(ref, [1000], [wrong], ["foreign"])  # flags the store
+        records = storage.durability.wal_records_written
+        with pytest.raises(StorageError):
+            storage.put_batch(ref, [1000], [wrong], ["foreign"])
+        assert storage.durability.wal_records_written == records
         store = storage.primary_store(ref)
-        assert store.foreign
         tiers = (len(store._items), store.pending_item_count())
         content = dict(store.items())
         storage.durable.close()
@@ -603,10 +645,9 @@ class TestRestartLeavesWhatItFound:
         rebooted.register_vnode(ref, fresh=False)
         rebooted.replay_vnode(ref)
         store = rebooted.primary_store(ref)
-        assert store.foreign
         assert (len(store._items), store.pending_item_count()) == tiers
         assert dict(store.items()) == content
-        assert rebooted.get(ref, 1000, wrong) == "foreign"
+        assert not rebooted.contains(ref, 1000)
         rebooted.durable.close()
 
 

@@ -402,7 +402,7 @@ class TestSegmentCompaction:
             assert len(target._segments) == 1 and target._sorted
         assert np.all(np.diff(target._segments[0][1].astype(np.int64)) > 0)
         assert target.fast_len() == n
-        assert target.get(5).value == "v5"
+        assert target.get(5, int(indexes[5])).value == "v5"
         assert len(target) == n
 
     def test_compaction_handles_valueless_segments(self):
@@ -416,5 +416,5 @@ class TestSegmentCompaction:
         total = 2 * rounds
         assert store.fast_len() == total
         assert len(store._segments) == 1
-        assert store.get(2).value is None and store.get(4).value == 4
+        assert store.get(2, 2).value is None and store.get(4, 4).value == 4
         assert len(store) == total

@@ -21,6 +21,7 @@ from repro.core.errors import ReproError
 from repro.core.ids import SnodeId, VnodeRef
 from repro.core.replication import sync_replicas, verify_placement
 from repro.workloads.keys import id_keys, sequential_keys
+from tests.conftest import key_at
 
 
 def vref(s: int, v: int = 0) -> VnodeRef:
@@ -114,11 +115,10 @@ class TestVnodeStoreRangePrimitives:
         # Mixed tiers: evens via put (hash tier), odds via put_batch (segment).
         size = storage.hash_space.size
         for i in range(0, 32, 2):
-            storage.put(vref(0), f"h{i}", (i * size) // 32, i)
+            storage.put(vref(0), key_at((i * size) // 32), (i * size) // 32, i)
         odds = list(range(1, 32, 2))
-        storage.put_batch(
-            vref(0), [f"s{i}" for i in odds], [(i * size) // 32 for i in odds], odds
-        )
+        indexes = [(i * size) // 32 for i in odds]
+        storage.put_batch(vref(0), [key_at(index) for index in indexes], indexes, odds)
         return storage
 
     def _halves(self, storage):
@@ -397,7 +397,7 @@ class TestVerifyReplication:
             ref for ref in dht.vnodes
             if ref != placement.primaries[0] and ref not in placement.replicas_at(0)
         ][0]
-        dht.storage._replica(stranger).put("forged", start, "x")
+        dht.storage._replica(stranger).put_row("forged", start, "x")
         with pytest.raises(ReplicationError):
             dht.verify_replication()
 
@@ -406,7 +406,7 @@ class TestVerifyReplication:
         dht.put("k", "good")
         ref = dht.replicas_of(dht.lookup("k").partition)[0]
         index = dht.lookup("k").index
-        dht.storage._replica(ref).put("k", index, "evil")
+        dht.storage._replica(ref).put_row("k", index, "evil")
         dht.verify_replication()  # counts still agree
         with pytest.raises(ReplicationError):
             dht.verify_replication(deep=True)

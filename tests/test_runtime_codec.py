@@ -433,15 +433,6 @@ class TestColumnarBodies:
         for column in (chunk.keys, chunk.indexes, chunk.values, *adopt.parts[0][1][0]):
             assert column.flags.owndata and column.flags.writeable
 
-    def test_range_adopt_carries_the_foreign_flag_in_no_extra_byte(self):
-        parts = [([(7, (70, b"seven"))], [(np.arange(3, dtype=np.uint64),) * 2 + (None,)])]
-        for message_parts in (parts, None):
-            plain = RangeAdopt(src=1, dst=2, ref="1.0", parts=message_parts)
-            flagged = RangeAdopt(src=1, dst=2, ref="1.0", parts=message_parts, foreign=True)
-            assert len(plain.encode()) == len(flagged.encode())
-            assert decode(plain.encode()).foreign is False
-            assert decode(flagged.encode()).foreign is True
-
     def test_int_bytes_and_str_rows_never_pickle(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("pickle on the row path")

@@ -43,6 +43,11 @@ from repro.runtime.rpc import (
 )
 from repro.workloads.churn import ChurnEvent, ChurnSpec
 
+from tests.conftest import key_at
+
+#: An int key whose hash index in a ``2**16`` space is 5.
+KEY = key_at(5)
+
 
 async def _served_node(**node_kwargs):
     node = SnodeNode(0, bh=16, **node_kwargs)
@@ -89,10 +94,11 @@ class TestRpcRoundTrip:
                 assert ack.error is None
 
                 await client.call(VnodeCreate(src=-1, dst=0, ref="0.0"))
+                key = key_at(123)
                 await client.call(
-                    PutRequest(src=-1, dst=0, ref="0.0", key=7, index=123, value="v7")
+                    PutRequest(src=-1, dst=0, ref="0.0", key=key, index=123, value="v7")
                 )
-                ack = await client.call(GetRequest(src=-1, dst=0, ref="0.0", key=7))
+                ack = await client.call(GetRequest(src=-1, dst=0, ref="0.0", key=key))
                 assert ack.payload == "v7"
                 assert len(client.call_durations) == 4
             finally:
@@ -167,7 +173,7 @@ class TestRpcRoundTrip:
                         src=-1,
                         dst=0,
                         ref="0.0",
-                        keys=np.arange(100),
+                        keys=np.array([key_at(i) for i in range(0, 1000, 10)], dtype=np.uint64),
                         indexes=np.arange(0, 1000, 10, dtype=np.uint64),
                     )
                 )
@@ -237,7 +243,7 @@ class TestRpcFaults:
             try:
                 await client.call(VnodeCreate(src=-1, dst=0, ref="0.0"))
                 await client.call(
-                    PutRequest(src=-1, dst=0, ref="0.0", key=1, index=5, value="a")
+                    PutRequest(src=-1, dst=0, ref="0.0", key=KEY, index=5, value="a")
                 )
                 await faults.kill(handle)
                 await faults.reboot(handle)
@@ -246,7 +252,7 @@ class TestRpcFaults:
                 ack = await handle.rpc.call(PingRequest(src=-1, dst=0))
                 assert ack.error is None
                 with pytest.raises(KeyError):
-                    await handle.rpc.call(GetRequest(src=-1, dst=0, ref="0.0", key=1))
+                    await handle.rpc.call(GetRequest(src=-1, dst=0, ref="0.0", key=KEY))
             finally:
                 await handle.rpc.close()
                 if handle.server is not None:
@@ -320,7 +326,7 @@ class TestNotRetrySafe:
                     src=-1,
                     dst=0,
                     ref="0.0",
-                    keys=np.arange(100),
+                    keys=np.array([key_at(i) for i in range(0, 1000, 10)], dtype=np.uint64),
                     indexes=np.arange(0, 1000, 10, dtype=np.uint64),
                 )
                 with pytest.raises(RpcConnectionError):
@@ -404,7 +410,7 @@ class TestOneConnection:
                 await client.call(VnodeCreate(src=-1, dst=0, ref="0.0"))
                 for key in range(64):
                     await client.call(
-                        PutRequest(src=-1, dst=0, ref="0.0", key=key, index=key, value=key * key)
+                        PutRequest(src=-1, dst=0, ref="0.0", key=key_at(key), index=key, value=key * key)
                     )
                 acks = await asyncio.gather(
                     *(client.call(PingRequest(src=-1, dst=0)) for _ in range(64))
@@ -412,7 +418,7 @@ class TestOneConnection:
                 assert all(type(ack) is Ack and ack.error is None for ack in acks)
                 assert node.requests_served["PingRequest"] == 64
                 gets = await asyncio.gather(
-                    *(client.call(GetRequest(src=-1, dst=0, ref="0.0", key=key))
+                    *(client.call(GetRequest(src=-1, dst=0, ref="0.0", key=key_at(key)))
                       for key in range(64))
                 )
                 assert [ack.payload for ack in gets] == [key * key for key in range(64)]
@@ -455,7 +461,7 @@ class TestOneConnection:
             try:
                 await first.call(VnodeCreate(src=-1, dst=0, ref="0.0"))
                 await first.call(
-                    PutRequest(src=-1, dst=0, ref="0.0", key=1, index=5, value="a")
+                    PutRequest(src=-1, dst=0, ref="0.0", key=KEY, index=5, value="a")
                 )
                 await to_target.call(VnodeCreate(src=-1, dst=1, ref="1.0"))
                 done = []
@@ -532,10 +538,10 @@ class TestBackPressure:
             try:
                 await client.call(VnodeCreate(src=-1, dst=0, ref="0.0"))
                 await client.call(
-                    PutRequest(src=-1, dst=0, ref="0.0", key=1, index=5, value=value)
+                    PutRequest(src=-1, dst=0, ref="0.0", key=KEY, index=5, value=value)
                 )
                 reader, writer = await asyncio.open_connection(*server.address)
-                get = GetRequest(src=-1, dst=0, ref="0.0", key=1)
+                get = GetRequest(src=-1, dst=0, ref="0.0", key=KEY)
                 for request_id in range(n_requests):
                     writer.write(encode_frame(request_id, get))
                 await writer.drain()
@@ -568,11 +574,11 @@ class TestBackPressure:
             try:
                 await client.call(VnodeCreate(src=-1, dst=0, ref="0.0"))
                 await client.call(
-                    PutRequest(src=-1, dst=0, ref="0.0", key=1, index=5, value=b"v" * 2**18)
+                    PutRequest(src=-1, dst=0, ref="0.0", key=KEY, index=5, value=b"v" * 2**18)
                 )
                 with _no_loop_errors():
                     reader, writer = await asyncio.open_connection(*server.address)
-                    get = GetRequest(src=-1, dst=0, ref="0.0", key=1)
+                    get = GetRequest(src=-1, dst=0, ref="0.0", key=KEY)
                     for request_id in range(48):
                         writer.write(encode_frame(request_id, get))
                     await writer.drain()

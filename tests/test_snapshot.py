@@ -206,6 +206,14 @@ class TestStructuralValidation:
         with pytest.raises(ReproError, match="non-integer"):
             restore_dht(snapshot)
 
+    def test_item_off_its_keys_hash_index_rejected(self):
+        """An index its vnode owns, but not the key's hash: restoring it
+        would store a row no read of the key ever looks at."""
+        snapshot = snapshot_dht(build_local(n_vnodes=6, items=5))
+        snapshot["items"][0]["index"] ^= 1  # same partition, another index
+        with pytest.raises(ReproError, match="is not key .* hash index"):
+            restore_dht(snapshot)
+
     def test_vnode_outrunning_name_counter_rejected(self):
         snapshot = snapshot_dht(build_local(n_vnodes=6, items=0))
         snapshot["snodes"][0]["next_vnode_index"] = 0  # but vnode 0.0 exists

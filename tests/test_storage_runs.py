@@ -11,8 +11,8 @@
   reads — of absent keys too — must answer from the model's last write
   without ever growing the hash tier; the whole-store views (``len``,
   ``items``, ``item_count``) and ``verify_replication(deep=True)`` must
-  leave every store's tiers, ``fast_len`` and flag as they were, and a
-  durable store killed right after them must replay to the same;
+  leave every store's tiers and ``fast_len`` as they were, and a durable
+  store killed right after them must replay to the same;
 * read-only passes (``count_buckets``, ``verify_replication``) must leave
   every segment array in place — rewriting them is what raised
   ``peak_rss_mb`` on a bulk-loaded cluster;
@@ -49,6 +49,7 @@ from repro.core.replication import ReplicaPlacement, sync_replicas, verify_repli
 from repro.core.storage import VnodeStore, join_parts
 from repro.utils.arrays import concat_columns
 from repro.workloads.driver import build_cluster
+from tests.conftest import key_at
 
 Row = Tuple[Any, int, Any]  # (key, index, value)
 
@@ -258,7 +259,7 @@ class StoreMachine(RuleBasedStateMachine):
             values.dtype == object or (void and values.dtype == np.dtype(f"V{VOID_WIDTH}"))
         )
         rows = [i for i, row in enumerate(model.pending) if row[0] == key]
-        store.put(key, index, value)
+        store.put_row(key, index, value)
         if holds and rows and key not in model.hash:
             model.pending[rows[-1]] = (key, index, value)
             assert key not in store._items
@@ -271,18 +272,18 @@ class StoreMachine(RuleBasedStateMachine):
           slot=st.integers(0, KEYS_PER_RANGE - 1))
     def delete(self, s, r, slot):
         """A delete folds the store; a failed one leaves it as it was."""
-        key, model = self._key(r, slot), self.models[s]
+        key, index, model = self._key(r, slot), self._index(r, slot), self.models[s]
         if key in model.merged():
             model.merge()
-            assert self.stores[s].delete(key) == model.hash.pop(key)
+            assert self.stores[s].delete(key, index) == model.hash.pop(key)
         else:
             with pytest.raises(KeyError):
-                self.stores[s].delete(key)
+                self.stores[s].delete(key, index)
 
-    @rule(s=st.integers(0, 1), routed=st.booleans())
-    def get(self, s, routed):
-        """A point read of every key, with its hash index or (``routed=False``)
-        without one; absent keys raise and are not contained."""
+    @rule(s=st.integers(0, 1))
+    def get(self, s):
+        """A point read of every key at its hash index; absent keys raise
+        and are not contained."""
         store = self.stores[s]
         merged = self.models[s].merged()
         hash_tier = dict(store._items)
@@ -290,7 +291,6 @@ class StoreMachine(RuleBasedStateMachine):
             probes = [(self._key(r, slot), self._index(r, slot)) for slot in range(KEYS_PER_RANGE)]
             probes.append((self._absent_key(r), self._index(r, 0)))
             for key, index in probes:
-                index = index if routed else None
                 want = merged.get(key)
                 if want is None:
                     with pytest.raises(KeyError):
@@ -398,11 +398,11 @@ class StoreMachine(RuleBasedStateMachine):
     @rule()
     def views(self):
         """Whole-store views and the deep replica check are read-only: every
-        store keeps its tiers, row count and flag, and a durable store
-        killed right after them replays to the same."""
+        store keeps its tiers and row count, and a durable store killed
+        right after them replays to the same."""
         def state():
             return [
-                (len(store._items), store.pending_item_count(), store.fast_len(), store.foreign)
+                (len(store._items), store.pending_item_count(), store.fast_len())
                 for store in self.stores
             ]
 
@@ -648,10 +648,11 @@ def _durable_storage(tmp_path, bh: int = 16) -> DHTStorage:
 
 def test_consolidated_store_replays_to_the_same_rows(tmp_path):
     storage = _durable_storage(tmp_path)
-    keys = np.arange(400, dtype=np.int64)
-    indexes = (keys * 163) % (1 << 16)
-    storage.put_batch(vref(0), keys[:200], indexes[:200], [f"a{k}" for k in keys[:200]])
-    storage.put_batch(vref(0), keys[100:], indexes[100:], [f"b{k}" for k in keys[100:]])
+    numbers = np.arange(400)
+    indexes = (numbers * 163) % (1 << 16)
+    keys = np.array([key_at(int(index)) for index in indexes], dtype=np.uint64)
+    storage.put_batch(vref(0), keys[:200], indexes[:200], [f"a{k}" for k in numbers[:200]])
+    storage.put_batch(vref(0), keys[100:], indexes[100:], [f"b{k}" for k in numbers[100:]])
     store = storage.primary_store(vref(0))
     # A handover consolidates the source (and logs the drop), the target
     # folds the adopted slice into its own run.
@@ -664,8 +665,9 @@ def test_consolidated_store_replays_to_the_same_rows(tmp_path):
         storage.replay_vnode(ref)
         assert dict(storage.primary_store(ref).items()) == live
     assert storage.item_count() == 400
-    owner = vref(0) if storage.contains(vref(0), 150) else vref(1)
-    assert storage.get(owner, 150) == "b150"  # the later batch still wins
+    key = int(keys[150])
+    owner = vref(0) if storage.contains(vref(0), key) else vref(1)
+    assert storage.get(owner, key) == "b150"  # the later batch still wins
     storage.durable.close()
 
 
@@ -715,10 +717,10 @@ def _apply(store: VnodeStore, op) -> None:
     if kind == "batch":
         store.put_many(*op[1:])
     elif kind == "put":
-        store.put(*op[1:])
+        store.put_row(*op[1:])
     elif kind == "del":
         try:
-            store.delete(op[1])
+            store.delete(op[1], (op[1] * 37) % 256)
         except KeyError:
             pass  # a failed delete changes nothing, and is not logged
     elif kind == "pairs":
@@ -792,7 +794,6 @@ def test_an_in_place_put_changes_no_caller_array_and_no_other_store():
     storage, keys, indexes, values = _hashed_storage()
     callers = (keys.copy(), indexes.copy(), values.copy())
     primary = storage.primary_store(vref(0))
-    assert not primary.foreign
     # Two replica stores adopt the very same copied parts.
     parts = primary.copy_buckets(*_whole_space(storage))
     replicas = [VnodeStore(vref(1)), VnodeStore(vref(2))]
@@ -805,7 +806,7 @@ def test_an_in_place_put_changes_no_caller_array_and_no_other_store():
 
     key, index, old = 7, int(indexes[7]), values[7].item()
     for store, new in ((primary, b"P" * 16), (replicas[0], b"R" * 16), (direct, b"D" * 16)):
-        store.put(key, index, new)
+        store.put_row(key, index, new)
         assert not store._items  # landed in the run, nothing folded
         assert store.get(key, index) == (index, new)
 
@@ -820,13 +821,13 @@ def test_an_in_place_put_changes_no_caller_array_and_no_other_store():
 def test_a_put_folds_unless_the_run_can_take_it():
     storage, keys, indexes, values = _hashed_storage()
     store = storage.primary_store(vref(0))
-    store.put(3, int(indexes[3]), b"short")  # not 16 bytes: no place in V16
+    store.put_row(3, int(indexes[3]), b"short")  # not 16 bytes: no place in V16
     assert not store._segments and len(store._items) == len(keys)
     assert store.get(3, int(indexes[3])).value == b"short"
     # Key 3 now has a hash-tier row and, after this batch, a run row too.
     store.put_many(keys[:4].copy(), indexes[:4].copy(), values[:4].copy())
     assert store._sorted_run() is not None
-    store.put(3, int(indexes[3]), b"F" * 16)
+    store.put_row(3, int(indexes[3]), b"F" * 16)
     assert not store._segments and store.get(3, int(indexes[3])).value == b"F" * 16
 
 
@@ -893,10 +894,10 @@ def test_a_handover_is_spliced_into_the_run_without_a_sort(monkeypatch):
         assert run_indexes == sorted(run_indexes) and len(run_indexes) == rows
 
 
-def test_a_point_miss_on_a_bulk_loaded_store_costs_about_a_hit(monkeypatch):
-    """No miss scans the run: the write paths checked every index against
-    the key's hash, so a key absent from its index span and the hash tier
-    is absent."""
+def test_a_point_miss_on_a_bulk_loaded_store_costs_about_a_hit():
+    """No miss scans the run: every row sits under its key's hash index
+    (the write paths refuse any other), so a key absent from its index
+    span and the hash tier is absent."""
     dht = build_cluster("local", 2, 2, pmin=4, vmin=4, seed=0)
     n = 200_000
     dht.bulk_load(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
@@ -910,11 +911,6 @@ def test_a_point_miss_on_a_bulk_loaded_store_costs_about_a_hit(monkeypatch):
     storage = dht.storage
     assert all(storage.contains(*probe) for probe in hits)  # establishes every run
 
-    def scan(*args):
-        raise AssertionError("a point miss scanned the run")
-
-    monkeypatch.setattr("repro.core.storage._scan_row", scan)
-
     def cost(probes, want):
         start = time.perf_counter()
         for probe in probes:
@@ -925,44 +921,3 @@ def test_a_point_miss_on_a_bulk_loaded_store_costs_about_a_hit(monkeypatch):
     best_miss = min(cost(misses, False) for _ in range(5))
     assert best_miss <= 2 * best_hit, (best_miss, best_hit)
     assert not any(storage.primary_store(ref)._items for ref in dht.vnodes)
-
-
-def test_a_row_under_a_foreign_index_flags_the_store_and_travels():
-    storage = DHTStorage(HashSpace(16))
-    for v in range(3):
-        storage.register_vnode(vref(v))
-    keys = np.arange(10, dtype=np.int64)
-    storage.put_batch(vref(0), keys, storage.hash_space.hash_keys(keys), keys, routed=True)
-    assert not storage.primary_store(vref(0)).foreign
-    storage.put_batch(vref(1), ["x"], [5], ["v"])  # 5 is not hash_key("x")
-    assert storage.primary_store(vref(1)).foreign
-    assert storage.get(vref(1), "x") == "v"  # found by the scan
-    storage.migrate_all(vref(1), vref(2))
-    assert storage.primary_store(vref(2)).foreign
-    assert storage.get(vref(2), "x") == "v"
-    storage.put(vref(0), 3, int(storage.hash_space.hash_key(3)), 30)
-    assert not storage.primary_store(vref(0)).foreign
-    storage.put(vref(0), "y", 7, "w")
-    assert storage.primary_store(vref(0)).foreign
-
-
-def test_the_views_of_a_foreign_store_keep_each_key_once():
-    """A foreign store may hold one key under several indexes: its views
-    keep only the row a fold would keep, in the hash tier or the run."""
-    storage = DHTStorage(HashSpace(16))
-    storage.register_vnode(vref(0))
-    store = storage.primary_store(vref(0))
-    storage.put(vref(0), "h", 40, "old")  # hash tier, then a newer run row
-    storage.put_batch(vref(0), ["k", "h", "j"], [9, 30, 50], ["k-old", "new", "j"])
-    storage.put_batch(vref(0), ["k"], [20], ["k-new"])
-    assert store.foreign
-    tiers = (len(store._items), store.pending_item_count())
-    want = {"h": (30, "new"), "j": (50, "j"), "k": (20, "k-new")}
-    assert len(store) == 3
-    assert dict(store.items()) == want
-    starts, lasts = storage.range_arrays([(0, 19), (20, 39), (40, 65535)])
-    views = store.newest_rows(starts, lasts)
-    assert [list(zip(*(column.tolist() for column in view))) for view in views] == [
-        [], [("k", 20, "k-new"), ("h", 30, "new")], [("j", 50, "j")],
-    ]
-    assert (len(store._items), store.pending_item_count()) == tiers
