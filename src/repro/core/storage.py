@@ -425,7 +425,10 @@ class VnodeStore:
         no hash-tier row and the run's value column holds ``value`` as is
         (:func:`_holds`).  The run's arrays are the store's own, so no other
         store or caller sees it."""
-        if key in self._items:
+        try:
+            if key in self._items:
+                return False
+        except TypeError:  # an unhashable key was never stored
             return False
         run = self._sorted_run()
         if not _holds(run[2], value):

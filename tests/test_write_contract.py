@@ -270,6 +270,7 @@ WRONG_ROWS = {
     "negative-index": lambda space, key: (key, -1),
     "tuple-key": lambda space, key: ((key, 1), space.hash_key(key)),
     "bool-key": lambda space, key: (True, space.hash_key(key)),
+    "list-key": lambda space, key: ([key], space.hash_key(key)),
 }
 
 WRITERS = {
