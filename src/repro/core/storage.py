@@ -599,7 +599,7 @@ class VnodeStore:
     def _set_run(self, run: Optional[_Segment]) -> None:
         """Make ``run`` (index-sorted; ``None`` or empty for no rows) the whole
         segment tier.  ``run``'s arrays must be fresh — owned by no one else
-        and writable — because :meth:`put` overwrites values in place."""
+        and writable — because :meth:`put_row` overwrites values in place."""
         self._segments = [run] if run is not None and len(run[0]) else []
         self._sorted = bool(self._segments)
 
